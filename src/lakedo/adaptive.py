@@ -84,6 +84,8 @@ class AprilConfig:
             raise ConfigError("k_drastic must be >= 1")
         if not 0 < self.mild_probability_threshold < 1:
             raise ConfigError("mild_probability_threshold must lie in (0, 1)")
+        if any(width < 1 for width in self.disc_hidden):
+            raise ConfigError("disc_hidden layer widths must be >= 1")
         if self.disc_learning_rate <= 0 or self.disc_epochs < 1:
             raise ConfigError("discriminator learning rate and epochs must be positive")
         if self.finetune_epochs < 1:

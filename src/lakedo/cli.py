@@ -83,14 +83,31 @@ def _pop_schema(data: dict, expected: str, path) -> None:
         raise ConfigError(f"{path}: schema must be {expected!r}, got {schema!r}")
 
 
+def _is_num(value, types) -> bool:
+    return isinstance(value, types) and not isinstance(value, bool)
+
+
+#: Per annotated config field type: what the JSON value must be, and the test.
+_FIELD_CHECKS = {
+    "int": ("an integer", lambda v: _is_num(v, int)),
+    "float": ("a number", lambda v: _is_num(v, (int, float))),
+    "tuple[int, ...]": ("a list of integers",
+                        lambda v: isinstance(v, list) and all(_is_num(x, int) for x in v)),
+}
+
+
 def _build(cls, data: dict, context: str):
-    """Construct a config dataclass, rejecting unknown keys."""
-    known = {f.name for f in fields(cls)}
-    unknown = sorted(set(data) - known)
+    """Construct a config dataclass, rejecting unknown keys and mistyped values."""
+    types = {f.name: f.type for f in fields(cls)}
+    unknown = sorted(set(data) - set(types))
     if unknown:
         raise ConfigError(f"{context}: unknown keys {unknown}")
-    if "disc_hidden" in data and isinstance(data["disc_hidden"], list):
-        data["disc_hidden"] = tuple(data["disc_hidden"])
+    for name, value in data.items():
+        kind, valid = _FIELD_CHECKS[types[name]]
+        if not valid(value):
+            raise ConfigError(f"{context}: {name} must be {kind}, got {value!r}")
+        if isinstance(value, list):
+            data[name] = tuple(value)
     return cls(**data)
 
 
@@ -120,7 +137,8 @@ def load_sweep_config(path: str | Path) -> tuple[list[float], list[float], Train
     grids = {}
     for key in ("lambda_epi", "lambda_hyp"):
         values = data.pop(key, None)
-        if not isinstance(values, list) or not values:
+        if not (isinstance(values, list) and values
+                and all(_is_num(v, (int, float)) for v in values)):
             raise ConfigError(f"{path}: {key} must be a nonempty list of weights")
         grids[key] = [float(v) for v in values]
     train_data = data.pop("train", {})

@@ -21,14 +21,12 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import sigmoid_values
 from .errors import DomainError, SchemaError
-from .physics import LayerState
-from .series import LakeSeries
 
 __all__ = [
     "MIN_HIDDEN", "MAX_HIDDEN",
     "PredictorParams", "DiscriminatorParams",
     "init_predictor", "init_discriminator",
-    "predictor_forward", "masked_predictions", "predictor_forward_tape",
+    "predictor_forward", "predictor_forward_tape",
     "discriminator_forward", "discriminator_logits", "discriminator_logits_tape",
     "save_checkpoint", "load_checkpoint",
 ]
@@ -128,18 +126,6 @@ def predictor_forward(params: PredictorParams, features: np.ndarray) -> np.ndarr
         h = o * np.tanh(c)
         out[t] = h @ params.w_head + params.b_head
     return out
-
-
-def masked_predictions(params: PredictorParams, series: LakeSeries) -> list[LayerState]:
-    """Per-day LayerState with only the regime-appropriate tasks populated."""
-    raw = predictor_forward(params, series.features)
-    states = []
-    for t in range(series.n_days):
-        if series.stratified[t]:
-            states.append(LayerState(do_epi=float(raw[t, 0]), do_hyp=float(raw[t, 1])))
-        else:
-            states.append(LayerState(do_total=float(raw[t, 2])))
-    return states
 
 
 def predictor_forward_tape(tape: ad.Tape, p: dict[str, ad.Var], features: np.ndarray) -> ad.Var:

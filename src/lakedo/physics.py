@@ -1,10 +1,10 @@
 """Forward-Euler oxygen mass-balance steps for a two-layer lake.
 
 Concentrations are g m^-3, volumes m^3, exogenous fluxes g m^-3 day^-1
-relative to the start-of-day volume. Every step is a pure function, accepts
-scalars or equal-shaped arrays, and is affine in the previous day's
-concentrations, which keeps the gradient of any loss routed through these
-steps exact. Simulated values may go negative; that is deliberate (the
+relative to the start-of-day volume. Every step is a pure function on
+broadcastable arrays (scalar inputs come back as np.float64), and is affine
+in the previous day's concentrations, which keeps the gradient of any loss
+routed through these steps exact. Simulated values may go negative; that is deliberate (the
 daily scheme's instability is the signal the adaptive trainer feeds on),
 so nothing here clamps unless explicitly asked to by the synthetic
 generator's clamp flag.
@@ -20,7 +20,6 @@ from .errors import DomainError
 from .series import LakeSeries
 
 __all__ = [
-    "LayerState",
     "EntrainmentFluxes",
     "SubstepConfig",
     "simulate_mixed_step",
@@ -33,20 +32,10 @@ __all__ = [
     "multi_step_euler",
     "mass_balance_residual",
     "simulate_targets",
-    "simulate_trajectory",
 ]
 
 #: Relative tolerance on the layer volume-change consistency precondition.
 VOLUME_CHANGE_REL_TOL = 1e-9
-
-
-@dataclass(frozen=True)
-class LayerState:
-    """Concentrations for one day; a field is None when the regime does not define it."""
-
-    do_epi: float | None = None
-    do_hyp: float | None = None
-    do_total: float | None = None
 
 
 @dataclass(frozen=True)
@@ -69,10 +58,6 @@ class SubstepConfig:
             raise DomainError(f"substep count k must be an integer >= 1, got {self.k!r}")
         if not (np.isfinite(self.dt_days) and self.dt_days > 0):
             raise DomainError(f"dt_days must be positive and finite, got {self.dt_days!r}")
-
-
-def _all_scalar(*xs) -> bool:
-    return all(np.ndim(x) == 0 for x in xs)
 
 
 def _require_finite(**named) -> None:
@@ -102,8 +87,7 @@ def simulate_mixed_step(y_prev_total, f_exo_total, dt: float = 1.0):
     y = np.asarray(y_prev_total, dtype=np.float64)
     f = np.asarray(f_exo_total, dtype=np.float64)
     _require_finite(y_prev_total=y, f_exo_total=f, dt=dt)
-    out = y + f * dt
-    return float(out) if _all_scalar(y_prev_total, f_exo_total) else out
+    return y + f * dt
 
 
 def entrainment_fluxes_daily(v_epi_prev, v_epi_cur, v_hyp_prev, v_hyp_cur,
@@ -128,8 +112,6 @@ def entrainment_fluxes_daily(v_epi_prev, v_epi_cur, v_hyp_prev, v_hyp_cur,
     y_src = np.where(v_epi_cur >= v_epi_prev, y_hyp_prev, y_epi_prev)
     f_epi = d_epi * y_src / v_epi_cur
     f_hyp = d_hyp * y_src / v_hyp_cur
-    if _all_scalar(v_epi_prev, v_epi_cur, v_hyp_prev, v_hyp_cur, y_epi_prev, y_hyp_prev):
-        return EntrainmentFluxes(f_epi=float(f_epi), f_hyp=float(f_hyp))
     return EntrainmentFluxes(f_epi=f_epi, f_hyp=f_hyp)
 
 
@@ -148,9 +130,6 @@ def simulate_stratified_step(y_epi_prev, y_hyp_prev, f_exo_epi, f_exo_hyp,
                                    y_epi_prev, y_hyp_prev)
     y_e = (np.asarray(y_epi_prev, np.float64) * v_epi_prev + np.asarray(f_exo_epi, np.float64) * dt * v_epi_prev) / v_epi_cur + ent.f_epi
     y_h = (np.asarray(y_hyp_prev, np.float64) * v_hyp_prev + np.asarray(f_exo_hyp, np.float64) * dt * v_hyp_prev) / v_hyp_cur + ent.f_hyp
-    if _all_scalar(y_epi_prev, y_hyp_prev, f_exo_epi, f_exo_hyp,
-                   v_epi_prev, v_epi_cur, v_hyp_prev, v_hyp_cur):
-        return float(y_e), float(y_h)
     return y_e, y_h
 
 
@@ -166,8 +145,7 @@ def closed_form_hyp_shrink(y_hyp_prev, f_exo_hyp, v_hyp_prev, v_hyp_cur, dt: flo
     _require_finite(y_hyp_prev=y_hyp_prev, f_exo_hyp=f_exo_hyp, dt=dt)
     if np.any(np.asarray(v_hyp_cur) > np.asarray(v_hyp_prev)):
         raise DomainError("closed_form_hyp_shrink requires a shrinking (or constant) hypolimnion")
-    out = np.asarray(y_hyp_prev, np.float64) + np.asarray(f_exo_hyp, np.float64) * dt * (np.asarray(v_hyp_prev, np.float64) / v_hyp_cur)
-    return float(out) if _all_scalar(y_hyp_prev, f_exo_hyp, v_hyp_prev, v_hyp_cur) else out
+    return np.asarray(y_hyp_prev, np.float64) + np.asarray(f_exo_hyp, np.float64) * dt * (np.asarray(v_hyp_prev, np.float64) / v_hyp_cur)
 
 
 def closed_form_epi_shrink(y_epi_prev, f_exo_epi, v_epi_prev, v_epi_cur, dt: float = 1.0):
@@ -176,29 +154,35 @@ def closed_form_epi_shrink(y_epi_prev, f_exo_epi, v_epi_prev, v_epi_cur, dt: flo
     _require_finite(y_epi_prev=y_epi_prev, f_exo_epi=f_exo_epi, dt=dt)
     if np.any(np.asarray(v_epi_cur) > np.asarray(v_epi_prev)):
         raise DomainError("closed_form_epi_shrink requires a shrinking (or constant) epilimnion")
-    out = np.asarray(y_epi_prev, np.float64) + np.asarray(f_exo_epi, np.float64) * dt * (np.asarray(v_epi_prev, np.float64) / v_epi_cur)
-    return float(out) if _all_scalar(y_epi_prev, f_exo_epi, v_epi_prev, v_epi_cur) else out
+    return np.asarray(y_epi_prev, np.float64) + np.asarray(f_exo_epi, np.float64) * dt * (np.asarray(v_epi_prev, np.float64) / v_epi_cur)
+
+
+def _interpolate(v_prev, v_cur, k: int) -> np.ndarray:
+    v_prev = np.asarray(v_prev, np.float64)
+    v_cur = np.asarray(v_cur, np.float64)
+    t = np.arange(k + 1, dtype=np.float64) / k
+    t = t.reshape(t.shape + (1,) * max(v_prev.ndim, v_cur.ndim))
+    return v_prev * (1.0 - t) + v_cur * t
 
 
 def interpolate_volumes(v_prev, v_cur, k: int) -> np.ndarray:
-    """k + 1 linearly interpolated volumes with exact endpoints."""
+    """k + 1 linearly interpolated volumes with exact endpoints, shape (k + 1, *shape)."""
     if not (isinstance(k, (int, np.integer)) and k >= 1):
         raise DomainError(f"substep count k must be an integer >= 1, got {k!r}")
     _require_positive(v_prev=v_prev, v_cur=v_cur)
-    t = np.arange(k + 1, dtype=np.float64) / k
-    out = np.asarray(v_prev, np.float64) * (1.0 - t) + np.asarray(v_cur, np.float64) * t
-    return out
+    return _interpolate(v_prev, v_cur, k)
+
+
+def _substep_entrainment(dv_epi, y_src, v_epi_next, v_hyp_next):
+    return dv_epi * y_src / v_epi_next, -dv_epi * y_src / v_hyp_next
 
 
 def entrainment_fluxes_substep(dv_epi, y_src, v_epi_next, v_hyp_next) -> EntrainmentFluxes:
     """Per-substep thermocline transport for an epilimnion volume increment dv_epi."""
     _require_positive(v_epi_next=v_epi_next, v_hyp_next=v_hyp_next)
     _require_finite(dv_epi=dv_epi, y_src=y_src)
-    dv = np.asarray(dv_epi, dtype=np.float64)
-    f_epi = dv * y_src / v_epi_next
-    f_hyp = -dv * y_src / v_hyp_next
-    if _all_scalar(dv_epi, y_src, v_epi_next, v_hyp_next):
-        return EntrainmentFluxes(f_epi=float(f_epi), f_hyp=float(f_hyp))
+    f_epi, f_hyp = _substep_entrainment(np.asarray(dv_epi, dtype=np.float64), y_src,
+                                        v_epi_next, v_hyp_next)
     return EntrainmentFluxes(f_epi=f_epi, f_hyp=f_hyp)
 
 
@@ -212,46 +196,36 @@ def multi_step_euler(y_epi_prev, y_hyp_prev, f_exo_epi, f_exo_hyp,
     start-of-day volume), rescales by the interpolated volumes, then applies
     entrainment sourced from the running substep concentration. The clamp
     flag floors both layers at zero after every substep; it exists for the
-    synthetic generator's ground-truth integration only.
+    synthetic generator's ground-truth integration only. Inputs are checked
+    once on entry and the day's result once on exit (an overflow raises).
     """
     _require_finite(y_epi_prev=y_epi_prev, y_hyp_prev=y_hyp_prev,
                     f_exo_epi=f_exo_epi, f_exo_hyp=f_exo_hyp)
     _require_positive(v_epi_prev=v_epi_prev, v_epi_cur=v_epi_cur,
                       v_hyp_prev=v_hyp_prev, v_hyp_cur=v_hyp_cur)
     _check_volume_consistency(v_epi_prev, v_epi_cur, v_hyp_prev, v_hyp_cur)
-    scalar = _all_scalar(y_epi_prev, y_hyp_prev, f_exo_epi, f_exo_hyp,
-                         v_epi_prev, v_epi_cur, v_hyp_prev, v_hyp_cur)
     y_e = np.asarray(y_epi_prev, dtype=np.float64)
     y_h = np.asarray(y_hyp_prev, dtype=np.float64)
-    f_e = np.asarray(f_exo_epi, dtype=np.float64)
-    f_h = np.asarray(f_exo_hyp, dtype=np.float64)
     ve_p = np.asarray(v_epi_prev, dtype=np.float64)
     ve_c = np.asarray(v_epi_cur, dtype=np.float64)
     vh_p = np.asarray(v_hyp_prev, dtype=np.float64)
-    vh_c = np.asarray(v_hyp_cur, dtype=np.float64)
 
     k = cfg.k
     dt_sub = cfg.dt_days / k
+    exo_e = np.asarray(f_exo_epi, dtype=np.float64) * dt_sub * ve_p
+    exo_h = np.asarray(f_exo_hyp, dtype=np.float64) * dt_sub * vh_p
     dv_epi = (ve_c - ve_p) / k
     grow = ve_c >= ve_p
+    ve = _interpolate(ve_p, ve_c, k)
+    vh = _interpolate(vh_p, v_hyp_cur, k)
     for i in range(k):
-        t0 = i / k
-        t1 = (i + 1) / k
-        ve1 = ve_p * (1.0 - t1) + ve_c * t1
-        vh1 = vh_p * (1.0 - t1) + vh_c * t1
-        ve0 = ve_p * (1.0 - t0) + ve_c * t0
-        vh0 = vh_p * (1.0 - t0) + vh_c * t0
-        y_src = np.where(grow, y_h, y_e)
-        ent = entrainment_fluxes_substep(dv_epi, y_src, ve1, vh1)
-        m_e = y_e * ve0 + f_e * dt_sub * ve_p
-        m_h = y_h * vh0 + f_h * dt_sub * vh_p
-        y_e = m_e / ve1 + ent.f_epi
-        y_h = m_h / vh1 + ent.f_hyp
+        ent_e, ent_h = _substep_entrainment(dv_epi, np.where(grow, y_h, y_e), ve[i + 1], vh[i + 1])
+        y_e = (y_e * ve[i] + exo_e) / ve[i + 1] + ent_e
+        y_h = (y_h * vh[i] + exo_h) / vh[i + 1] + ent_h
         if clamp:
             y_e = np.maximum(y_e, 0.0)
             y_h = np.maximum(y_h, 0.0)
-    if scalar:
-        return float(y_e), float(y_h)
+    _require_finite(y_epi_new=y_e, y_hyp_new=y_h)
     return y_e, y_h
 
 
@@ -267,10 +241,7 @@ def mass_balance_residual(y_epi_prev, y_hyp_prev, y_epi_new, y_hyp_new,
     after = np.asarray(y_epi_new, np.float64) * v_epi_cur + np.asarray(y_hyp_new, np.float64) * v_hyp_cur
     before = np.asarray(y_epi_prev, np.float64) * v_epi_prev + np.asarray(y_hyp_prev, np.float64) * v_hyp_prev
     exo = (np.asarray(f_exo_epi, np.float64) * v_epi_prev + np.asarray(f_exo_hyp, np.float64) * v_hyp_prev) * dt
-    out = after - before - exo
-    scalar = _all_scalar(y_epi_prev, y_hyp_prev, y_epi_new, y_hyp_new,
-                         v_epi_prev, v_epi_cur, v_hyp_prev, v_hyp_cur, f_exo_epi, f_exo_hyp)
-    return float(out) if scalar else out
+    return after - before - exo
 
 
 def _simulate_arrays(stratified: np.ndarray, v_total: np.ndarray,
@@ -329,23 +300,15 @@ def _simulate_arrays(stratified: np.ndarray, v_total: np.ndarray,
     return sim_epi, sim_hyp, sim_total
 
 
-def _preds_to_arrays(preds, t_count: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    if isinstance(preds, np.ndarray):
-        if preds.shape != (t_count, 3):
-            raise DomainError(f"prediction array must have shape ({t_count}, 3)")
-        return preds[:, 0].astype(np.float64), preds[:, 1].astype(np.float64), preds[:, 2].astype(np.float64)
-    if len(preds) != t_count:
-        raise DomainError(f"predictions must cover all {t_count} days")
-    none = np.nan
-    e = np.array([none if p.do_epi is None else p.do_epi for p in preds], dtype=np.float64)
-    h = np.array([none if p.do_hyp is None else p.do_hyp for p in preds], dtype=np.float64)
-    t = np.array([none if p.do_total is None else p.do_total for p in preds], dtype=np.float64)
-    return e, h, t
-
-
 def simulate_targets(series: LakeSeries, preds, k_per_day=None,
                      dt: float = 1.0) -> np.ndarray:
-    """Array form of simulate_trajectory: (T, 3) of epi/hyp/total, NaN where undefined."""
+    """Per-day mass-balance targets, each seeded from the previous day's predictions.
+
+    preds: (T, 3) array of epi/hyp/total, NaN where undefined. k_per_day:
+    per-day substep counts for stratified steps (default 1 everywhere; mixed
+    days ignore it). Returns (T, 3) in the same layout, NaN wherever a task
+    is undefined (always on day 1).
+    """
     t_count = series.n_days
     if k_per_day is None:
         k_per_day = np.ones(t_count, dtype=np.int64)
@@ -354,31 +317,12 @@ def simulate_targets(series: LakeSeries, preds, k_per_day=None,
         raise DomainError("k_per_day must have one entry per day")
     if np.any(k_per_day < 1):
         raise DomainError("substep counts must be >= 1")
-    pe, ph, pt = _preds_to_arrays(preds, t_count)
+    if not isinstance(preds, np.ndarray) or preds.shape != (t_count, 3):
+        raise DomainError(f"prediction array must have shape ({t_count}, 3)")
+    preds = preds.astype(np.float64, copy=False)
     sim_epi, sim_hyp, sim_total = _simulate_arrays(
         series.stratified, series.v_total, series.v_epi, series.v_hyp,
         series.f_exo_total, series.f_exo_epi, series.f_exo_hyp,
-        pe, ph, pt, k_per_day, dt=dt)
+        preds[:, 0], preds[:, 1], preds[:, 2], k_per_day, dt=dt)
     return np.stack([sim_epi, sim_hyp, sim_total], axis=1)
 
-
-def simulate_trajectory(series: LakeSeries, preds, k_per_day=None,
-                        dt: float = 1.0) -> list[LayerState | None]:
-    """Per-day mass-balance states, each seeded from the previous day's predictions.
-
-    preds: list of LayerState (or a (T, 3) array of epi/hyp/total, NaN where
-    undefined). k_per_day: per-day substep counts for stratified steps
-    (default 1 everywhere; mixed days ignore it). Day 1 has no simulated
-    state and is returned as None.
-    """
-    sim = simulate_targets(series, preds, k_per_day=k_per_day, dt=dt)
-    sim_epi, sim_hyp, sim_total = sim[:, 0], sim[:, 1], sim[:, 2]
-    out: list[LayerState | None] = [None]
-    t_count = series.n_days
-    for t in range(1, t_count):
-        out.append(LayerState(
-            do_epi=float(sim_epi[t]) if np.isfinite(sim_epi[t]) else None,
-            do_hyp=float(sim_hyp[t]) if np.isfinite(sim_hyp[t]) else None,
-            do_total=float(sim_total[t]) if np.isfinite(sim_total[t]) else None,
-        ))
-    return out

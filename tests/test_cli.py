@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from conftest import make_series
-from lakedo.cli import main
+from lakedo.cli import load_generate_config, main
 from lakedo.networks import load_checkpoint
 from lakedo.series import write_series
 from lakedo.training import validation_rmse, year_windows
@@ -107,6 +107,22 @@ class TestGenerate:
                      "--out", str(tmp_path / "d")]) == 2
         assert "bogus" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("key, value", [
+        ("n_lakes", "4"), ("n_lakes", True), ("n_lakes", 2.0), ("truth_substeps", None),
+        ("v_total", "2e6"), ("v_total", False), ("obs_sparsity", [0.4]),
+    ])
+    def test_mistyped_field_rejected(self, tmp_path, capsys, key, value):
+        cfg = write_json(tmp_path / "gen.json", dict(GEN_CONFIG, **{key: value}))
+        assert main(["generate", "--config", str(cfg),
+                     "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert key in err and err.count("\n") == 1
+        assert not (tmp_path / "d").exists()
+
+    def test_int_accepted_for_float_field(self, tmp_path):
+        cfg = write_json(tmp_path / "gen.json", dict(GEN_CONFIG, v_total=2_000_000))
+        assert load_generate_config(cfg).v_total == 2_000_000
+
     def test_wrong_schema_rejected(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "gen.json",
                          dict(GEN_CONFIG, schema="lakedo-train-v1"))
@@ -152,6 +168,23 @@ class TestTrain:
         assert rows[0] == ["date", "class", "provenance", "k"]
         ks = {row[3] for row in rows[1:]}
         assert ks <= {"1", "6"}
+
+    @pytest.mark.parametrize("payload, key", [
+        ({"hidden_size": 30.5}, "hidden_size"),
+        ({"max_epochs": "2"}, "max_epochs"),
+        ({"learning_rate": True}, "learning_rate"),
+        ({"april": {"k_drastic": 12.0}}, "k_drastic"),
+        ({"april": {"gamma_factor": "1.5"}}, "gamma_factor"),
+        ({"april": {"disc_hidden": ["a"]}}, "disc_hidden"),
+        ({"april": {"disc_hidden": 32}}, "disc_hidden"),
+        ({"april": {"disc_hidden": [0]}}, "disc_hidden"),
+    ])
+    def test_mistyped_train_field_rejected(self, tmp_path, capsys, payload, key):
+        cfg = write_json(tmp_path / "train.json", dict(TRAIN_CONFIG, **payload))
+        assert main(["train", "--mode", "april", "--data", str(tmp_path / "none"),
+                     "--config", str(cfg), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert key in err and err.count("\n") == 1
 
     def test_missing_data_dir_exit_2(self, train_cfg, tmp_path, capsys):
         assert main(["train", "--mode", "pril", "--data",
@@ -299,3 +332,11 @@ class TestSweep:
                      "--threads", "2"]) == 0
         assert (serial / "sweep.csv").read_bytes() == \
             (parallel / "sweep.csv").read_bytes()
+
+    @pytest.mark.parametrize("grid", [[], [None], ["1.0"], [True], [{"a": 1}], 1.0])
+    def test_malformed_grid_exit_2(self, data_dir, tmp_path, capsys, grid):
+        cfg = write_json(tmp_path / "grid.json", {"schema": "lakedo-sweep-v1",
+                                                  "lambda_epi": grid, "lambda_hyp": [0.0]})
+        assert main(["sweep", "--config", str(cfg), "--data", str(data_dir),
+                     "--out", str(tmp_path / "o")]) == 2
+        assert "lambda_epi" in capsys.readouterr().err

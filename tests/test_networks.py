@@ -5,6 +5,7 @@ import pytest
 
 from lakedo import autodiff as ad
 from lakedo.errors import DomainError, SchemaError
+from lakedo.evaluate import regime_masked_predictions
 from lakedo.networks import (
     DiscriminatorParams,
     PredictorParams,
@@ -14,7 +15,6 @@ from lakedo.networks import (
     init_discriminator,
     init_predictor,
     load_checkpoint,
-    masked_predictions,
     predictor_forward,
     predictor_forward_tape,
     save_checkpoint,
@@ -83,14 +83,14 @@ class TestPredictor:
     def test_masked_predictions_follow_regime(self):
         series = make_series("MSSM", obs={})
         params = init_predictor(series.n_features, 20, seed=5)
-        states = masked_predictions(params, series)
-        assert len(states) == 4
-        assert states[0].do_total is not None and states[0].do_epi is None
-        assert states[1].do_epi is not None and states[1].do_hyp is not None
-        assert states[1].do_total is None
         raw = predictor_forward(params, series.features)
-        assert states[2].do_epi == raw[2, 0]
-        assert states[3].do_total == raw[3, 2]
+        states = regime_masked_predictions(raw, series)
+        assert len(states) == 4
+        assert not np.isnan(states[0, 2]) and np.isnan(states[0, 0])
+        assert not np.isnan(states[1, 0]) and not np.isnan(states[1, 1])
+        assert np.isnan(states[1, 2])
+        assert states[2, 0] == raw[2, 0]
+        assert states[3, 2] == raw[3, 2]
 
     def test_taped_forward_matches_numpy(self):
         params = init_predictor(n_features=4, hidden_size=20, seed=9)

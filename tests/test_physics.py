@@ -8,7 +8,6 @@ from hypothesis import given, settings, strategies as st
 
 from lakedo.errors import DomainError
 from lakedo.physics import (
-    LayerState,
     SubstepConfig,
     closed_form_epi_shrink,
     closed_form_hyp_shrink,
@@ -19,7 +18,7 @@ from lakedo.physics import (
     multi_step_euler,
     simulate_mixed_step,
     simulate_stratified_step,
-    simulate_trajectory,
+    simulate_targets,
 )
 
 from conftest import make_series
@@ -185,6 +184,16 @@ class TestInterpolation:
         with pytest.raises(DomainError):
             interpolate_volumes(100.0, 150.0, 0)
 
+    @pytest.mark.parametrize("k", [1, 4, 192])
+    def test_array_input_matches_scalar_columns(self, k):
+        rng = np.random.default_rng(k)
+        v0 = rng.uniform(1.0, 1e6, 9)
+        v1 = rng.uniform(1.0, 1e6, 9)
+        v = interpolate_volumes(v0, v1, k)
+        assert v.shape == (k + 1, 9)
+        for j in range(9):
+            assert np.array_equal(v[:, j], interpolate_volumes(v0[j], v1[j], k))
+
 
 class TestSubstepEntrainment:
     def test_worked_example(self):
@@ -294,6 +303,29 @@ class TestMultiStepEuler:
                                       cfg=SubstepConfig(k=12))
             assert vec_e[i] == se and vec_h[i] == sh
 
+    @pytest.mark.parametrize("bad", [
+        (np.nan, 6.0, 0.2, -0.4, 100.0, 150.0, 200.0, 150.0),
+        (9.0, np.array([6.0, np.inf]), 0.2, -0.4, 100.0, 150.0, 200.0, 150.0),
+        (9.0, 6.0, 0.2, -0.4, 100.0, 150.0, 200.0, 0.0),
+        (9.0, 6.0, 0.2, -0.4, -100.0, 150.0, 200.0, 150.0),
+        (9.0, 6.0, 0.2, -0.4, 100.0, 150.0, 200.0, 120.0),
+    ], ids=["nan-state", "inf-state", "zero-volume", "negative-volume", "volumes-not-cancelling"])
+    def test_rejects_bad_state_at_entry(self, bad):
+        with pytest.raises(DomainError):
+            multi_step_euler(*bad, cfg=SubstepConfig(k=2))
+
+    @pytest.mark.parametrize("k", [1, 2, 12])
+    @pytest.mark.parametrize("vols", [(100.0, 150.0, 200.0, 150.0), (150.0, 100.0, 150.0, 200.0)],
+                             ids=["epi-grows", "epi-shrinks"])
+    def test_non_finite_result_raises(self, k, vols):
+        # Finite inputs whose mass overflows float64 must not come back as inf.
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(DomainError):
+                multi_step_euler(1e308, 1.0, 0.0, 0.0, *vols, cfg=SubstepConfig(k=k))
+            with pytest.raises(DomainError):
+                multi_step_euler(np.array([9.0, 1e308]), 1.0, 0.0, 0.0, *vols,
+                                 cfg=SubstepConfig(k=k))
+
     def test_rejects_bad_substep_config(self):
         with pytest.raises(DomainError):
             SubstepConfig(k=0)
@@ -304,40 +336,39 @@ class TestMultiStepEuler:
 class TestTrajectory:
     def test_pure_persistence_under_constant_conditions(self):
         s = make_series("SSS", v_epi=[100.0, 100.0, 100.0], f_exo=(0.0, 0.0, 0.0))
-        preds = [LayerState(do_epi=8.0, do_hyp=5.0), LayerState(do_epi=7.0, do_hyp=4.0),
-                 LayerState(do_epi=6.5, do_hyp=3.5)]
-        sim = simulate_trajectory(s, preds)
-        assert sim[0] is None
-        assert (sim[1].do_epi, sim[1].do_hyp) == (8.0, 5.0)
-        assert (sim[2].do_epi, sim[2].do_hyp) == (7.0, 4.0)
-        assert sim[1].do_total is None
+        preds = np.array([[8.0, 5.0, np.nan], [7.0, 4.0, np.nan], [6.5, 3.5, np.nan]])
+        sim = simulate_targets(s, preds)
+        assert np.all(np.isnan(sim[0]))
+        assert (sim[1, 0], sim[1, 1]) == (8.0, 5.0)
+        assert (sim[2, 0], sim[2, 1]) == (7.0, 4.0)
+        assert np.isnan(sim[1, 2])
 
     def test_mixed_chain(self):
         s = make_series("MM", f_exo=(0.0, 0.0, 0.5))
-        preds = [LayerState(do_total=8.0), LayerState(do_total=9.0)]
-        sim = simulate_trajectory(s, preds)
-        assert sim[1].do_total == 8.5
-        assert sim[1].do_epi is None
+        preds = np.array([[np.nan, np.nan, 8.0], [np.nan, np.nan, 9.0]])
+        sim = simulate_targets(s, preds)
+        assert sim[1, 2] == 8.5
+        assert np.isnan(sim[1, 0])
 
     def test_spring_onset_inherits_total(self):
         s = make_series("MS", v_epi=[np.nan, 120.0])
-        preds = [LayerState(do_total=7.5), LayerState(do_epi=1.0, do_hyp=2.0)]
-        sim = simulate_trajectory(s, preds)
-        assert sim[1].do_epi == 7.5 and sim[1].do_hyp == 7.5
+        preds = np.array([[np.nan, np.nan, 7.5], [1.0, 2.0, np.nan]])
+        sim = simulate_targets(s, preds)
+        assert sim[1, 0] == 7.5 and sim[1, 1] == 7.5
 
     def test_fall_turnover_mixes_by_volume(self):
         s = make_series("SM", v_epi=[100.0, np.nan], v_total=300.0)
-        preds = [LayerState(do_epi=9.0, do_hyp=6.0), LayerState(do_total=5.0)]
-        sim = simulate_trajectory(s, preds)
-        assert sim[1].do_total == (9.0 * 100.0 + 6.0 * 200.0) / 300.0
+        preds = np.array([[9.0, 6.0, np.nan], [np.nan, np.nan, 5.0]])
+        sim = simulate_targets(s, preds)
+        assert sim[1, 2] == (9.0 * 100.0 + 6.0 * 200.0) / 300.0
 
     def test_stratified_pair_uses_substep_policy(self):
         s = make_series("SS", v_epi=[100.0, 150.0], f_exo=(0.2, -0.4, 0.0))
         preds = np.array([[9.0, 6.0, np.nan], [0.0, 0.0, np.nan]])
         by_k = {}
         for k in (1, 12):
-            sim = simulate_trajectory(s, preds, k_per_day=np.array([1, k]))
-            by_k[k] = (sim[1].do_epi, sim[1].do_hyp)
+            sim = simulate_targets(s, preds, k_per_day=np.array([1, k]))
+            by_k[k] = (sim[1, 0], sim[1, 1])
         expect_1 = multi_step_euler(9.0, 6.0, 0.2, -0.4, 100.0, 150.0, 200.0, 150.0,
                                     cfg=SubstepConfig(k=1))
         expect_12 = multi_step_euler(9.0, 6.0, 0.2, -0.4, 100.0, 150.0, 200.0, 150.0,
@@ -349,6 +380,6 @@ class TestTrajectory:
         s = make_series("SS", v_epi=[100.0, 150.0])
         preds = np.zeros((2, 3))
         with pytest.raises(DomainError):
-            simulate_trajectory(s, preds, k_per_day=np.array([1, 0]))
+            simulate_targets(s, preds, k_per_day=np.array([1, 0]))
         with pytest.raises(DomainError):
-            simulate_trajectory(s, preds, k_per_day=np.array([1]))
+            simulate_targets(s, preds, k_per_day=np.array([1]))
