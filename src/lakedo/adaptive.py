@@ -113,8 +113,12 @@ class AprilResult:
     k_policies: dict[str, np.ndarray]
     discriminator: DiscriminatorParams | None
     stage1: TrainResult
-    stage3_ran: bool
+    stage3: TrainResult | None   # None when every day came out mild
     gamma: float
+
+    @property
+    def stage3_ran(self) -> bool:
+        return self.stage3 is not None
 
 
 def discriminator_inputs(series: LakeSeries) -> np.ndarray:
@@ -309,7 +313,7 @@ def train_april(lakes: Sequence[LakeSeries], config: TrainConfig,
         return AprilResult(params=stage1.params, history=stage1.history,
                            labels=labels, k_policies=k_policies,
                            discriminator=discriminator, stage1=stage1,
-                           stage3_ran=False, gamma=gamma)
+                           stage3=None, gamma=gamma)
 
     stage3 = train_pril(lakes, replace(config, max_epochs=april.finetune_epochs),
                         k_policies=k_policies, initial_params=stage1.params)
@@ -317,4 +321,4 @@ def train_april(lakes: Sequence[LakeSeries], config: TrainConfig,
     history.extend_renumbered(stage3.history)
     return AprilResult(params=stage3.params, history=history, labels=labels,
                        k_policies=k_policies, discriminator=discriminator,
-                       stage1=stage1, stage3_ran=True, gamma=gamma)
+                       stage1=stage1, stage3=stage3, gamma=gamma)

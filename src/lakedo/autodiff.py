@@ -3,8 +3,8 @@
 Forward calls append primitive operations (affine maps, elementwise
 nonlinearities, slicing, masked reductions) to an append-only list that is
 already in topological order, so the backward pass is a single reverse walk
-that visits each node exactly once. Nodes hold whole arrays; recurrent
-models append one short block per timestep rather than one node per scalar.
+that visits each node exactly once. Nodes hold whole arrays; a whole LSTM
+sequence is a single fused node with a hand-written BPTT backward.
 
 Subgradient conventions: relu and abs both use 0 at their kinks.
 """
@@ -20,20 +20,20 @@ __all__ = [
     "Var",
     "add", "sub", "mul", "neg", "scale", "add_const", "matmul",
     "tanh", "sigmoid", "relu", "absval", "logsigmoid", "sqdiff",
-    "concat", "stack", "masked_sum", "masked_mean",
+    "concat", "stack", "lstm_sequence", "masked_sum", "masked_mean",
     "evaluate_with_gradient", "gradient_check",
 ]
 
 
 def sigmoid_values(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function on raw arrays."""
+    """Numerically stable logistic function on raw arrays.
+
+    1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, both
+    written with e = exp(-|x|) so no branch ever overflows.
+    """
     x = np.asarray(x, dtype=np.float64)
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-    return out
+    e = np.exp(-np.abs(x))
+    return np.where(x >= 0, 1.0, e) / (1.0 + e)
 
 
 class Var:
@@ -242,6 +242,47 @@ def stack(vs: list[Var]) -> Var:
     return tape._push(np.stack([v.value for v in vs], axis=0), "stack", tuple(vs))
 
 
+def lstm_sequence_values(w_cell: np.ndarray, b_cell: np.ndarray,
+                         features: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """LSTM hidden states for features (B, T, m) as (T, B, H), plus the BPTT cache.
+
+    w_cell stacks the recurrent rows above the input rows, (H + m, 4H), with
+    gate columns in the order input, forget, output, candidate; the state
+    starts at zero. The input projection x @ W_x + b is computed for all days
+    at once, outside the time loop, so each day costs one (B, H) @ (H, 4H)
+    product and one sigmoid over the three contiguous sigmoid gates.
+    """
+    b, t_count, _ = features.shape
+    hidden = w_cell.shape[1] // 4
+    w_h, w_x = w_cell[:hidden], w_cell[hidden:]
+    x = features.transpose(1, 0, 2)                     # (T, B, m)
+    gates = x @ w_x + b_cell                            # (T, B, 4H) pre-activations
+    h = np.zeros((t_count + 1, b, hidden))              # h[t] is the state before day t
+    c = np.zeros((t_count + 1, b, hidden))
+    tanh_c = np.empty((t_count, b, hidden))
+    for t in range(t_count):
+        g = gates[t]
+        if t:
+            g += h[t] @ w_h
+        g[:, :3 * hidden] = sigmoid_values(g[:, :3 * hidden])
+        np.tanh(g[:, 3 * hidden:], out=g[:, 3 * hidden:])
+        i, f, o, u = (g[:, j * hidden:(j + 1) * hidden] for j in range(4))
+        c[t + 1] = f * c[t] + i * u
+        np.tanh(c[t + 1], out=tanh_c[t])
+        np.multiply(o, tanh_c[t], out=h[t + 1])
+    return h[1:], (x, gates, h, c, tanh_c)
+
+
+def lstm_sequence(w_cell: Var, b_cell: Var, features: np.ndarray) -> Var:
+    """Fused LSTM over features (B, T, m): hidden states (T, B, H) as one tape node.
+
+    The backward pass is hand-written backpropagation through time.
+    """
+    hs, cache = lstm_sequence_values(w_cell.value, b_cell.value,
+                                     np.asarray(features, dtype=np.float64))
+    return _same_tape(w_cell, b_cell)._push(hs, "lstm_sequence", (w_cell, b_cell), cache)
+
+
 def masked_sum(a: Var, mask: np.ndarray) -> Var:
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != a.value.shape:
@@ -359,6 +400,42 @@ def _bw_stack(tape, i, g, grads):
         _accumulate(tape, grads, p, g[row])
 
 
+def _bw_lstm_sequence(tape, i, g, grads):
+    pw, pb = tape.parents[i]
+    x, act, h, c, tanh_c = tape.ctx[i]
+    t_count, b, hidden = tanh_c.shape
+    w_h = tape.values[pw][:hidden]
+    # d(pre-activation) = upstream * partner * activation', where the upstream
+    # is dc for the input, forget and candidate gates and dh for the output
+    # gate; partner * activation' is formed for all days at once.
+    sig = act[..., :3 * hidden]
+    partner = np.empty_like(act)
+    partner[..., :3 * hidden] = sig * (1.0 - sig)
+    partner[..., 3 * hidden:] = 1.0 - act[..., 3 * hidden:] ** 2
+    partner[..., :hidden] *= act[..., 3 * hidden:]
+    partner[..., hidden:2 * hidden] *= c[:-1]
+    partner[..., 2 * hidden:3 * hidden] *= tanh_c
+    partner[..., 3 * hidden:] *= act[..., :hidden]
+    dc_from_h = act[..., 2 * hidden:3 * hidden] * (1.0 - tanh_c ** 2)
+    forget = act[..., hidden:2 * hidden]
+    d_pre = np.empty_like(act)                          # (T, B, 4H)
+    dh_next = np.zeros((b, hidden))
+    dc_next = np.zeros((b, hidden))
+    for t in range(t_count - 1, -1, -1):
+        dh = g[t] + dh_next
+        dc = dh * dc_from_h[t] + dc_next
+        dp = d_pre[t]
+        np.multiply(partner[t].reshape(b, 4, hidden), dc[:, None, :],
+                    out=dp.reshape(b, 4, hidden))
+        np.multiply(dh, partner[t, :, 2 * hidden:3 * hidden], out=dp[:, 2 * hidden:3 * hidden])
+        dc_next = dc * forget[t]
+        dh_next = dp @ w_h.T
+    dw_h = np.tensordot(h[:-1], d_pre, axes=([0, 1], [0, 1]))
+    dw_x = np.tensordot(x, d_pre, axes=([0, 1], [0, 1]))
+    _accumulate(tape, grads, pw, np.vstack([dw_h, dw_x]))
+    _accumulate(tape, grads, pb, d_pre.sum(axis=(0, 1)))
+
+
 def _bw_masked_sum(tape, i, g, grads):
     p = tape.parents[i][0]
     if not tape.needs_grad[p]:
@@ -384,7 +461,8 @@ _BACKWARD = {
     "tanh": _bw_tanh, "sigmoid": _bw_sigmoid, "relu": _bw_relu,
     "abs": _bw_abs, "logsigmoid": _bw_logsigmoid, "sqdiff": _bw_sqdiff,
     "index": _bw_index, "concat": _bw_concat, "stack": _bw_stack,
-    "masked_sum": _bw_masked_sum, "masked_mean": _bw_masked_mean,
+    "lstm_sequence": _bw_lstm_sequence, "masked_sum": _bw_masked_sum,
+    "masked_mean": _bw_masked_mean,
 }
 
 

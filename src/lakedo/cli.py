@@ -34,7 +34,6 @@ from .evaluate import (
     mass_inconsistency,
     regime_masked_predictions,
 )
-from .losses import stacked_observations
 from .networks import load_checkpoint, predictor_forward, save_checkpoint
 from .series import LakeSeries, format_value, load_series, write_series
 from .synthetic import GenConfig, generate, load_truth, write_truth
@@ -158,7 +157,7 @@ def _config_hash(resolved) -> str:
 
 def _write_manifest(out_dir: Path, command: str, resolved_config, seed: int,
                     inputs: Sequence[str | Path], outputs: Sequence[str | Path],
-                    started: float) -> Path:
+                    started: float, counters: dict | None = None) -> Path:
     payload = {
         "command": command,
         "config_sha256": _config_hash(resolved_config),
@@ -168,6 +167,8 @@ def _write_manifest(out_dir: Path, command: str, resolved_config, seed: int,
         "version": f"lakedo-{__version__}",
         "duration_seconds": round(time.monotonic() - started, 3),
     }
+    if counters is not None:
+        payload["counters"] = counters
     path = out_dir / "manifest.json"
     tmp = out_dir / "manifest.json.tmp"
     tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -244,17 +245,24 @@ def cmd_train(mode: str, data_dir: str | Path, out_dir: str | Path,
             write_labels(label_path, labels)
             outputs.append(label_path)
         history = result.history
+        # The returned parameters come from the last stage that ran.
+        last = result.stage3 or result.stage1
+        epoch_offset = len(result.stage1.history.rows) if result.stage3_ran else 0
     else:
-        trained = train_pril(lakes, config)
-        save_checkpoint(out / "checkpoint.csv", predictor=trained.params)
-        history = trained.history
+        last = train_pril(lakes, config)
+        save_checkpoint(out / "checkpoint.csv", predictor=last.params)
+        history = last.history
+        epoch_offset = 0
     history_path = out / "history.csv"
     write_history(history_path, history)
     outputs += [out / "checkpoint.csv", history_path]
 
     resolved = {"mode": mode, "train": asdict(config), "april": asdict(april)}
     inputs = list(files) + ([config_path] if config_path else [])
-    _write_manifest(out, "train", resolved, config.seed, inputs, outputs, started)
+    counters = {"epochs": len(history.rows), "best_epoch": epoch_offset + last.best_epoch,
+                "tape_nodes": last.tape_nodes, "backward_visits": last.backward_visits}
+    _write_manifest(out, "train", resolved, config.seed, inputs, outputs, started,
+                    counters=counters)
     return 0
 
 
@@ -269,20 +277,6 @@ def _pooled_validation_rmse(params, lakes: Sequence[LakeSeries],
         raise DomainError("no validation windows under this config")
     epi, hyp, total, _ = validation_rmse(params, val_windows)
     return np.array([epi, hyp, total])
-
-
-def _full_series_rmse(params, lakes: Sequence[LakeSeries]) -> np.ndarray:
-    sq = [[], [], []]
-    for lake in lakes:
-        preds = predictor_forward(params, lake.features)
-        obs = stacked_observations(lake)
-        for task in range(3):
-            m = np.isfinite(obs[:, task])
-            if m.any():
-                d = preds[m, task] - obs[m, task]
-                sq[task].append(d * d)
-    return np.array([float(np.sqrt(np.mean(np.concatenate(s)))) if s else np.nan
-                     for s in sq])
 
 
 def cmd_evaluate(checkpoint: str | Path, data_dir: str | Path, out_dir: str | Path,
@@ -320,7 +314,8 @@ def cmd_evaluate(checkpoint: str | Path, data_dir: str | Path, out_dir: str | Pa
         rmse_tasks = _pooled_validation_rmse(predictor, lakes, config)
     else:
         config = None
-        rmse_tasks = _full_series_rmse(predictor, lakes)
+        # A whole lake is a valid window: pool every observed day.
+        rmse_tasks = np.array(validation_rmse(predictor, lakes)[:3])
     with np.errstate(invalid="ignore"):
         pooled_inc = np.nanmean(np.stack(inconsistency), axis=0)
     report = build_report(Path(checkpoint).stem, rmse_tasks[None, :],
@@ -348,7 +343,9 @@ def _best_epoch_rmse(result) -> tuple[float, float, float]:
 def _sweep_point(args) -> tuple[float, float, tuple[float, float, float] | str]:
     lakes, config = args
     try:
-        result = train_pril(lakes, config)
+        # Worker processes do not inherit the errstate set in main().
+        with np.errstate(over="ignore", invalid="ignore"):
+            result = train_pril(lakes, config)
     except (TrainingDiverged, ValueError) as exc:
         return config.lambda_epi, config.lambda_hyp, f"{type(exc).__name__}: {exc}"
     return config.lambda_epi, config.lambda_hyp, _best_epoch_rmse(result)
@@ -439,17 +436,21 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    # Non-finite numbers are caught by the program's own checks (exit 3 for a
+    # non-finite loss, DomainError from the physics kernel), so numpy's
+    # floating-point warnings would only repeat them as stderr noise.
     try:
-        if args.command == "generate":
-            return cmd_generate(args.config, args.out, seed=args.seed)
-        if args.command == "train":
-            return cmd_train(args.mode, args.data, args.out,
-                             config_path=args.config, seed=args.seed, k=args.k)
-        if args.command == "evaluate":
-            return cmd_evaluate(args.checkpoint, args.data, args.out,
-                                config_path=args.config, k_reference=args.k)
-        return cmd_sweep(args.config, args.data, args.out,
-                         seed=args.seed, threads=args.threads)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if args.command == "generate":
+                return cmd_generate(args.config, args.out, seed=args.seed)
+            if args.command == "train":
+                return cmd_train(args.mode, args.data, args.out,
+                                 config_path=args.config, seed=args.seed, k=args.k)
+            if args.command == "evaluate":
+                return cmd_evaluate(args.checkpoint, args.data, args.out,
+                                    config_path=args.config, k_reference=args.k)
+            return cmd_sweep(args.config, args.data, args.out,
+                             seed=args.seed, threads=args.threads)
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

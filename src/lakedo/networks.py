@@ -106,48 +106,24 @@ def init_predictor(n_features: int, hidden_size: int, seed: int) -> PredictorPar
 def predictor_forward(params: PredictorParams, features: np.ndarray) -> np.ndarray:
     """Raw head outputs, one (epi, hyp, total) row per day.
 
-    All three heads fire every day; callers mask by regime.
+    features is (days, n_features) for one series, giving (days, 3), or
+    (windows, days, n_features) for equal-length windows, giving
+    (windows, days, 3). All three heads fire every day; callers mask by
+    regime.
     """
     features = np.asarray(features, dtype=np.float64)
-    if features.ndim != 2 or features.shape[1] != params.n_features:
-        raise DomainError(f"features must have shape (days, {params.n_features})")
-    hidden = params.hidden_size
-    h = np.zeros(hidden)
-    c = np.zeros(hidden)
-    out = np.empty((features.shape[0], 3))
-    for t in range(features.shape[0]):
-        z = np.concatenate([h, features[t]])
-        gates = z @ params.w_cell + params.b_cell
-        i = sigmoid_values(gates[:hidden])
-        f = sigmoid_values(gates[hidden:2 * hidden])
-        o = sigmoid_values(gates[2 * hidden:3 * hidden])
-        u = np.tanh(gates[3 * hidden:])
-        c = f * c + i * u
-        h = o * np.tanh(c)
-        out[t] = h @ params.w_head + params.b_head
-    return out
+    if features.ndim not in (2, 3) or features.shape[-1] != params.n_features:
+        raise DomainError(f"features must have shape ([windows,] days, {params.n_features})")
+    batch = features if features.ndim == 3 else features[None]
+    hs, _ = ad.lstm_sequence_values(params.w_cell, params.b_cell, batch)
+    out = (hs @ params.w_head + params.b_head).transpose(1, 0, 2)
+    return np.ascontiguousarray(out if features.ndim == 3 else out[0])
 
 
 def predictor_forward_tape(tape: ad.Tape, p: dict[str, ad.Var], features: np.ndarray) -> ad.Var:
     """Differentiable batched forward: features (B, T, m) -> head outputs (T, B, 3)."""
-    b, t_count, m = features.shape
-    hidden = p["w_head"].value.shape[0]
-    h = tape.constant(np.zeros((b, hidden)))
-    c = tape.constant(np.zeros((b, hidden)))
-    hs = []
-    for t in range(t_count):
-        x = tape.constant(features[:, t, :])
-        z = ad.concat([h, x], axis=1)
-        gates = ad.add(ad.matmul(z, p["w_cell"]), p["b_cell"])
-        i = ad.sigmoid(gates[:, 0:hidden])
-        f = ad.sigmoid(gates[:, hidden:2 * hidden])
-        o = ad.sigmoid(gates[:, 2 * hidden:3 * hidden])
-        u = ad.tanh(gates[:, 3 * hidden:4 * hidden])
-        c = ad.add(ad.mul(f, c), ad.mul(i, u))
-        h = ad.mul(o, ad.tanh(c))
-        hs.append(h)
-    h_all = ad.stack(hs)
-    return ad.add(ad.matmul(h_all, p["w_head"]), p["b_head"])
+    hs = ad.lstm_sequence(p["w_cell"], p["b_cell"], features)
+    return ad.add(ad.matmul(hs, p["w_head"]), p["b_head"])
 
 
 @dataclass(frozen=True)

@@ -41,6 +41,9 @@ TRUTH_COLUMNS = ("date", "true_epi", "true_hyp", "true_total", "scenario_tag")
 
 FEATURE_COUNT = 10
 
+#: Stratified days per array call of the unclamped pass in _integrate_truth.
+CLAMP_CHECK_BLOCK_DAYS = 64
+
 
 @dataclass(frozen=True)
 class GenConfig:
@@ -189,6 +192,7 @@ def _integrate_truth(cfg: GenConfig, draft: _Draft) -> tuple[np.ndarray, np.ndar
         raise DomainError("lake must start on a mixed day")
     truth[0, 2] = cfg.initial_do
     sub = SubstepConfig(k=cfg.truth_substeps)
+    euler_days = []
     for i in range(1, t):
         if not strat[i - 1] and not strat[i]:
             total = simulate_mixed_step(truth[i - 1, 2], draft.f_mixed[i - 1])
@@ -202,12 +206,24 @@ def _integrate_truth(cfg: GenConfig, draft: _Draft) -> tuple[np.ndarray, np.ndar
                     draft.f_epi[i - 1], draft.f_hyp[i - 1],
                     v_epi[i - 1], v_epi[i], v_hyp[i - 1], v_hyp[i])
             e, h = multi_step_euler(*args, cfg=sub, clamp=True)
-            clamped[i] = (e, h) != multi_step_euler(*args, cfg=sub, clamp=False)
+            euler_days.append(i)
             truth[i, 0], truth[i, 1] = e, h
             truth[i, 2] = (e * v_epi[i] + h * v_hyp[i]) / v_tot[i]
         else:
             truth[i, 2] = (truth[i - 1, 0] * v_epi[i - 1]
                            + truth[i - 1, 1] * v_hyp[i - 1]) / v_tot[i - 1]
+    # A day is clamped when the unclamped step from the same start state ends
+    # elsewhere. Those steps are independent, so they run as array calls over
+    # fixed-size blocks of days (elementwise, so bit-identical to one call per
+    # day, with memory bounded by the block size rather than the lake length).
+    euler_days = np.asarray(euler_days, dtype=np.int64)
+    for lo in range(0, euler_days.size, CLAMP_CHECK_BLOCK_DAYS):
+        i = euler_days[lo : lo + CLAMP_CHECK_BLOCK_DAYS]
+        e, h = multi_step_euler(truth[i - 1, 0], truth[i - 1, 1],
+                                draft.f_epi[i - 1], draft.f_hyp[i - 1],
+                                v_epi[i - 1], v_epi[i], v_hyp[i - 1], v_hyp[i],
+                                cfg=sub, clamp=False)
+        clamped[i] = (e != truth[i, 0]) | (h != truth[i, 1])
     return truth, clamped
 
 

@@ -152,6 +152,8 @@ class TrainResult:
     history: TrainHistory
     best_epoch: int
     best_val_rmse: float
+    tape_nodes: int          # size of the last batch's gradient tape
+    backward_visits: int     # nodes its backward pass processed
 
 
 def year_windows(series: LakeSeries, window_days: int = 365) -> list[tuple[int, LakeSeries]]:
@@ -192,20 +194,29 @@ def _prepare_windows(lakes: Sequence[LakeSeries], config: TrainConfig,
 
 def validation_rmse(params: PredictorParams, val_windows: Sequence[LakeSeries]
                      ) -> tuple[float, float, float, float]:
-    """Per-task and pooled RMSE over every held-out observation (NaN if none)."""
+    """Per-task and pooled RMSE over every held-out observation (NaN if none).
+
+    Equal-length windows run as one batched forward; windows of unequal
+    length run one forward each.
+    """
+    if len({w.n_days for w in val_windows}) == 1:
+        preds = predictor_forward(params, np.stack([w.features for w in val_windows]))
+    else:
+        preds = [predictor_forward(params, w.features) for w in val_windows]
     sq = [[], [], []]
-    for window in val_windows:
-        preds = predictor_forward(params, window.features)
+    for window, pred in zip(val_windows, preds):
         obs = stacked_observations(window)
         for task in range(3):
             mask = np.isfinite(obs[:, task])
             if mask.any():
-                d = preds[mask, task] - obs[mask, task]
+                d = pred[mask, task] - obs[mask, task]
                 sq[task].append(d * d)
     per_task = [float(np.sqrt(np.mean(np.concatenate(s)))) if s else float("nan")
                 for s in sq]
-    pooled_cells = np.concatenate([x for s in sq for x in s])
-    return per_task[0], per_task[1], per_task[2], float(np.sqrt(np.mean(pooled_cells)))
+    pooled_cells = [x for s in sq for x in s]
+    pooled = (float(np.sqrt(np.mean(np.concatenate(pooled_cells)))) if pooled_cells
+              else float("nan"))
+    return per_task[0], per_task[1], per_task[2], pooled
 
 
 def train_pril(lakes: Sequence[LakeSeries], config: TrainConfig,
@@ -272,4 +283,5 @@ def train_pril(lakes: Sequence[LakeSeries], config: TrainConfig,
 
     return TrainResult(params=PredictorParams.from_blocks(best_params),
                        history=history, best_epoch=best_epoch,
-                       best_val_rmse=best_rmse)
+                       best_val_rmse=best_rmse, tape_nodes=len(tape.values),
+                       backward_visits=tape.backward_visits)

@@ -45,6 +45,15 @@ class TestScalarBasics:
         assert value == -800.0
 
 
+    def test_sigmoid_values_matches_both_branch_formulas(self):
+        x = np.concatenate([np.random.default_rng(9).normal(size=200) * 30,
+                            [0.0, -0.0, 745.0, -745.0, np.inf, -np.inf]])
+        with np.errstate(over="ignore", invalid="ignore"):
+            expected = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)),
+                                np.exp(x) / (1.0 + np.exp(x)))
+        assert np.array_equal(ad.sigmoid_values(x), expected)
+
+
 class TestStructuredGradients:
     def test_dict_params_mirror_structure(self):
         params = {"w": np.array([[1.0, 2.0]]), "b": np.array([0.5])}
@@ -196,3 +205,81 @@ class TestTapeDiscipline:
         v1, g1 = ad.evaluate_with_gradient(program, 1.7)
         v3, g3 = ad.evaluate_with_gradient(broken, 1.7)
         assert abs(g1 - g3) > 1e-3
+
+
+def lstm_oracle(tape, w_cell, b_cell, features):
+    """The LSTM built per day from generic tape ops: hidden states (T, B, H)."""
+    b, t_count, _ = features.shape
+    hidden = w_cell.value.shape[1] // 4
+    h = tape.constant(np.zeros((b, hidden)))
+    c = tape.constant(np.zeros((b, hidden)))
+    hs = []
+    for t in range(t_count):
+        z = ad.concat([h, tape.constant(features[:, t, :])], axis=1)
+        gates = ad.add(ad.matmul(z, w_cell), b_cell)
+        i = ad.sigmoid(gates[:, 0:hidden])
+        f = ad.sigmoid(gates[:, hidden:2 * hidden])
+        o = ad.sigmoid(gates[:, 2 * hidden:3 * hidden])
+        u = ad.tanh(gates[:, 3 * hidden:4 * hidden])
+        c = ad.add(ad.mul(f, c), ad.mul(i, u))
+        h = ad.mul(o, ad.tanh(c))
+        hs.append(h)
+    return ad.stack(hs)
+
+
+def lstm_case(batch, days=40, hidden=6, m=3, seed=0):
+    rng = np.random.default_rng(seed)
+    params = {"w_cell": rng.normal(size=(hidden + m, 4 * hidden)) * 0.6,
+              "b_cell": rng.normal(size=4 * hidden) * 0.3}
+    features = rng.normal(size=(batch, days, m))
+    weights = rng.normal(size=(days, batch, hidden))
+    return params, features, weights
+
+
+class TestLstmSequence:
+    @pytest.mark.parametrize("batch", [1, 8])
+    def test_matches_per_day_oracle(self, batch):
+        params, features, weights = lstm_case(batch)
+
+        def run(build):
+            states = []
+
+            def program(tape, p):
+                hs = build(tape, p["w_cell"], p["b_cell"], features)
+                states.append(hs.value)
+                return ad.masked_sum(ad.mul(hs, tape.constant(weights)),
+                                     np.ones(weights.shape, dtype=bool))
+
+            loss, grad = ad.evaluate_with_gradient(program, params)
+            return states[0], loss, grad
+
+        fused_hs, fused_loss, fused_grad = run(
+            lambda tape, w, b, x: ad.lstm_sequence(w, b, x))
+        oracle_hs, oracle_loss, oracle_grad = run(lstm_oracle)
+        assert fused_hs.shape == (40, batch, 6)
+        np.testing.assert_allclose(fused_hs, oracle_hs, rtol=0, atol=1e-12)
+        assert fused_loss == pytest.approx(oracle_loss, rel=1e-12)
+        for name in params:
+            scale = np.max(np.abs(oracle_grad[name]))
+            assert np.max(np.abs(fused_grad[name] - oracle_grad[name])) <= 1e-10 * scale
+
+    def test_gradient_check(self):
+        params, features, weights = lstm_case(2, days=6, hidden=3, seed=1)
+
+        def program(tape, p):
+            hs = ad.lstm_sequence(p["w_cell"], p["b_cell"], features)
+            return ad.masked_mean(ad.sqdiff(hs, tape.constant(weights)),
+                                  np.ones(weights.shape, dtype=bool))
+
+        assert ad.gradient_check(program, params) < 1e-4
+
+    def test_is_one_node_and_constant_weights_get_no_gradient(self):
+        params, features, _ = lstm_case(2, days=30)
+        tape = ad.Tape()
+        w = tape.constant(params["w_cell"])
+        b = tape.param(params["b_cell"])
+        hs = ad.lstm_sequence(w, b, features)
+        assert len(tape.values) == 3
+        grads = tape.backward(ad.masked_sum(hs, np.ones(hs.shape, dtype=bool)))
+        assert grads[w.idx] is None
+        assert grads[b.idx].shape == params["b_cell"].shape

@@ -2,6 +2,7 @@
 
 import csv
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -9,7 +10,7 @@ import pytest
 
 from conftest import make_series
 from lakedo.cli import load_generate_config, main
-from lakedo.networks import load_checkpoint
+from lakedo.networks import init_predictor, load_checkpoint, save_checkpoint
 from lakedo.series import write_series
 from lakedo.training import validation_rmse, year_windows
 
@@ -142,6 +143,13 @@ class TestTrain:
         predictor, discriminator = load_checkpoint(pril_run / "checkpoint.csv")
         assert predictor is not None and discriminator is None
 
+    def test_manifest_counters(self, pril_run):
+        counters = json.loads((pril_run / "manifest.json").read_text())["counters"]
+        assert set(counters) == {"epochs", "best_epoch", "tape_nodes", "backward_visits"}
+        assert counters["epochs"] == 2
+        assert 1 <= counters["best_epoch"] <= 2
+        assert 0 < counters["backward_visits"] <= counters["tape_nodes"] < 100
+
     def test_baseline_equals_pril_with_zero_weights(self, data_dir, tmp_path):
         cfg = write_json(tmp_path / "t.json",
                          dict(TRAIN_CONFIG, lambda_epi=0.0, lambda_hyp=0.0))
@@ -168,6 +176,12 @@ class TestTrain:
         assert rows[0] == ["date", "class", "provenance", "k"]
         ks = {row[3] for row in rows[1:]}
         assert ks <= {"1", "6"}
+        counters = json.loads((out / "manifest.json").read_text())["counters"]
+        with open(out / "history.csv", newline="") as fh:
+            n_rows = len(list(csv.reader(fh))) - 1
+        assert counters["epochs"] == n_rows
+        assert 1 <= counters["best_epoch"] <= n_rows
+        assert counters["tape_nodes"] > 0 and counters["backward_visits"] > 0
 
     @pytest.mark.parametrize("payload, key", [
         ({"hidden_size": 30.5}, "hidden_size"),
@@ -209,11 +223,15 @@ class TestTrain:
         cfg = write_json(tmp_path / "t.json",
                          dict(TRAIN_CONFIG, window_days=10, lambda_epi=0.0,
                               lambda_hyp=0.0))
-        with np.errstate(over="ignore"):
+        # Warnings raise here, so a numpy floating-point warning escaping
+        # the CLI would fail the run instead of being captured silently.
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
             code = main(["train", "--mode", "pril", "--data", str(data),
                          "--out", str(tmp_path / "o"), "--config", str(cfg)])
         assert code == 3
-        assert "epoch" in capsys.readouterr().err
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "epoch" in err
 
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
@@ -261,6 +279,24 @@ class TestEvaluate:
             rows = list(csv.reader(fh))
         assert len(rows[0]) == 13
         assert any(row[12] != "" for row in rows[1:])
+
+    @pytest.mark.parametrize("obs, expected_nan", [
+        ({0: (None, None, 4.0), 2: (5.0, None, None)}, [False, True, False]),
+        ({}, [True, True, True]),
+    ])
+    def test_unobserved_task_gives_empty_rmse_cell(self, tmp_path, obs, expected_nan):
+        data = tmp_path / "data"
+        data.mkdir()
+        series = make_series("MSSM", obs=obs)
+        write_series(series, data / "lake_t0.csv")
+        checkpoint = tmp_path / "ckpt.csv"
+        save_checkpoint(checkpoint, predictor=init_predictor(series.n_features, 20, seed=0))
+        out = tmp_path / "eval"
+        assert main(["evaluate", str(checkpoint), "--data", str(data),
+                     "--out", str(out)]) == 0
+        with open(out / "comparison.csv", newline="") as fh:
+            row = list(csv.reader(fh))[1]
+        assert [row[1 + 3 * task] == "" for task in range(3)] == expected_nan
 
     def test_corrupt_checkpoint_exit_2(self, data_dir, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

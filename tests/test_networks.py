@@ -103,6 +103,25 @@ class TestPredictor:
             expected = predictor_forward(params, feats[b])
             np.testing.assert_allclose(out.value[:, b, :], expected, rtol=1e-12, atol=1e-12)
 
+    def test_batched_forward_matches_per_window(self):
+        params = init_predictor(n_features=5, hidden_size=20, seed=4)
+        feats = np.random.default_rng(6).normal(size=(4, 60, 5))
+        out = predictor_forward(params, feats)
+        assert out.shape == (4, 60, 3)
+        for b in range(4):
+            np.testing.assert_allclose(out[b], predictor_forward(params, feats[b]),
+                                       rtol=0, atol=1e-12)
+
+    def test_year_long_batch_is_a_handful_of_tape_nodes(self):
+        # One fused LSTM node, not a block of nodes per day.
+        params = init_predictor(n_features=4, hidden_size=20, seed=2)
+        feats = np.random.default_rng(8).normal(size=(8, 365, 4))
+        tape = ad.Tape()
+        pvars = {k: tape.param(v) for k, v in params.to_blocks().items()}
+        out = predictor_forward_tape(tape, pvars, feats)
+        tape.backward(ad.masked_sum(out, np.ones(out.shape, dtype=bool)))
+        assert len(tape.values) < 50
+
     def test_taped_forward_gradient_checks(self):
         feats = np.random.default_rng(3).normal(size=(2, 5, 3))
         init = init_predictor(3, 20, seed=1)

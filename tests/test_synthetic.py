@@ -9,7 +9,7 @@ import pytest
 from dataclasses import replace
 
 from lakedo.errors import ConfigError, DomainError, SchemaError
-from lakedo.physics import simulate_stratified_step
+from lakedo.physics import SubstepConfig, multi_step_euler, simulate_stratified_step
 from lakedo.series import relative_epi_volume_change, validate_series
 from lakedo.synthetic import (
     FEATURE_COUNT,
@@ -127,6 +127,22 @@ class TestTruth:
         assert lake.clamped.any()
         assert lake.series.stratified[lake.clamped].all()
         assert np.nanmin(lake.truth[:, 1]) == 0.0
+
+    def test_clamped_flag_matches_per_day_unclamped_step(self, lake):
+        # Reference: one unclamped scalar step per stratified day from the
+        # stored (clamped) start state; the day is clamped where it differs.
+        s, truth = lake.series, lake.truth
+        cfg = SubstepConfig(k=ONE_YEAR.truth_substeps)
+        pair = np.flatnonzero(s.stratified[1:] & s.stratified[:-1]) + 1
+        expected = []
+        for t in pair:
+            e, h = multi_step_euler(truth[t - 1, 0], truth[t - 1, 1],
+                                    s.f_exo_epi[t - 1], s.f_exo_hyp[t - 1],
+                                    s.v_epi[t - 1], s.v_epi[t], s.v_hyp[t - 1], s.v_hyp[t],
+                                    cfg=cfg, clamp=False)
+            expected.append(e != truth[t, 0] or h != truth[t, 1])
+        np.testing.assert_array_equal(lake.clamped[pair], expected)
+        assert 0 < sum(expected) < len(expected)
 
     def test_stratified_mass_budget(self, lake):
         # Day-over-day: new mass = old mass + exogenous input, except where
