@@ -216,19 +216,23 @@ def classify_days(series: LakeSeries, rules: dict[int, _RuleLabel],
     (drastic when its mild probability drops below the threshold), then the
     fallback class for days nothing can judge.
     """
-    inputs = discriminator_inputs(series) if discriminator is not None else None
+    days = np.flatnonzero(series.stratified).tolist()
+    undecided = [t for t in days if t not in rules]
+    p_mild = {}
+    if discriminator is not None and undecided:
+        probs = discriminator_forward(discriminator, discriminator_inputs(series)[undecided])
+        p_mild = dict(zip(undecided, probs.tolist()))
     labels = []
-    for t in np.flatnonzero(series.stratified):
-        rule = rules.get(int(t))
+    for t in days:
+        rule = rules.get(t)
         if rule is not None:
             mild, provenance = rule.mild, rule.provenance
         elif discriminator is not None:
-            p_mild = discriminator_forward(discriminator, inputs[t])
-            mild = p_mild >= april.mild_probability_threshold
+            mild = p_mild[t] >= april.mild_probability_threshold
             provenance = DISCRIMINATOR
         else:
             mild, provenance = fallback_mild, FALLBACK
-        labels.append(DayLabel(day=int(t), date=int(series.dates[t]), mild=mild,
+        labels.append(DayLabel(day=t, date=int(series.dates[t]), mild=mild,
                                provenance=provenance,
                                k=1 if mild else april.k_drastic))
     return labels

@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError
 from .losses import TASK_NAMES, stacked_observations
 from .physics import simulate_targets
-from .series import LakeSeries, format_value
+from .series import LakeSeries, format_column, format_value
 
 __all__ = [
     "REFERENCE_SUBSTEPS",
@@ -80,21 +80,29 @@ def _check_pred_shape(preds, n_days: int) -> np.ndarray:
 
 def mass_inconsistency(preds: np.ndarray, series: LakeSeries,
                        k_reference: int = REFERENCE_SUBSTEPS,
-                       days: np.ndarray | None = None) -> np.ndarray:
+                       days: np.ndarray | None = None,
+                       targets: np.ndarray | None = None) -> np.ndarray:
     """Per-task mean |prediction - balance target| over defined days.
 
     Each day's target is the one-day-ahead simulation seeded from the
     previous day's predictions, so the metric is zero exactly when the
     predictions already follow the scheme. `days` optionally restricts the
     mean to a boolean day subset (scenario-flagged days, say); a task with
-    no defined day in the subset comes back NaN.
+    no defined day in the subset comes back NaN. `targets` takes that
+    simulation when the caller already ran it at k_reference (the one
+    export_timeseries returns, for instance); the simulation reads only
+    regime-defined prediction cells, so masked or raw predictions give the
+    same targets.
     """
     t = series.n_days
     if t < 2:
         raise DomainError("mass inconsistency needs at least two days")
     preds = _check_pred_shape(preds, t)
-    k_per_day = np.full(t, int(k_reference), dtype=np.int64)
-    targets = simulate_targets(series, preds, k_per_day=k_per_day)
+    if targets is None:
+        k_per_day = np.full(t, int(k_reference), dtype=np.int64)
+        targets = simulate_targets(series, preds, k_per_day=k_per_day)
+    else:
+        targets = _check_pred_shape(targets, t)
     include = np.isfinite(targets)
     if days is not None:
         days = np.asarray(days, dtype=bool)
@@ -212,12 +220,12 @@ def compare_models(reports: Sequence[EvalReport],
 def export_timeseries(path: str | Path, series: LakeSeries, preds: np.ndarray,
                       simulated: np.ndarray | None = None,
                       truth: np.ndarray | None = None,
-                      k_reference: int = REFERENCE_SUBSTEPS) -> None:
+                      k_reference: int = REFERENCE_SUBSTEPS) -> np.ndarray:
     """Plot-ready per-day CSV of predictions, simulation, observations, truth.
 
     Absent values (undefined regime cells, missing observations, no truth)
     render as empty fields. The simulation defaults to the reference
-    targets seeded from the predictions.
+    targets seeded from the predictions. Returns the simulation written.
     """
     t = series.n_days
     preds = _check_pred_shape(preds, t)
@@ -231,11 +239,11 @@ def export_timeseries(path: str | Path, series: LakeSeries, preds: np.ndarray,
     else:
         truth = _check_pred_shape(truth, t)
     obs = stacked_observations(series)
+    columns = [series.dates.tolist()]
+    for block in (preds, simulated, obs, truth):
+        columns += [format_column(block[:, task]) for task in range(3)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TIMESERIES_COLUMNS)
-        for i in range(t):
-            cells = [int(series.dates[i])]
-            for block in (preds, simulated, obs, truth):
-                cells += [format_value(block[i, task]) for task in range(3)]
-            writer.writerow(cells)
+        writer.writerows(zip(*columns))
+    return simulated

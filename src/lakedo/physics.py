@@ -177,6 +177,16 @@ def _substep_entrainment(dv_epi, y_src, v_epi_next, v_hyp_next):
     return dv_epi * y_src / v_epi_next, -dv_epi * y_src / v_hyp_next
 
 
+def _select_float(cond: bool, a: float, b: float) -> float:
+    return a if cond else b
+
+
+def _maximum_float(a: float, b: float) -> float:
+    # np.maximum's rule, not the builtin max's: a only when a > b or a is NaN,
+    # so (-0.0, 0.0) gives 0.0 and a NaN survives to the exit check.
+    return a if a > b or a != a else b
+
+
 def entrainment_fluxes_substep(dv_epi, y_src, v_epi_next, v_hyp_next) -> EntrainmentFluxes:
     """Per-substep thermocline transport for an epilimnion volume increment dv_epi."""
     _require_positive(v_epi_next=v_epi_next, v_hyp_next=v_hyp_next)
@@ -198,6 +208,9 @@ def multi_step_euler(y_epi_prev, y_hyp_prev, f_exo_epi, f_exo_hyp,
     flag floors both layers at zero after every substep; it exists for the
     synthetic generator's ground-truth integration only. Inputs are checked
     once on entry and the day's result once on exit (an overflow raises).
+    A single day (every input 0-d) runs the same loop on Python floats,
+    which do the same IEEE-754 arithmetic without numpy's per-call cost, and
+    comes back as np.float64 values.
     """
     _require_finite(y_epi_prev=y_epi_prev, y_hyp_prev=y_hyp_prev,
                     f_exo_epi=f_exo_epi, f_exo_hyp=f_exo_hyp)
@@ -218,14 +231,28 @@ def multi_step_euler(y_epi_prev, y_hyp_prev, f_exo_epi, f_exo_hyp,
     grow = ve_c >= ve_p
     ve = _interpolate(ve_p, ve_c, k)
     vh = _interpolate(vh_p, v_hyp_cur, k)
+    # Python raises on division by zero where numpy gives inf or NaN, so a
+    # day whose interpolated volumes underflow to 0 stays on numpy and fails
+    # the exit check as before.
+    on_floats = (np.broadcast(y_e, y_h, exo_e, exo_h, ve_p, ve_c, vh_p, v_hyp_cur).ndim == 0
+                 and ve.min() > 0 and vh.min() > 0)
+    if on_floats:
+        y_e, y_h, exo_e, exo_h, dv_epi = map(float, (y_e, y_h, exo_e, exo_h, dv_epi))
+        grow = bool(grow)
+        ve, vh = ve.tolist(), vh.tolist()
+        select, maximum = _select_float, _maximum_float
+    else:
+        select, maximum = np.where, np.maximum
     for i in range(k):
-        ent_e, ent_h = _substep_entrainment(dv_epi, np.where(grow, y_h, y_e), ve[i + 1], vh[i + 1])
+        ent_e, ent_h = _substep_entrainment(dv_epi, select(grow, y_h, y_e), ve[i + 1], vh[i + 1])
         y_e = (y_e * ve[i] + exo_e) / ve[i + 1] + ent_e
         y_h = (y_h * vh[i] + exo_h) / vh[i + 1] + ent_h
         if clamp:
-            y_e = np.maximum(y_e, 0.0)
-            y_h = np.maximum(y_h, 0.0)
+            y_e = maximum(y_e, 0.0)
+            y_h = maximum(y_h, 0.0)
     _require_finite(y_epi_new=y_e, y_hyp_new=y_h)
+    if on_floats:
+        return np.float64(y_e), np.float64(y_h)
     return y_e, y_h
 
 

@@ -11,9 +11,11 @@ from __future__ import annotations
 
 import csv
 import enum
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
+from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
 
@@ -166,46 +168,48 @@ class ValidationReport:
 
 
 def validate_series(series: LakeSeries) -> ValidationReport:
-    """Check every structural invariant and report (date, message) per violation."""
+    """Check every structural invariant and report (date, message) per violation.
+
+    Entries come day by day and, within a day, in the order of the checks
+    below; a date-spacing violation, if any, comes first.
+    """
     entries: list[tuple[int, str]] = []
     dates = series.dates
     if dates.size and not np.all(np.diff(dates) == 1):
         bad = int(dates[np.nonzero(np.diff(dates) != 1)[0][0]])
         entries.append((bad, "dates must increase with unit spacing"))
     strat = series.stratified
-
-    for t in range(series.n_days):
-        day = int(dates[t])
-        if not (np.isfinite(series.v_total[t]) and series.v_total[t] > 0):
-            entries.append((day, "v_total must be positive and finite"))
-        if strat[t]:
-            ve, vh = series.v_epi[t], series.v_hyp[t]
-            if not (np.isfinite(ve) and ve > 0):
-                entries.append((day, "v_epi must be positive on stratified days"))
-            if not (np.isfinite(vh) and vh > 0):
-                entries.append((day, "v_hyp must be positive on stratified days"))
-            if np.isfinite(ve) and np.isfinite(vh):
-                vt = series.v_total[t]
-                if abs(ve + vh - vt) > VOLUME_REL_TOL * abs(vt):
-                    entries.append((day, "v_epi + v_hyp must equal v_total on stratified days"))
-            for col in ("f_exo_epi", "f_exo_hyp"):
-                if not np.isfinite(getattr(series, col)[t]):
-                    entries.append((day, f"{col} must be present on stratified days"))
-            if np.isfinite(series.obs_total[t]):
-                entries.append((day, "obs_total is only defined on mixed days"))
-        else:
-            if np.isfinite(series.v_epi[t]) or np.isfinite(series.v_hyp[t]):
-                entries.append((day, "layer volumes must be absent on mixed days"))
-            if not np.isfinite(series.f_exo_total[t]):
-                entries.append((day, "f_exo_total must be present on mixed days"))
-            if np.isfinite(series.obs_epi[t]) or np.isfinite(series.obs_hyp[t]):
-                entries.append((day, "layer observations are only defined on stratified days"))
-        for col in ("obs_total", "obs_epi", "obs_hyp"):
-            v = getattr(series, col)[t]
-            if np.isfinite(v) and v < 0:
-                entries.append((day, f"{col} must be non-negative"))
-        if not np.all(np.isfinite(series.features[t])):
-            entries.append((day, "features must be finite"))
+    mixed = ~strat
+    present = {col: np.isfinite(getattr(series, col)) for col in
+               ("v_total", "v_epi", "v_hyp", "f_exo_total", "f_exo_epi", "f_exo_hyp",
+                "obs_total", "obs_epi", "obs_hyp")}
+    vt, ve, vh = series.v_total, series.v_epi, series.v_hyp
+    with np.errstate(invalid="ignore", over="ignore"):
+        identity_off = np.abs(ve + vh - vt) > VOLUME_REL_TOL * np.abs(vt)
+    # Stratified-only and mixed-only checks never fire on the same day, so one
+    # list in per-day order covers both branches.
+    checks = [
+        (~(present["v_total"] & (vt > 0)), "v_total must be positive and finite"),
+        (strat & ~(present["v_epi"] & (ve > 0)), "v_epi must be positive on stratified days"),
+        (strat & ~(present["v_hyp"] & (vh > 0)), "v_hyp must be positive on stratified days"),
+        (strat & present["v_epi"] & present["v_hyp"] & identity_off,
+         "v_epi + v_hyp must equal v_total on stratified days"),
+        (strat & ~present["f_exo_epi"], "f_exo_epi must be present on stratified days"),
+        (strat & ~present["f_exo_hyp"], "f_exo_hyp must be present on stratified days"),
+        (strat & present["obs_total"], "obs_total is only defined on mixed days"),
+        (mixed & (present["v_epi"] | present["v_hyp"]),
+         "layer volumes must be absent on mixed days"),
+        (mixed & ~present["f_exo_total"], "f_exo_total must be present on mixed days"),
+        (mixed & (present["obs_epi"] | present["obs_hyp"]),
+         "layer observations are only defined on stratified days"),
+    ]
+    for col in ("obs_total", "obs_epi", "obs_hyp"):
+        checks.append((present[col] & (getattr(series, col) < 0), f"{col} must be non-negative"))
+    checks.append((~np.isfinite(series.features).all(axis=1), "features must be finite"))
+    failed = np.stack([mask for mask, _ in checks], axis=1)
+    days, which = np.nonzero(failed)
+    day_dates = dates[days].tolist()
+    entries += [(day, checks[c][1]) for day, c in zip(day_dates, which.tolist())]
     return ValidationReport(entries=tuple(entries))
 
 
@@ -245,6 +249,26 @@ def _parse_float(cell: str, day: int, col: str) -> float:
         raise DomainError(f"day {day}: column {col} is not a number: {cell!r}") from exc
 
 
+def _float_column(body: list[list[str]], c: int) -> np.ndarray:
+    return np.array([float(cell) if cell else np.nan for cell in map(itemgetter(c), body)],
+                    dtype=np.float64)
+
+
+def _raise_first_bad_row(path: Path, header: list[str], body: list[list[str]]) -> None:
+    """Raise the error of the first malformed row, scanning row by row."""
+    for r, row in enumerate(body, start=2):
+        if len(row) != len(header):
+            raise SchemaError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
+        try:
+            day = int(row[0])
+        except ValueError as exc:
+            raise OrderingError(f"{path}: row {r}: date {row[0]!r} is not an integer") from exc
+        if row[1] not in ("S", "M"):
+            raise DomainError(f"{path}: row {r}: regime must be 'S' or 'M', got {row[1]!r}")
+        for col, cell in zip(header[2:], row[2:]):
+            _parse_float(cell, day, col)
+
+
 def load_series(path: str | Path) -> LakeSeries:
     """Read one lake CSV; the lake id is the file stem (a leading 'lake_' is dropped)."""
     path = Path(path)
@@ -257,34 +281,31 @@ def load_series(path: str | Path) -> LakeSeries:
     for i, col in enumerate(_BASE_COLUMNS):
         if i >= len(header) or header[i] != col:
             raise SchemaError(f"{path}: missing or misplaced column {col!r}")
-    n_feat = len(header) - len(_BASE_COLUMNS)
     for j, col in enumerate(header[len(_BASE_COLUMNS):]):
         m = _FEAT_RE.match(col)
         if m is None or int(m.group(1)) != j:
             raise SchemaError(f"{path}: unexpected column {col!r} (expected feat_{j})")
 
+    # Each column is converted in one pass, so only one column's temporary
+    # Python objects are alive at a time; only when a conversion fails does a
+    # row-by-row scan find the first bad row to report.
     t_count = len(body)
-    dates = np.zeros(t_count, dtype=np.int64)
-    strat = np.zeros(t_count, dtype=bool)
-    floats = {c: np.full(t_count, np.nan) for c in _BASE_COLUMNS[2:]}
-    feats = np.zeros((t_count, n_feat))
-    for r, row in enumerate(body):
-        if len(row) != len(header):
-            raise SchemaError(f"{path}: row {r + 2} has {len(row)} cells, expected {len(header)}")
-        try:
-            dates[r] = int(row[0])
-        except ValueError as exc:
-            raise OrderingError(f"{path}: row {r + 2}: date {row[0]!r} is not an integer") from exc
-        if row[1] == "S":
-            strat[r] = True
-        elif row[1] == "M":
-            strat[r] = False
-        else:
-            raise DomainError(f"{path}: row {r + 2}: regime must be 'S' or 'M', got {row[1]!r}")
-        for c, col in enumerate(_BASE_COLUMNS[2:], start=2):
-            floats[col][r] = _parse_float(row[c], int(dates[r]), col)
+    n_feat = len(header) - len(_BASE_COLUMNS)
+    try:
+        if any(len(row) != len(header) for row in body):
+            raise ValueError("ragged rows")
+        dates = np.array([int(cell) for cell in map(itemgetter(0), body)], dtype=np.int64)
+        flags = list(map(itemgetter(1), body))
+        if not set(flags) <= {"S", "M"}:
+            raise ValueError("unknown regime flag")
+        strat = np.array([cell == "S" for cell in flags], dtype=bool)
+        floats = {col: _float_column(body, c) for c, col in enumerate(_BASE_COLUMNS[2:], start=2)}
+        feats = np.empty((t_count, n_feat))
         for j in range(n_feat):
-            feats[r, j] = _parse_float(row[len(_BASE_COLUMNS) + j], int(dates[r]), f"feat_{j}")
+            feats[:, j] = _float_column(body, len(_BASE_COLUMNS) + j)
+    except ValueError:
+        _raise_first_bad_row(path, header, body)
+        raise
 
     if t_count and not np.all(np.diff(dates) == 1):
         raise OrderingError(f"{path}: dates must be strictly increasing with unit spacing")
@@ -319,22 +340,24 @@ def load_series(path: str | Path) -> LakeSeries:
 
 
 def format_value(x: float) -> str:
-    """Render a float at 17 significant digits; NaN becomes an empty cell."""
-    if not np.isfinite(x):
-        return ""
-    return format(float(x), ".17g")
+    """Render a float at 17 significant digits; NaN or inf becomes an empty cell."""
+    x = float(x)
+    return format(x, ".17g") if math.isfinite(x) else ""
+
+
+def format_column(values) -> list[str]:
+    """format_value over a 1-D array, one cell per entry."""
+    return [format_value(x) for x in np.asarray(values, dtype=np.float64).tolist()]
 
 
 def write_series(series: LakeSeries, path: str | Path) -> None:
     """Write the CSV form; round-trips through load_series exactly."""
     path = Path(path)
     header = list(_BASE_COLUMNS) + [f"feat_{j}" for j in range(series.n_features)]
+    columns = [series.dates.tolist(), ["S" if s else "M" for s in series.stratified.tolist()]]
+    columns += [format_column(getattr(series, col)) for col in _BASE_COLUMNS[2:]]
+    columns += [format_column(series.features[:, j]) for j in range(series.n_features)]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for t in range(series.n_days):
-            row = [str(int(series.dates[t])), "S" if series.stratified[t] else "M"]
-            for col in _BASE_COLUMNS[2:]:
-                row.append(format_value(getattr(series, col)[t]))
-            row.extend(format_value(series.features[t, j]) for j in range(series.n_features))
-            writer.writerow(row)
+        writer.writerows(zip(*columns))

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, SchemaError
 from .physics import SubstepConfig, multi_step_euler, simulate_mixed_step
-from .series import LakeSeries, format_value, validate_series
+from .series import LakeSeries, format_column, validate_series
 
 __all__ = [
     "GenConfig",
@@ -468,15 +468,13 @@ def sparsify_observations(series: LakeSeries, keep_fraction: float,
 
 
 def write_truth(path: str | Path, lake: GeneratedLake) -> None:
+    columns = [lake.series.dates.tolist()]
+    columns += [format_column(lake.truth[:, task]) for task in range(3)]
+    columns.append(lake.scenario_tags.tolist())
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(TRUTH_COLUMNS)
-        for i in range(lake.series.n_days):
-            writer.writerow([int(lake.series.dates[i]),
-                             format_value(lake.truth[i, 0]),
-                             format_value(lake.truth[i, 1]),
-                             format_value(lake.truth[i, 2]),
-                             lake.scenario_tags[i]])
+        writer.writerows(zip(*columns))
 
 
 def load_truth(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

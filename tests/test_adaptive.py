@@ -178,6 +178,34 @@ class TestClassifyDays:
         assert all(l.provenance == DISCRIMINATOR for l in labels)
         assert all(l.mild for l in labels)
 
+    def test_one_batched_call_matches_per_day_decisions(self, monkeypatch):
+        import lakedo.adaptive as adaptive
+        from lakedo.networks import discriminator_forward
+        series = make_series("MSSSSSSM", v_epi=[np.nan, 100.0, 104.0, 150.0, 151.0,
+                                                120.0, 121.0, np.nan])
+        train_x = np.array([[0.0, 0.0, 0.02], [0.0, 0.0, 0.01],
+                            [0.0, 0.0, 0.5], [0.0, 0.0, -0.2]])
+        disc = train_discriminator(train_x, np.array([True, True, False, False]),
+                                   AprilConfig(disc_epochs=300, disc_hidden=(8,)),
+                                   seed=2)
+        rules = {2: _RuleLabel(mild=False, provenance=ERROR_RULE)}
+        calls = []
+        monkeypatch.setattr(adaptive, "discriminator_forward",
+                            lambda params, x: calls.append(x.shape) or discriminator_forward(params, x))
+        april = AprilConfig()
+        labels = classify_days(series, rules, disc, april)
+        assert calls == [(5, 3)]
+        inputs = discriminator_inputs(series)
+        assert [l.day for l in labels] == [1, 2, 3, 4, 5, 6]
+        for label in labels:
+            if label.day in rules:
+                assert label.provenance == ERROR_RULE
+                continue
+            p_mild = discriminator_forward(disc, inputs[label.day])
+            assert label.provenance == DISCRIMINATOR
+            assert label.mild == (p_mild >= april.mild_probability_threshold)
+        assert {l.mild for l in labels if l.provenance == DISCRIMINATOR} == {True, False}
+
     def test_k_policy_assembly(self):
         series = make_series("MSSSM")
         labels = [DayLabel(day=1, date=2, mild=True, provenance=ERROR_RULE, k=1),

@@ -2,12 +2,16 @@
 
 import csv
 import json
+import os
+import subprocess
+import sys
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import lakedo
 from conftest import make_series
 from lakedo.cli import load_generate_config, main
 from lakedo.networks import init_predictor, load_checkpoint, save_checkpoint
@@ -368,6 +372,15 @@ class TestSweep:
                      "--threads", "2"]) == 0
         assert (serial / "sweep.csv").read_bytes() == \
             (parallel / "sweep.csv").read_bytes()
+
+    def test_process_pool_is_not_imported_with_the_cli(self):
+        # Only a parallel sweep needs it; every other command would pay its
+        # import at start-up.
+        code = "import sys, lakedo.cli; print('concurrent.futures' in sys.modules)"
+        env = dict(os.environ, PYTHONPATH=str(Path(lakedo.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
 
     @pytest.mark.parametrize("grid", [[], [None], ["1.0"], [True], [{"a": 1}], 1.0])
     def test_malformed_grid_exit_2(self, data_dir, tmp_path, capsys, grid):

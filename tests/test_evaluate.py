@@ -183,6 +183,21 @@ class TestExport:
                                    k_per_day=k)
         assert float(rows[2][4]) == targets[1, 0]
 
+    def test_returned_simulation_serves_mass_inconsistency(self, tmp_path):
+        # The simulation reads only regime-defined cells, so the one run on
+        # masked predictions is the one mass_inconsistency runs on raw ones.
+        series = make_series("MMSSSSMM", obs={1: (None, None, 4.0)})
+        preds = np.random.default_rng(5).normal(8.0, 1.0, (8, 3))
+        simulated = export_timeseries(tmp_path / "ts.csv", series,
+                                      regime_masked_predictions(preds, series),
+                                      k_reference=12)
+        k = np.full(8, 12, dtype=np.int64)
+        np.testing.assert_array_equal(simulated, simulate_targets(series, preds, k_per_day=k))
+        shared = mass_inconsistency(preds, series, targets=simulated)
+        np.testing.assert_array_equal(shared, mass_inconsistency(preds, series, k_reference=12))
+        with pytest.raises(DomainError, match="shape"):
+            mass_inconsistency(preds, series, targets=simulated[1:])
+
     def test_truth_column_written(self, tmp_path):
         series = make_series("MM")
         preds = np.zeros((2, 3))

@@ -326,6 +326,45 @@ class TestMultiStepEuler:
                 multi_step_euler(np.array([9.0, 1e308]), 1.0, 0.0, 0.0, *vols,
                                  cfg=SubstepConfig(k=k))
 
+    @settings(max_examples=150, deadline=None)
+    @given(st.one_of(volume_pair(), st.floats(10.0, 2e4).map(lambda v: (v, v, 2 * v, 2 * v))),
+           *[st.one_of(st.sampled_from([-0.0, 0.0, -1e-12]), concentrations)] * 2,
+           *[st.one_of(st.sampled_from([-0.0, 0.0]), fluxes)] * 2,
+           st.sampled_from([1, 2, 3, 12, 192]), st.booleans())
+    def test_single_day_matches_array_path_bitwise(self, vols, y_e, y_h, f_e, f_h, k, clamp):
+        # A single day runs on Python floats, a one-element array on numpy;
+        # both must agree to the bit, signed zeros and clamp floors included.
+        args = (y_e, y_h, f_e, f_h, *vols)
+        cfg = SubstepConfig(k=k)
+        scalar = multi_step_euler(*args, cfg=cfg, clamp=clamp)
+        array = multi_step_euler(*[np.array([a]) for a in args], cfg=cfg, clamp=clamp)
+        for got, ref in zip(scalar, array):
+            assert type(got) is np.float64
+            assert np.array([got]).tobytes() == ref.tobytes()
+
+    def test_clamp_floors_negative_zero_like_numpy(self):
+        # A -0.0 state with -0.0 fluxes and no volume change ends a single
+        # substep at -0.0; the floor turns it into +0.0, as np.maximum does.
+        args = (-0.0, -0.0, -0.0, -0.0, 100.0, 100.0, 200.0, 200.0)
+        cfg = SubstepConfig(k=1)
+        assert np.signbit(multi_step_euler(*args, cfg=cfg)[0])
+        e, h = multi_step_euler(*args, cfg=cfg, clamp=True)
+        assert not np.signbit(e) and not np.signbit(h)
+
+    @pytest.mark.parametrize("clamp", [False, True])
+    def test_underflowed_volumes_raise_domain_error(self, clamp):
+        # Halfway between two subnormal volumes interpolates to exactly 0.0,
+        # which Python float division would turn into ZeroDivisionError.
+        with np.errstate(divide="ignore", invalid="ignore"):
+            with pytest.raises(DomainError):
+                multi_step_euler(1, 1, 0, 0, 5e-324, 5e-324, 5e-324, 5e-324,
+                                 cfg=SubstepConfig(k=2), clamp=clamp)
+
+    def test_scalar_input_returns_float64(self):
+        e, h = multi_step_euler(9.0, 6.0, 0.2, -0.4, 100.0, 150.0, 200.0, 150.0,
+                                cfg=SubstepConfig(k=12), clamp=True)
+        assert type(e) is np.float64 and type(h) is np.float64
+
     def test_rejects_bad_substep_config(self):
         with pytest.raises(DomainError):
             SubstepConfig(k=0)

@@ -2,14 +2,19 @@
 
 from __future__ import annotations
 
+import csv
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from lakedo.errors import DomainError, OrderingError, SchemaError
 from lakedo.series import (
+    VOLUME_REL_TOL,
     Regime,
     RegimeSpan,
+    format_value,
     load_series,
     segment_regimes,
     validate_series,
@@ -26,6 +31,85 @@ def sample_series():
         obs={1: (None, None, 8.1333333333333329), 3: (7.5, 4.25, None)},
         features=np.linspace(-1.0, 1.0, 12).reshape(6, 2),
     )
+
+
+def per_day_validate(series):
+    """Reference validator: the invariants checked one day at a time."""
+    entries = []
+    dates = series.dates
+    if dates.size and not np.all(np.diff(dates) == 1):
+        bad = int(dates[np.nonzero(np.diff(dates) != 1)[0][0]])
+        entries.append((bad, "dates must increase with unit spacing"))
+    for t in range(series.n_days):
+        day = int(dates[t])
+        if not (np.isfinite(series.v_total[t]) and series.v_total[t] > 0):
+            entries.append((day, "v_total must be positive and finite"))
+        if series.stratified[t]:
+            ve, vh = series.v_epi[t], series.v_hyp[t]
+            if not (np.isfinite(ve) and ve > 0):
+                entries.append((day, "v_epi must be positive on stratified days"))
+            if not (np.isfinite(vh) and vh > 0):
+                entries.append((day, "v_hyp must be positive on stratified days"))
+            if np.isfinite(ve) and np.isfinite(vh):
+                vt = series.v_total[t]
+                with np.errstate(invalid="ignore", over="ignore"):
+                    off = abs(ve + vh - vt) > VOLUME_REL_TOL * abs(vt)
+                if off:
+                    entries.append((day, "v_epi + v_hyp must equal v_total on stratified days"))
+            for col in ("f_exo_epi", "f_exo_hyp"):
+                if not np.isfinite(getattr(series, col)[t]):
+                    entries.append((day, f"{col} must be present on stratified days"))
+            if np.isfinite(series.obs_total[t]):
+                entries.append((day, "obs_total is only defined on mixed days"))
+        else:
+            if np.isfinite(series.v_epi[t]) or np.isfinite(series.v_hyp[t]):
+                entries.append((day, "layer volumes must be absent on mixed days"))
+            if not np.isfinite(series.f_exo_total[t]):
+                entries.append((day, "f_exo_total must be present on mixed days"))
+            if np.isfinite(series.obs_epi[t]) or np.isfinite(series.obs_hyp[t]):
+                entries.append((day, "layer observations are only defined on stratified days"))
+        for col in ("obs_total", "obs_epi", "obs_hyp"):
+            v = getattr(series, col)[t]
+            if np.isfinite(v) and v < 0:
+                entries.append((day, f"{col} must be non-negative"))
+        if not np.all(np.isfinite(series.features[t])):
+            entries.append((day, "features must be finite"))
+    return tuple(entries)
+
+
+def per_row_write(series, path):
+    """Reference writer: one row and one format_value call per cell."""
+    header = ["date", "regime", "v_total", "v_epi", "v_hyp", "f_exo_total",
+              "f_exo_epi", "f_exo_hyp", "obs_total", "obs_epi", "obs_hyp"]
+    cols = header[2:]
+    header += [f"feat_{j}" for j in range(series.n_features)]
+    with open(path, "w", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        for t in range(series.n_days):
+            row = [str(int(series.dates[t])), "S" if series.stratified[t] else "M"]
+            row += [format_value(getattr(series, col)[t]) for col in cols]
+            row += [format_value(series.features[t, j]) for j in range(series.n_features)]
+            writer.writerow(row)
+
+
+_FIELDS = ("dates", "v_total", "v_epi", "v_hyp", "f_exo_total", "f_exo_epi",
+           "f_exo_hyp", "obs_total", "obs_epi", "obs_hyp", "features")
+_BAD_VALUES = (np.nan, np.inf, -np.inf, 0.0, -0.0, -1.0, 1e-300, 50.0, 1e308)
+
+
+def corrupted(series, edits):
+    """Copy of a series with (field, day, value) cell edits applied."""
+    arrays = {f: np.array(getattr(series, f), dtype=np.float64) for f in _FIELDS}
+    for field, day, value in edits:
+        if field == "features":
+            arrays[field][day, day % arrays[field].shape[1]] = value
+        elif field == "dates":
+            arrays[field][day] += 1 + day
+        else:
+            arrays[field][day] = value
+    arrays["dates"] = arrays["dates"].astype(np.int64)
+    return dataclasses.replace(series, **arrays)
 
 
 class TestRoundTrip:
@@ -58,6 +142,19 @@ class TestRoundTrip:
         loaded = load_series(p)
         assert loaded.obs_epi[1] == 0.1 + 0.2
         assert loaded.v_epi[0] == 100.0 + 1e-7
+
+    @pytest.mark.parametrize("values", [
+        [np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324],
+        [1e308, -1e-300, 0.1 + 0.2, 2.0 ** 53 + 1, 1.0 / 3.0, -7.0],
+    ])
+    def test_columnar_writer_matches_per_row_writer(self, tmp_path, values):
+        s = sample_series()
+        features = np.column_stack([values, values[::-1]])
+        s = dataclasses.replace(s, features=features,
+                                f_exo_total=np.array(values[::-1]))
+        write_series(s, tmp_path / "columns.csv")
+        per_row_write(s, tmp_path / "rows.csv")
+        assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
 
 
 class TestLoadErrors:
@@ -108,6 +205,38 @@ class TestLoadErrors:
         with pytest.raises(DomainError, match="regime"):
             load_series(p)
 
+    @pytest.mark.parametrize("rows, error, message", [
+        # A bad cell in row 2 is reported before a bad date in row 3.
+        ([["1", "M", "300", "", "", "x", "", "", "", "", "", "0"],
+          ["y", "M", "300", "", "", "0.1", "", "", "", "", "", "0"]],
+         DomainError, "day 1: column f_exo_total is not a number: 'x'"),
+        ([["1", "M", "300", "", "", "0.1", "", "", "", "", "", "0"],
+          ["2.5", "Q", "300", "", "", "0.1", "", "", "", "", "", "0"]],
+         OrderingError, "row 3: date '2.5' is not an integer"),
+        ([["1", "M", "300", "", "", "0.1", "", "", "", "", "", "oops"],
+          ["2", "M", "300", "", "", "0.1", "", "", "", ""]],
+         DomainError, "day 1: column feat_0 is not a number: 'oops'"),
+        ([["1", "M", "300", "", "", "0.1", "", "", "", "", "", "0"],
+          ["2", "M", "300", "", "", "0.1", "", "", "", ""],
+          ["3", "X", "300", "", "", "0.1", "", "", "", "", "", "0"]],
+         SchemaError, "row 3 has 10 cells, expected 12"),
+        ([["1", "M", "300", "", "", "0.1", "", "", "", "", "", "0"],
+          ["2", "X", "300", "", "", "z", "", "", "", "", "", "0"]],
+         DomainError, "row 3: regime must be 'S' or 'M', got 'X'"),
+    ], ids=["cell-before-date", "date-before-regime", "cell-before-ragged",
+            "ragged-before-regime", "regime-before-cell"])
+    def test_first_bad_row_is_reported(self, tmp_path, rows, error, message):
+        p = self.write_rows(tmp_path, self.base_header(), rows)
+        with pytest.raises(error) as info:
+            load_series(p)
+        assert str(info.value).endswith(message)
+        assert type(info.value) is error
+
+    def test_header_only_file_loads_empty(self, tmp_path):
+        p = self.write_rows(tmp_path, self.base_header(), [])
+        s = load_series(p)
+        assert s.n_days == 0 and s.features.shape == (0, 1)
+
     def test_observation_on_wrong_regime(self, tmp_path):
         # obs_total on a stratified day violates the placement invariant.
         rows = [["1", "S", "300", "100", "200", "", "0.2", "-0.4", "7.5", "", "", "0"]]
@@ -135,6 +264,24 @@ class TestValidation:
         bad = make_series("SS", v_epi=[100.0, 110.0], obs={0: (-0.5, None, None)})
         report = validate_series(bad)
         assert any("non-negative" in msg for _, msg in report.entries)
+
+    @pytest.mark.parametrize("fields", [(f,) for f in _FIELDS] + [_FIELDS],
+                             ids=[*_FIELDS, "every-field"])
+    @pytest.mark.parametrize("value", _BAD_VALUES)
+    def test_matches_per_day_validator_per_field(self, fields, value):
+        # One field at a time, then every field on the same day, so that
+        # each check fires alone and all fire together in their order.
+        s = sample_series()
+        for day in range(s.n_days):
+            bad = corrupted(s, [(field, day, value) for field in fields])
+            assert validate_series(bad).entries == per_day_validate(bad)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.sampled_from(_FIELDS), st.integers(0, 5),
+                              st.sampled_from(_BAD_VALUES)), max_size=8))
+    def test_matches_per_day_validator_on_mixed_corruption(self, edits):
+        bad = corrupted(sample_series(), edits)
+        assert validate_series(bad).entries == per_day_validate(bad)
 
     def test_mask_counts_match_cells(self):
         s = sample_series()
