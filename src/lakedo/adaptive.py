@@ -21,15 +21,14 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from . import autodiff as ad
+from .autodiff import sigmoid_values
 from .errors import ConfigError, DomainError, SchemaError
 from .networks import (
     DiscriminatorParams,
     PredictorParams,
     discriminator_forward,
-    discriminator_logits_tape,
     init_discriminator,
-    predictor_forward,
+    predictor_forward_series,
 )
 from .series import LakeSeries, relative_epi_volume_change
 from .training import (
@@ -192,18 +191,39 @@ def train_discriminator(inputs: np.ndarray, is_mild: np.ndarray, april: AprilCon
     params = dict(init_discriminator(inputs.shape[1], hidden=april.disc_hidden,
                                      seed=seed).to_blocks())
     opt = adam_init(params)
-    mild_mask = is_mild[:, None]
+    n_layers = len(params) // 2
+    # d loss / d logit is -w_mild / denom * sigmoid(-z) on mild rows and
+    # w_drastic / denom * sigmoid(z) on drastic rows; the layers are then
+    # backpropagated by hand with the tape's arithmetic. The (rows, width)
+    # arrays live in buffers allocated once, not once per epoch.
+    mild_col = is_mild[:, None]
+    scale = -1.0 / denom
+    coef = np.where(mild_col, scale * w_mild, -(scale * w_drastic))
+    sign = np.where(mild_col, -1.0, 1.0)
+    widths = [params[f"layer{li}_w"].shape[1] for li in range(n_layers)]
+    acts = [inputs] + [np.empty((inputs.shape[0], w)) for w in widths]
+    grad_h = [None] + [np.empty_like(a) for a in acts[1:-1]]
+    tanh_slope = [None] + [np.empty_like(a) for a in acts[1:-1]]
     for _ in range(april.disc_epochs):
-        tape = ad.Tape()
-        pvars = {k: tape.param(v) for k, v in params.items()}
-        z = discriminator_logits_tape(tape, pvars, inputs)
-        pos = ad.masked_sum(ad.logsigmoid(z), mild_mask)
-        neg = ad.masked_sum(ad.logsigmoid(ad.neg(z)), ~mild_mask)
-        loss = ad.scale(ad.add(ad.scale(pos, w_mild), ad.scale(neg, w_drastic)),
-                        -1.0 / denom)
-        grads = tape.backward(loss)
-        gdict = {k: grads[pvars[k].idx] for k in params}
-        params, opt = adam_update(params, gdict, opt, april.disc_learning_rate)
+        for li in range(n_layers):
+            out = acts[li + 1]
+            np.matmul(acts[li], params[f"layer{li}_w"], out=out)
+            out += params[f"layer{li}_b"]
+            if li < n_layers - 1:
+                np.tanh(out, out=out)
+        g = coef * sigmoid_values(sign * acts[-1])
+        grads = {}
+        for li in range(n_layers - 1, -1, -1):
+            h = acts[li]
+            grads[f"layer{li}_w"] = h.T @ g
+            grads[f"layer{li}_b"] = g.sum(axis=0)
+            if li:
+                slope = tanh_slope[li]
+                np.multiply(h, h, out=slope)
+                np.subtract(1.0, slope, out=slope)
+                g = np.matmul(g, params[f"layer{li}_w"].T, out=grad_h[li])
+                g *= slope
+        params, opt = adam_update(params, grads, opt, april.disc_learning_rate)
     return DiscriminatorParams.from_blocks(params)
 
 
@@ -280,8 +300,8 @@ def train_april(lakes: Sequence[LakeSeries], config: TrainConfig,
     """
     april = april or AprilConfig()
     stage1 = train_pril(lakes, config)
-    preds_by_lake = {lake.lake_id: predictor_forward(stage1.params, lake.features)
-                     for lake in lakes}
+    preds = predictor_forward_series(stage1.params, [lake.features for lake in lakes])
+    preds_by_lake = {lake.lake_id: p for lake, p in zip(lakes, preds)}
     gamma = residual_gamma(lakes, preds_by_lake, april.gamma_factor)
     rules = {lake.lake_id: label_drastic_days(lake, preds_by_lake[lake.lake_id],
                                               gamma, april.volume_change_threshold)

@@ -242,45 +242,88 @@ def stack(vs: list[Var]) -> Var:
     return tape._push(np.stack([v.value for v in vs], axis=0), "stack", tuple(vs))
 
 
-def lstm_sequence_values(w_cell: np.ndarray, b_cell: np.ndarray,
-                         features: np.ndarray) -> tuple[np.ndarray, tuple]:
+def lstm_sequence_values(w_cell: np.ndarray, b_cell: np.ndarray, features: np.ndarray,
+                         split: int | None = None) -> tuple[np.ndarray, tuple]:
     """LSTM hidden states for features (B, T, m) as (T, B, H), plus the BPTT cache.
 
     w_cell stacks the recurrent rows above the input rows, (H + m, 4H), with
     gate columns in the order input, forget, output, candidate; the state
     starts at zero. The input projection x @ W_x + b is computed for all days
     at once, outside the time loop, so each day costs one (B, H) @ (H, 4H)
-    product and one sigmoid over the three contiguous sigmoid gates.
+    product, one sigmoid over the three contiguous sigmoid gates (the
+    arithmetic of sigmoid_values) and one tanh. Every per-day operand is a
+    view taken by zip over the (T, ...) arrays, and every per-day result is
+    written into a preallocated buffer.
+
+    With split, rows before and from split get separate matrix products, so
+    each group's rows equal a call on that group alone bit for bit, whatever
+    row blocking the BLAS uses; the elementwise work is shared.
     """
     b, t_count, _ = features.shape
     hidden = w_cell.shape[1] // 4
-    w_h, w_x = w_cell[:hidden], w_cell[hidden:]
+    n_sig = 3 * hidden
+    groups = (slice(None),) if split is None else (slice(None, split), slice(split, None))
+    w_h = w_cell[:hidden]
     x = features.transpose(1, 0, 2)                     # (T, B, m)
-    gates = x @ w_x + b_cell                            # (T, B, 4H) pre-activations
+    gates = np.empty((t_count, b, 4 * hidden))          # (T, B, 4H) pre-activations
+    for rows in groups:
+        np.matmul(x[:, rows], w_cell[hidden:], out=gates[:, rows])
+    gates += b_cell
     h = np.zeros((t_count + 1, b, hidden))              # h[t] is the state before day t
     c = np.zeros((t_count + 1, b, hidden))
     tanh_c = np.empty((t_count, b, hidden))
-    for t in range(t_count):
-        g = gates[t]
-        if t:
-            g += h[t] @ w_h
-        g[:, :3 * hidden] = sigmoid_values(g[:, :3 * hidden])
-        np.tanh(g[:, 3 * hidden:], out=g[:, 3 * hidden:])
-        i, f, o, u = (g[:, j * hidden:(j + 1) * hidden] for j in range(4))
-        c[t + 1] = f * c[t] + i * u
-        np.tanh(c[t + 1], out=tanh_c[t])
-        np.multiply(o, tanh_c[t], out=h[t + 1])
+    rec = np.empty((b, 4 * hidden))
+    rec_groups = [rec[rows] for rows in groups]
+    e = np.empty((b, n_sig))
+    den = np.empty((b, n_sig))
+    nonneg = np.empty((b, n_sig), dtype=bool)
+    iu = np.empty((b, hidden))
+    days = zip(gates, gates[..., :n_sig], gates[..., :hidden],
+               gates[..., hidden:2 * hidden], gates[..., 2 * hidden:n_sig],
+               gates[..., n_sig:], zip(*(h[:, rows] for rows in groups)),
+               h[1:], c, c[1:], tanh_c)
+    for g, sig, i, f, o, u, h_prev_groups, h_next, c_prev, c_next, tc in days:
+        for h_prev, r in zip(h_prev_groups, rec_groups):
+            np.matmul(h_prev, w_h, out=r)
+        g += rec
+        np.copysign(sig, -1.0, out=e)                   # sigmoid_values, in place
+        np.exp(e, out=e)
+        np.add(e, 1.0, out=den)
+        np.greater_equal(sig, 0.0, out=nonneg)
+        np.copyto(e, 1.0, where=nonneg)
+        np.divide(e, den, out=sig)
+        np.tanh(u, out=u)
+        np.multiply(f, c_prev, out=c_next)
+        np.multiply(i, u, out=iu)
+        c_next += iu
+        np.tanh(c_next, out=tc)
+        np.multiply(o, tc, out=h_next)
     return h[1:], (x, gates, h, c, tanh_c)
 
 
-def lstm_sequence(w_cell: Var, b_cell: Var, features: np.ndarray) -> Var:
+def lstm_sequence(w_cell: Var, b_cell: Var, features: np.ndarray,
+                  ride_along: np.ndarray | None = None):
     """Fused LSTM over features (B, T, m): hidden states (T, B, H) as one tape node.
 
     The backward pass is hand-written backpropagation through time.
+    ride_along (V, T, m) rows join the same time loop without entering the
+    tape: the node holds and differentiates the B feature rows only, and the
+    call returns (node, ride-along hidden states (T, V, H)). Both groups'
+    values equal separate calls bit for bit, and the taped rows' cache is
+    copied out, so the node holds exactly what a B-row call holds.
     """
-    hs, cache = lstm_sequence_values(w_cell.value, b_cell.value,
-                                     np.asarray(features, dtype=np.float64))
-    return _same_tape(w_cell, b_cell)._push(hs, "lstm_sequence", (w_cell, b_cell), cache)
+    tape = _same_tape(w_cell, b_cell)
+    features = np.asarray(features, dtype=np.float64)
+    if ride_along is None:
+        hs, cache = lstm_sequence_values(w_cell.value, b_cell.value, features)
+        return tape._push(hs, "lstm_sequence", (w_cell, b_cell), cache)
+    n = features.shape[0]
+    _, (_, *full) = lstm_sequence_values(w_cell.value, b_cell.value,
+                                         np.concatenate([features, ride_along]), split=n)
+    gates, h, c, tanh_c = (np.ascontiguousarray(a[:, :n]) for a in full)
+    cache = (features.transpose(1, 0, 2), gates, h, c, tanh_c)
+    node = tape._push(h[1:], "lstm_sequence", (w_cell, b_cell), cache)
+    return node, np.ascontiguousarray(full[1][1:, n:])
 
 
 def masked_sum(a: Var, mask: np.ndarray) -> Var:
@@ -404,32 +447,46 @@ def _bw_lstm_sequence(tape, i, g, grads):
     pw, pb = tape.parents[i]
     x, act, h, c, tanh_c = tape.ctx[i]
     t_count, b, hidden = tanh_c.shape
-    w_h = tape.values[pw][:hidden]
+    n_sig = 3 * hidden
+    w_h_t = tape.values[pw][:hidden].T
     # d(pre-activation) = upstream * partner * activation', where the upstream
     # is dc for the input, forget and candidate gates and dh for the output
-    # gate; partner * activation' is formed for all days at once.
-    sig = act[..., :3 * hidden]
-    partner = np.empty_like(act)
-    partner[..., :3 * hidden] = sig * (1.0 - sig)
-    partner[..., 3 * hidden:] = 1.0 - act[..., 3 * hidden:] ** 2
-    partner[..., :hidden] *= act[..., 3 * hidden:]
-    partner[..., hidden:2 * hidden] *= c[:-1]
-    partner[..., 2 * hidden:3 * hidden] *= tanh_c
-    partner[..., 3 * hidden:] *= act[..., :hidden]
-    dc_from_h = act[..., 2 * hidden:3 * hidden] * (1.0 - tanh_c ** 2)
-    forget = act[..., hidden:2 * hidden]
+    # gate. partner * activation' is formed in d_pre for all days at once, and
+    # the reverse loop multiplies each day's row by its upstream in place.
     d_pre = np.empty_like(act)                          # (T, B, 4H)
+    sig, d_sig = act[..., :n_sig], d_pre[..., :n_sig]
+    np.subtract(1.0, sig, out=d_sig)
+    d_sig *= sig
+    cand, d_cand = act[..., n_sig:], d_pre[..., n_sig:]
+    np.square(cand, out=d_cand)
+    np.subtract(1.0, d_cand, out=d_cand)
+    d_pre[..., :hidden] *= cand
+    d_pre[..., hidden:2 * hidden] *= c[:-1]
+    d_pre[..., 2 * hidden:n_sig] *= tanh_c
+    d_cand *= act[..., :hidden]
+    dc_from_h = np.square(tanh_c)
+    np.subtract(1.0, dc_from_h, out=dc_from_h)
+    dc_from_h *= act[..., 2 * hidden:n_sig]
+    dh = np.empty((b, hidden))
+    dc = np.empty((b, hidden))
+    d_out = np.empty((b, hidden))
     dh_next = np.zeros((b, hidden))
     dc_next = np.zeros((b, hidden))
-    for t in range(t_count - 1, -1, -1):
-        dh = g[t] + dh_next
-        dc = dh * dc_from_h[t] + dc_next
-        dp = d_pre[t]
-        np.multiply(partner[t].reshape(b, 4, hidden), dc[:, None, :],
-                    out=dp.reshape(b, 4, hidden))
-        np.multiply(dh, partner[t, :, 2 * hidden:3 * hidden], out=dp[:, 2 * hidden:3 * hidden])
-        dc_next = dc * forget[t]
-        dh_next = dp @ w_h.T
+    dc_gates = dc[:, None, :]
+    # One broadcast product scales all four gates by dc; the output gate's
+    # dh product is set aside before it and written back after it.
+    steps = zip(g[::-1], dc_from_h[::-1], act[::-1, :, hidden:2 * hidden], d_pre[::-1],
+                d_pre.reshape(t_count, b, 4, hidden)[::-1],
+                d_pre[::-1, :, 2 * hidden:n_sig])
+    for g_t, dfh, forget, dp, dp_gates, dp_out in steps:
+        np.add(g_t, dh_next, out=dh)
+        np.multiply(dh, dfh, out=dc)
+        dc += dc_next
+        np.multiply(dp_out, dh, out=d_out)
+        dp_gates *= dc_gates
+        np.copyto(dp_out, d_out)
+        np.multiply(dc, forget, out=dc_next)
+        np.matmul(dp, w_h_t, out=dh_next)
     dw_h = np.tensordot(h[:-1], d_pre, axes=([0, 1], [0, 1]))
     dw_x = np.tensordot(x, d_pre, axes=([0, 1], [0, 1]))
     _accumulate(tape, grads, pw, np.vstack([dw_h, dw_x]))

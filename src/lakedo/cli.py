@@ -33,11 +33,12 @@ from .evaluate import (
     mass_inconsistency,
     regime_masked_predictions,
 )
-from .networks import load_checkpoint, predictor_forward, save_checkpoint
+from .networks import load_checkpoint, predictor_forward_series, save_checkpoint
 from .series import LakeSeries, format_value, load_series, write_series
 from .synthetic import GenConfig, generate, load_truth, write_truth
 from .training import (
     TrainConfig,
+    pooled_rmse,
     train_pril,
     validation_rmse,
     write_history,
@@ -296,8 +297,8 @@ def cmd_evaluate(checkpoint: str | Path, data_dir: str | Path, out_dir: str | Pa
 
     outputs = []
     inconsistency = []
-    for path, lake in zip(files, lakes):
-        preds = predictor_forward(predictor, lake.features)
+    preds_by_lake = predictor_forward_series(predictor, [lake.features for lake in lakes])
+    for path, lake, preds in zip(files, lakes, preds_by_lake):
         truth = None
         truth_path = path.with_name(f"{path.stem}_truth.csv")
         if truth_path.exists():
@@ -314,7 +315,7 @@ def cmd_evaluate(checkpoint: str | Path, data_dir: str | Path, out_dir: str | Pa
     else:
         config = None
         # A whole lake is a valid window: pool every observed day.
-        rmse_tasks = np.array(validation_rmse(predictor, lakes)[:3])
+        rmse_tasks = np.array(pooled_rmse(lakes, preds_by_lake)[:3])
     with np.errstate(invalid="ignore"):
         pooled_inc = np.nanmean(np.stack(inconsistency), axis=0)
     report = build_report(Path(checkpoint).stem, rmse_tasks[None, :],

@@ -15,6 +15,7 @@ from __future__ import annotations
 import csv
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -26,7 +27,7 @@ __all__ = [
     "MIN_HIDDEN", "MAX_HIDDEN",
     "PredictorParams", "DiscriminatorParams",
     "init_predictor", "init_discriminator",
-    "predictor_forward", "predictor_forward_tape",
+    "predictor_forward", "predictor_forward_series", "predictor_forward_tape",
     "discriminator_forward", "discriminator_logits", "discriminator_logits_tape",
     "save_checkpoint", "load_checkpoint",
 ]
@@ -103,6 +104,11 @@ def init_predictor(n_features: int, hidden_size: int, seed: int) -> PredictorPar
     )
 
 
+def _head(hs: np.ndarray, w_head: np.ndarray, b_head: np.ndarray) -> np.ndarray:
+    """Head outputs (windows, days, 3) for hidden states (days, windows, H)."""
+    return np.ascontiguousarray((hs @ w_head + b_head).transpose(1, 0, 2))
+
+
 def predictor_forward(params: PredictorParams, features: np.ndarray) -> np.ndarray:
     """Raw head outputs, one (epi, hyp, total) row per day.
 
@@ -116,14 +122,44 @@ def predictor_forward(params: PredictorParams, features: np.ndarray) -> np.ndarr
         raise DomainError(f"features must have shape ([windows,] days, {params.n_features})")
     batch = features if features.ndim == 3 else features[None]
     hs, _ = ad.lstm_sequence_values(params.w_cell, params.b_cell, batch)
-    out = (hs @ params.w_head + params.b_head).transpose(1, 0, 2)
-    return np.ascontiguousarray(out if features.ndim == 3 else out[0])
+    out = _head(hs, params.w_head, params.b_head)
+    return out if features.ndim == 3 else out[0]
 
 
-def predictor_forward_tape(tape: ad.Tape, p: dict[str, ad.Var], features: np.ndarray) -> ad.Var:
-    """Differentiable batched forward: features (B, T, m) -> head outputs (T, B, 3)."""
-    hs = ad.lstm_sequence(p["w_cell"], p["b_cell"], features)
-    return ad.add(ad.matmul(hs, p["w_head"]), p["b_head"])
+def predictor_forward_series(params: PredictorParams,
+                             features: Sequence[np.ndarray]) -> list[np.ndarray]:
+    """Head outputs for series of any lengths, all from one batched forward.
+
+    Each (days_i, n_features) series is right-padded with zeros to the
+    longest one and its (days_i, 3) outputs are cut back to its own days.
+    The LSTM is causal, so padding after a series' end cannot change any of
+    its days.
+    """
+    features = [np.asarray(f, dtype=np.float64) for f in features]
+    if not features or any(f.ndim != 2 for f in features):
+        raise DomainError("need at least one (days, n_features) series")
+    lengths = [f.shape[0] for f in features]
+    batch = np.zeros((len(features), max(lengths), features[0].shape[1]))
+    for row, f in zip(batch, features):
+        row[:f.shape[0]] = f
+    out = predictor_forward(params, batch)
+    return [series[:n] for series, n in zip(out, lengths)]
+
+
+def predictor_forward_tape(tape: ad.Tape, p: dict[str, ad.Var], features: np.ndarray,
+                           ride_along: np.ndarray | None = None):
+    """Differentiable batched forward: features (B, T, m) -> head outputs (T, B, 3).
+
+    ride_along (V, T, m) windows share the LSTM time loop without entering
+    the tape; the call then returns (head outputs, ride-along outputs as a
+    (V, T, 3) array laid out like predictor_forward's).
+    """
+    if ride_along is None:
+        hs = ad.lstm_sequence(p["w_cell"], p["b_cell"], features)
+        return ad.add(ad.matmul(hs, p["w_head"]), p["b_head"])
+    hs, ride_hs = ad.lstm_sequence(p["w_cell"], p["b_cell"], features, ride_along)
+    out = ad.add(ad.matmul(hs, p["w_head"]), p["b_head"])
+    return out, _head(ride_hs, p["w_head"].value, p["b_head"].value)
 
 
 @dataclass(frozen=True)

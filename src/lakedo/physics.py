@@ -12,6 +12,7 @@ generator's clamp flag.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,33 +62,44 @@ class SubstepConfig:
 
 
 def _require_finite(**named) -> None:
+    # A Python float (np.float64 included) is checked without numpy's per-call cost.
     for name, value in named.items():
-        if not np.all(np.isfinite(value)):
+        if not (math.isfinite(value) if isinstance(value, float)
+                else np.all(np.isfinite(value))):
             raise DomainError(f"{name} must be finite")
 
 
 def _require_positive(**named) -> None:
     for name, value in named.items():
-        value = np.asarray(value)
-        if not np.all(np.isfinite(value) & (value > 0)):
+        if isinstance(value, float):
+            ok = math.isfinite(value) and value > 0
+        else:
+            value = np.asarray(value)
+            ok = np.all(np.isfinite(value) & (value > 0))
+        if not ok:
             raise DomainError(f"{name} must be positive and finite")
 
 
 def _check_volume_consistency(v_epi_prev, v_epi_cur, v_hyp_prev, v_hyp_cur) -> None:
-    d_epi = np.asarray(v_epi_cur, dtype=np.float64) - v_epi_prev
-    d_hyp = np.asarray(v_hyp_cur, dtype=np.float64) - v_hyp_prev
-    scale = np.asarray(v_epi_cur, dtype=np.float64) + v_hyp_cur
-    if np.any(np.abs(d_epi + d_hyp) > VOLUME_CHANGE_REL_TOL * scale):
+    volumes = (v_epi_prev, v_epi_cur, v_hyp_prev, v_hyp_cur)
+    if all(isinstance(v, float) for v in volumes):
+        d_epi = v_epi_cur - v_epi_prev
+        d_hyp = v_hyp_cur - v_hyp_prev
+        inconsistent = abs(d_epi + d_hyp) > VOLUME_CHANGE_REL_TOL * (v_epi_cur + v_hyp_cur)
+    else:
+        d_epi = np.asarray(v_epi_cur, dtype=np.float64) - v_epi_prev
+        d_hyp = np.asarray(v_hyp_cur, dtype=np.float64) - v_hyp_prev
+        scale = np.asarray(v_epi_cur, dtype=np.float64) + v_hyp_cur
+        inconsistent = np.any(np.abs(d_epi + d_hyp) > VOLUME_CHANGE_REL_TOL * scale)
+    if inconsistent:
         raise DomainError("layer volume changes must cancel: the epilimnion gains exactly "
                           "what the hypolimnion loses")
 
 
 def simulate_mixed_step(y_prev_total, f_exo_total, dt: float = 1.0):
     """One daily step under fully mixed conditions: y + f_exo * dt."""
-    y = np.asarray(y_prev_total, dtype=np.float64)
-    f = np.asarray(f_exo_total, dtype=np.float64)
-    _require_finite(y_prev_total=y, f_exo_total=f, dt=dt)
-    return y + f * dt
+    _require_finite(y_prev_total=y_prev_total, f_exo_total=f_exo_total, dt=dt)
+    return np.asarray(y_prev_total, dtype=np.float64) + np.asarray(f_exo_total, dtype=np.float64) * dt
 
 
 def entrainment_fluxes_daily(v_epi_prev, v_epi_cur, v_hyp_prev, v_hyp_cur,
@@ -314,7 +326,8 @@ def _simulate_arrays(stratified: np.ndarray, v_total: np.ndarray,
     strat_days = day[prev_strat & cur_strat]
     if strat_days.size:
         ks = np.asarray(k_per_day, dtype=np.int64)[strat_days]
-        for kval in np.unique(ks):
+        # Not np.unique: it imports numpy.ma on first use (about 12 ms a process).
+        for kval in sorted(set(ks.tolist())):
             sel = strat_days[ks == kval]
             y_e, y_h = multi_step_euler(
                 pred_epi[sel - 1], pred_hyp[sel - 1],

@@ -45,6 +45,8 @@ _BASE_COLUMNS = (
     "obs_total", "obs_epi", "obs_hyp",
 )
 _FEAT_RE = re.compile(r"^feat_(\d+)$")
+#: Dates are stored as int64.
+_DATE_MIN, _DATE_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 
 
 class Regime(enum.Enum):
@@ -263,6 +265,8 @@ def _raise_first_bad_row(path: Path, header: list[str], body: list[list[str]]) -
             day = int(row[0])
         except ValueError as exc:
             raise OrderingError(f"{path}: row {r}: date {row[0]!r} is not an integer") from exc
+        if not _DATE_MIN <= day <= _DATE_MAX:
+            raise OrderingError(f"{path}: row {r}: date {row[0]!r} is out of range")
         if row[1] not in ("S", "M"):
             raise DomainError(f"{path}: row {r}: regime must be 'S' or 'M', got {row[1]!r}")
         for col, cell in zip(header[2:], row[2:]):
@@ -303,7 +307,7 @@ def load_series(path: str | Path) -> LakeSeries:
         feats = np.empty((t_count, n_feat))
         for j in range(n_feat):
             feats[:, j] = _float_column(body, len(_BASE_COLUMNS) + j)
-    except ValueError:
+    except (ValueError, OverflowError):
         _raise_first_bad_row(path, header, body)
         raise
 

@@ -22,7 +22,7 @@ from .networks import (
     MIN_HIDDEN,
     PredictorParams,
     init_predictor,
-    predictor_forward,
+    predictor_forward_series,
 )
 from .series import LakeSeries, format_value
 
@@ -36,6 +36,8 @@ __all__ = [
     "write_history",
     "TrainResult",
     "year_windows",
+    "pooled_rmse",
+    "validation_rmse",
     "train_pril",
 ]
 
@@ -192,19 +194,11 @@ def _prepare_windows(lakes: Sequence[LakeSeries], config: TrainConfig,
     return train_caches, val_windows
 
 
-def validation_rmse(params: PredictorParams, val_windows: Sequence[LakeSeries]
-                     ) -> tuple[float, float, float, float]:
-    """Per-task and pooled RMSE over every held-out observation (NaN if none).
-
-    Equal-length windows run as one batched forward; windows of unequal
-    length run one forward each.
-    """
-    if len({w.n_days for w in val_windows}) == 1:
-        preds = predictor_forward(params, np.stack([w.features for w in val_windows]))
-    else:
-        preds = [predictor_forward(params, w.features) for w in val_windows]
+def pooled_rmse(windows: Sequence[LakeSeries], preds: Sequence[np.ndarray]
+                ) -> tuple[float, float, float, float]:
+    """Per-task and pooled RMSE of per-window (days, 3) predictions (NaN if none observed)."""
     sq = [[], [], []]
-    for window, pred in zip(val_windows, preds):
+    for window, pred in zip(windows, preds):
         obs = stacked_observations(window)
         for task in range(3):
             mask = np.isfinite(obs[:, task])
@@ -219,6 +213,16 @@ def validation_rmse(params: PredictorParams, val_windows: Sequence[LakeSeries]
     return per_task[0], per_task[1], per_task[2], pooled
 
 
+def validation_rmse(params: PredictorParams, val_windows: Sequence[LakeSeries]
+                     ) -> tuple[float, float, float, float]:
+    """Per-task and pooled RMSE over every held-out observation (NaN if none).
+
+    All windows, of any lengths, run as one batched forward.
+    """
+    preds = predictor_forward_series(params, [w.features for w in val_windows])
+    return pooled_rmse(val_windows, preds)
+
+
 def train_pril(lakes: Sequence[LakeSeries], config: TrainConfig,
                k_policies: dict[str, np.ndarray] | None = None,
                initial_params: PredictorParams | None = None) -> TrainResult:
@@ -227,6 +231,13 @@ def train_pril(lakes: Sequence[LakeSeries], config: TrainConfig,
     k_policies: optional per-lake substep counts (one int per day) for the
     consistency targets; default is single daily steps. initial_params seeds
     fine-tuning instead of a fresh init. Deterministic given config.seed.
+
+    The validation after epoch e needs exactly the parameters that the first
+    batch of epoch e + 1 starts from, so its windows ride along as extra rows
+    of that batch's forward (the loss and BPTT see the training rows only).
+    The epoch's history row and the early-stop decision come before that
+    batch's finiteness check and Adam step; only the last epoch runs a
+    validation forward of its own.
     """
     train_caches, val_windows = _prepare_windows(lakes, config, k_policies)
     m = lakes[0].n_features
@@ -238,35 +249,19 @@ def train_pril(lakes: Sequence[LakeSeries], config: TrainConfig,
     params = dict(initial_params.to_blocks())
     opt = adam_init(params)
     rng = np.random.default_rng(shuffle_ss)
+    val_features = np.stack([w.features for w in val_windows])
 
     history = TrainHistory()
     best_rmse = float("inf")
     best_epoch = 0
     best_params = dict(params)
     n_train = len(train_caches)
-    for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(n_train)
-        part_sums = {"ml": 0.0, "mc_epi": 0.0, "mc_hyp": 0.0, "mc_total": 0.0}
-        for lo in range(0, n_train, config.batch_size):
-            chunk = order[lo : lo + config.batch_size]
-            batch = stack_windows([train_caches[i] for i in chunk])
-            tape = ad.Tape()
-            pvars = {k: tape.param(v) for k, v in params.items()}
-            parts = taped_window_loss(tape, pvars, batch, config.lambdas, config.tau_mc)
-            loss = parts["loss"]
-            if not np.isfinite(loss.value):
-                raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
-            grads = tape.backward(loss)
-            gdict = {k: grads[pvars[k].idx] for k in params}
-            params, opt = adam_update(params, gdict, opt, config.learning_rate)
-            for k in part_sums:
-                var = parts[k]
-                part_sums[k] += (float(var.value) if var is not None else 0.0) * len(chunk)
-        if any(not np.isfinite(p).all() for p in params.values()):
-            raise TrainingDiverged(f"non-finite parameters at epoch {epoch}")
+    tape_nodes = backward_visits = 0
 
-        current = PredictorParams.from_blocks(params)
-        v_epi, v_hyp, v_total, pooled = validation_rmse(current, val_windows)
+    def close_epoch(epoch: int, part_sums: dict[str, float], rmse) -> bool:
+        """Record the epoch's history row; True when training should stop."""
+        nonlocal best_rmse, best_epoch, best_params
+        v_epi, v_hyp, v_total, pooled = rmse
         history.rows.append(HistoryRow(
             epoch=epoch,
             loss_ml=part_sums["ml"] / n_train,
@@ -278,10 +273,47 @@ def train_pril(lakes: Sequence[LakeSeries], config: TrainConfig,
             best_rmse = pooled
             best_epoch = epoch
             best_params = dict(params)
-        elif epoch - best_epoch >= config.patience:
+            return False
+        return epoch - best_epoch >= config.patience
+
+    part_sums: dict[str, float] = {}
+    stopped = False
+    for epoch in range(1, config.max_epochs + 1):
+        order = rng.permutation(n_train)
+        prev_sums = part_sums
+        part_sums = dict.fromkeys(("ml", "mc_epi", "mc_hyp", "mc_total"), 0.0)
+        for lo in range(0, n_train, config.batch_size):
+            chunk = order[lo : lo + config.batch_size]
+            batch = stack_windows([train_caches[i] for i in chunk])
+            tape = ad.Tape()
+            pvars = {k: tape.param(v) for k, v in params.items()}
+            ride = val_features if lo == 0 and epoch > 1 else None
+            parts = taped_window_loss(tape, pvars, batch, config.lambdas, config.tau_mc,
+                                      ride_along=ride)
+            if ride is not None:
+                rmse = pooled_rmse(val_windows, parts["ride_along"])
+                stopped = close_epoch(epoch - 1, prev_sums, rmse)
+                if stopped:
+                    break
+            loss = parts["loss"]
+            if not np.isfinite(loss.value):
+                raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
+            grads = tape.backward(loss)
+            tape_nodes, backward_visits = len(tape.values), tape.backward_visits
+            gdict = {k: grads[pvars[k].idx] for k in params}
+            params, opt = adam_update(params, gdict, opt, config.learning_rate)
+            for k in part_sums:
+                var = parts[k]
+                part_sums[k] += (float(var.value) if var is not None else 0.0) * len(chunk)
+        if stopped:
             break
+        if any(not np.isfinite(p).all() for p in params.values()):
+            raise TrainingDiverged(f"non-finite parameters at epoch {epoch}")
+    if not stopped:
+        close_epoch(config.max_epochs, part_sums,
+                    validation_rmse(PredictorParams.from_blocks(params), val_windows))
 
     return TrainResult(params=PredictorParams.from_blocks(best_params),
                        history=history, best_epoch=best_epoch,
-                       best_val_rmse=best_rmse, tape_nodes=len(tape.values),
-                       backward_visits=tape.backward_visits)
+                       best_val_rmse=best_rmse, tape_nodes=tape_nodes,
+                       backward_visits=backward_visits)

@@ -21,9 +21,11 @@ from lakedo.adaptive import (
     train_discriminator,
     write_labels,
 )
+from lakedo import autodiff as ad
 from lakedo.adaptive import _RuleLabel
 from lakedo.errors import ConfigError, DomainError
-from lakedo.training import TrainConfig, train_pril
+from lakedo.networks import discriminator_logits_tape, init_discriminator
+from lakedo.training import TrainConfig, adam_init, adam_update, train_pril
 
 from conftest import make_series
 
@@ -145,6 +147,37 @@ class TestDiscriminator:
         d2 = train_discriminator(inputs, is_mild, april, seed=3)
         for k, v in d1.to_blocks().items():
             np.testing.assert_array_equal(d2.to_blocks()[k], v)
+
+    @pytest.mark.parametrize("hidden", [(8,), (8, 5)])
+    def test_hand_gradients_match_the_tape(self, hidden):
+        # The weighted BCE as a tape program is the oracle: Adam fed the
+        # tape's gradients must land on the same bytes in every epoch.
+        rng = np.random.default_rng(4)
+        inputs = rng.normal(size=(60, 3))
+        is_mild = rng.random(60) < 0.75
+        n_mild = int(is_mild.sum())
+        n_drastic = is_mild.size - n_mild
+        assert n_mild > n_drastic                   # drastic days are upweighted
+        ratio = n_mild / n_drastic
+        denom = n_mild + ratio * n_drastic
+        params = dict(init_discriminator(3, hidden=hidden, seed=7).to_blocks())
+        opt = adam_init(params)
+        mild_mask = is_mild[:, None]
+        for epochs in range(1, 6):
+            tape = ad.Tape()
+            pvars = {k: tape.param(v) for k, v in params.items()}
+            z = discriminator_logits_tape(tape, pvars, inputs)
+            pos = ad.masked_sum(ad.logsigmoid(z), mild_mask)
+            neg = ad.masked_sum(ad.logsigmoid(ad.neg(z)), ~mild_mask)
+            loss = ad.scale(ad.add(ad.scale(pos, 1.0), ad.scale(neg, ratio)), -1.0 / denom)
+            grads = tape.backward(loss)
+            params, opt = adam_update(params, {k: grads[pvars[k].idx] for k in params},
+                                      opt, 0.01)
+            disc = train_discriminator(inputs, is_mild,
+                                       AprilConfig(disc_hidden=hidden, disc_epochs=epochs),
+                                       seed=7)
+            for name, value in disc.to_blocks().items():
+                assert value.tobytes() == params[name].tobytes(), (epochs, name)
 
     def test_single_class_raises(self):
         with pytest.raises(DomainError, match="single-class"):

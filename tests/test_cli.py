@@ -237,6 +237,31 @@ class TestTrain:
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error:") and "epoch" in err
 
+    def test_out_of_range_date_exit_2(self, data_dir, train_cfg, tmp_path, capsys):
+        data = tmp_path / "data"
+        data.mkdir()
+        lines = (data_dir / "lake_00.csv").read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[0] = "99999999999999999999"
+        lines[3] = ",".join(cells)
+        (data / "lake_00.csv").write_text("\n".join(lines) + "\n")
+        assert main(["train", "--mode", "pril", "--data", str(data),
+                     "--out", str(tmp_path / "o"), "--config", str(train_cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "row 4" in err and "99999999999999999999" in err
+
+    def test_numpy_ma_is_not_imported_by_training(self, data_dir, train_cfg, tmp_path):
+        # np.unique imports numpy.ma on first use, about 12 ms of every start-up.
+        code = ("import sys; from lakedo.cli import main; "
+                f"main(['train', '--mode', 'pril', '--data', {str(data_dir)!r}, "
+                f"'--out', {str(tmp_path / 'o')!r}, '--config', {str(train_cfg)!r}]); "
+                "print('numpy.ma' in sys.modules)")
+        env = dict(os.environ, PYTHONPATH=str(Path(lakedo.__file__).parents[1]))
+        out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                             capture_output=True, text=True).stdout
+        assert out.strip() == "False"
+
     def test_usage_error_exit_2(self):
         with pytest.raises(SystemExit) as exc:
             main(["train", "--data", "x", "--out", "y"])
@@ -271,6 +296,32 @@ class TestEvaluate:
                    if np.allclose([float(row[5]), float(row[6]), float(row[7])],
                                   got, rtol=1e-9)]
         assert matches
+
+    def test_one_predictor_forward_serves_every_lake(self, data_dir, pril_run, tmp_path,
+                                                     monkeypatch):
+        from lakedo import networks
+        calls = []
+        forward = networks.predictor_forward
+
+        def counting(params, features):
+            calls.append(np.shape(features))
+            return forward(params, features)
+
+        monkeypatch.setattr(networks, "predictor_forward", counting)
+        out = tmp_path / "eval"
+        assert main(["evaluate", str(pril_run / "checkpoint.csv"),
+                     "--data", str(data_dir), "--out", str(out), "--k", "2"]) == 0
+        # Both lakes in one batch, and the RMSE reuses it (no second forward).
+        assert len(calls) == 1 and calls[0][0] == 2
+        with open(out / "comparison.csv", newline="") as fh:
+            row = list(csv.reader(fh))[1]
+        predictor, _ = load_checkpoint(pril_run / "checkpoint.csv")
+        from lakedo.series import load_series
+        lakes = [load_series(p) for p in sorted(data_dir.glob("lake_*.csv"))
+                 if not p.stem.endswith("_truth")]
+        monkeypatch.setattr(networks, "predictor_forward", forward)
+        expected = validation_rmse(predictor, lakes)[:3]
+        assert [float(row[1 + 3 * task]) for task in range(3)] == list(expected)
 
     def test_per_lake_timeseries_with_truth(self, data_dir, pril_run, tmp_path):
         out = tmp_path / "eval"

@@ -16,6 +16,7 @@ from lakedo.networks import (
     init_predictor,
     load_checkpoint,
     predictor_forward,
+    predictor_forward_series,
     predictor_forward_tape,
     save_checkpoint,
 )
@@ -121,6 +122,50 @@ class TestPredictor:
         out = predictor_forward_tape(tape, pvars, feats)
         tape.backward(ad.masked_sum(out, np.ones(out.shape, dtype=bool)))
         assert len(tape.values) < 50
+
+    def test_series_forward_equals_equal_length_batches(self):
+        params = init_predictor(n_features=3, hidden_size=20, seed=5)
+        rng = np.random.default_rng(11)
+        series = [rng.normal(size=(n, 3)) for n in (50, 30, 41, 50)]
+        outs = predictor_forward_series(params, series)
+        assert [o.shape for o in outs] == [(50, 3), (30, 3), (41, 3), (50, 3)]
+        for i, out in enumerate(outs):
+            # Same rows, every series cut (or zero-padded) to this one's length:
+            # days past a series' end cannot reach its earlier days.
+            n = series[i].shape[0]
+            batch = np.zeros((len(series), n, 3))
+            for row, f in zip(batch, series):
+                row[:min(n, len(f))] = f[:n]
+            assert out.tobytes() == predictor_forward(params, batch)[i].tobytes()
+            np.testing.assert_allclose(out, predictor_forward(params, series[i]),
+                                       rtol=0, atol=1e-12)
+        equal = [f[:30] for f in series]
+        assert np.array(predictor_forward_series(params, equal)).tobytes() == \
+            predictor_forward(params, np.stack(equal)).tobytes()
+        with pytest.raises(DomainError):
+            predictor_forward_series(params, [])
+
+    def test_ride_along_outputs_equal_separate_forwards(self):
+        params = init_predictor(n_features=4, hidden_size=20, seed=3)
+        rng = np.random.default_rng(12)
+        # 6 + 3 rows: a BLAS that blocks rows by 4 splits the ride-along rows
+        # across blocks unless they get their own matrix products.
+        feats, ride = rng.normal(size=(6, 40, 4)), rng.normal(size=(3, 40, 4))
+
+        def taped(ride_along):
+            tape = ad.Tape()
+            pvars = {k: tape.param(v) for k, v in params.to_blocks().items()}
+            res = predictor_forward_tape(tape, pvars, feats, ride_along)
+            out = res if ride_along is None else res[0]
+            grads = tape.backward(ad.masked_sum(out, np.ones(out.shape, dtype=bool)))
+            return res, [grads[v.idx] for v in pvars.values()], len(tape.values)
+
+        (out, ride_out), grads, nodes = taped(ride)
+        alone, alone_grads, alone_nodes = taped(None)
+        assert out.value.tobytes() == alone.value.tobytes()
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(grads, alone_grads))
+        assert nodes == alone_nodes
+        assert ride_out.tobytes() == predictor_forward(params, ride).tobytes()
 
     def test_taped_forward_gradient_checks(self):
         feats = np.random.default_rng(3).normal(size=(2, 5, 3))

@@ -372,6 +372,47 @@ class TestMultiStepEuler:
             SubstepConfig(k=2, dt_days=0.0)
 
 
+def _outcome(fn, args):
+    """A call's result bytes, or the DomainError message it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            result = fn(*args)
+    except DomainError as exc:
+        return "error", str(exc)
+    if hasattr(result, "f_epi"):
+        result = (result.f_epi, result.f_hyp)
+    return "ok", np.asarray(result, dtype=np.float64).tobytes()
+
+
+class TestScalarEntryChecks:
+    """Python floats take math-module checks; 0-d arrays take numpy's. Same verdicts."""
+
+    BAD = (np.nan, np.inf, -np.inf, -0.0, 0.0, -1.0, 5e-324, 1e308)
+    CASES = (
+        (multi_step_euler, (9.0, 6.0, 0.2, -0.4, 100.0, 150.0, 200.0, 150.0)),
+        (entrainment_fluxes_daily, (100.0, 150.0, 200.0, 150.0, 9.0, 6.0)),
+        (simulate_mixed_step, (8.0, 0.5, 1.0)),
+    )
+
+    @pytest.mark.parametrize("fn, base", CASES)
+    def test_float_and_zero_d_array_inputs_agree(self, fn, base):
+        for pos in range(len(base)):
+            for bad in self.BAD:
+                args = list(base)
+                args[pos] = bad
+                as_float = _outcome(fn, [float(a) for a in args])
+                assert _outcome(fn, [np.float64(a) for a in args]) == as_float
+                assert _outcome(fn, [np.array(a) for a in args]) == as_float, (pos, bad)
+
+    def test_messages_name_the_argument(self):
+        assert _outcome(simulate_mixed_step, (8.0, np.nan)) == \
+            ("error", "f_exo_total must be finite")
+        assert _outcome(multi_step_euler, (9.0, 6.0, 0.2, -0.4, -0.0, 150.0, 200.0, 150.0)) \
+            == ("error", "v_epi_prev must be positive and finite")
+        assert _outcome(multi_step_euler, (9.0, 6.0, 0.2, -0.4, 100.0, 150.0, 200.0, 151.0))[1] \
+            .startswith("layer volume changes must cancel")
+
+
 class TestTrajectory:
     def test_pure_persistence_under_constant_conditions(self):
         s = make_series("SSS", v_epi=[100.0, 100.0, 100.0], f_exo=(0.0, 0.0, 0.0))

@@ -3,7 +3,9 @@
 import numpy as np
 import pytest
 
+from lakedo import autodiff as ad
 from lakedo.errors import ConfigError, DomainError, TrainingDiverged
+from lakedo.losses import stack_windows, taped_window_loss
 from lakedo.networks import PredictorParams, init_predictor
 from lakedo.series import LakeSeries
 from lakedo.training import (
@@ -13,7 +15,9 @@ from lakedo.training import (
     HistoryRow,
     adam_init,
     adam_update,
+    _prepare_windows,
     train_pril,
+    validation_rmse,
     write_history,
     year_windows,
 )
@@ -202,6 +206,80 @@ class TestTrainPril:
         rows = result.history.rows
         assert len(rows) <= 8
         assert result.best_epoch <= len(rows)
+
+
+def standalone_validation_train(lakes, config):
+    """train_pril's contract with a separate validation forward after every epoch.
+
+    Returns (history rows, best params blocks, best epoch, tape nodes and
+    backward visits of the last batch).
+    """
+    train_caches, val_windows = _prepare_windows(lakes, config, None)
+    init_ss, shuffle_ss = np.random.SeedSequence(config.seed).spawn(2)
+    params = dict(init_predictor(lakes[0].n_features, config.hidden_size,
+                                 init_ss).to_blocks())
+    opt = adam_init(params)
+    rng = np.random.default_rng(shuffle_ss)
+    rows, best_rmse, best_epoch, best_params = [], float("inf"), 0, dict(params)
+    n_train = len(train_caches)
+    for epoch in range(1, config.max_epochs + 1):
+        order = rng.permutation(n_train)
+        sums = {"ml": 0.0, "mc_epi": 0.0, "mc_hyp": 0.0, "mc_total": 0.0}
+        for lo in range(0, n_train, config.batch_size):
+            chunk = order[lo:lo + config.batch_size]
+            tape = ad.Tape()
+            pvars = {k: tape.param(v) for k, v in params.items()}
+            parts = taped_window_loss(tape, pvars,
+                                      stack_windows([train_caches[i] for i in chunk]),
+                                      config.lambdas, config.tau_mc)
+            grads = tape.backward(parts["loss"])
+            params, opt = adam_update(params, {k: grads[pvars[k].idx] for k in params},
+                                      opt, config.learning_rate)
+            for k in sums:
+                var = parts[k]
+                sums[k] += (float(var.value) if var is not None else 0.0) * len(chunk)
+        v_epi, v_hyp, v_total, pooled = validation_rmse(PredictorParams.from_blocks(params),
+                                                        val_windows)
+        rows.append(HistoryRow(epoch, *(sums[k] / n_train for k in sums),
+                               v_epi, v_hyp, v_total))
+        if pooled < best_rmse:
+            best_rmse, best_epoch, best_params = pooled, epoch, dict(params)
+        elif epoch - best_epoch >= config.patience:
+            break
+    return rows, best_params, best_epoch, (len(tape.values), tape.backward_visits)
+
+
+class TestValidationRideAlong:
+    """The validation forward rides along with the next epoch's first batch."""
+
+    def assert_matches_standalone(self, lakes, config):
+        result = train_pril(lakes, config)
+        rows, best_params, best_epoch, counters = standalone_validation_train(lakes, config)
+        # Byte comparison: NaN cells (unobserved tasks) must match as well.
+        assert np.array(result.history.rows).tobytes() == np.array(rows).tobytes()
+        for name, value in result.params.to_blocks().items():
+            assert value.tobytes() == best_params[name].tobytes()
+        assert result.best_epoch == best_epoch
+        assert (result.tape_nodes, result.backward_visits) == counters
+        return result
+
+    def test_early_stopping_run_is_byte_identical(self):
+        lakes = [striped_lake(seed=s, lake_id=f"s{s}") for s in range(2)]
+        cfg = quick_config(max_epochs=30, patience=2, learning_rate=0.05,
+                           lambda_epi=2.0, lambda_hyp=2.0)
+        result = self.assert_matches_standalone(lakes, cfg)
+        assert len(result.history.rows) < cfg.max_epochs     # it did stop early
+
+    def test_several_batches_per_epoch_are_byte_identical(self):
+        lakes = [striped_lake(windows=3, seed=s, lake_id=f"s{s}") for s in range(5)]
+        cfg = quick_config(max_epochs=4, patience=4, lambda_epi=1.0, lambda_hyp=1.0,
+                           tau_mc=0.01)
+        assert 2 * len(lakes) > cfg.batch_size            # more windows than one batch
+        result = self.assert_matches_standalone(lakes, cfg)
+        assert len(result.history.rows) == cfg.max_epochs
+
+    def test_one_epoch_run_validates_standalone(self):
+        self.assert_matches_standalone([mixed_lake()], quick_config(max_epochs=1))
 
 
 class TestHistoryCsv:
