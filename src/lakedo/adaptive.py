@@ -22,7 +22,8 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .autodiff import sigmoid_values
-from .errors import ConfigError, DomainError, SchemaError
+from .errors import ConfigError, DomainError
+from .losses import stacked_observations
 from .networks import (
     DiscriminatorParams,
     PredictorParams,
@@ -35,6 +36,8 @@ from .training import (
     TrainConfig,
     TrainHistory,
     TrainResult,
+    _root_mean,
+    _squared_residuals,
     adam_init,
     adam_update,
     train_pril,
@@ -129,17 +132,13 @@ def residual_gamma(lakes: Sequence[LakeSeries],
                    preds_by_lake: dict[str, np.ndarray],
                    factor: float) -> float:
     """gamma = factor times the RMSE pooled over every observed layer residual."""
-    sq = []
-    for lake in lakes:
-        preds = preds_by_lake[lake.lake_id]
-        for task, obs in ((0, lake.obs_epi), (1, lake.obs_hyp)):
-            mask = np.isfinite(obs) & lake.stratified
-            if mask.any():
-                d = preds[mask, task] - obs[mask]
-                sq.append(d * d)
-    if not sq:
+    layers = [np.where(lake.stratified[:, None], stacked_observations(lake)[:, :2], np.nan)
+              for lake in lakes]
+    squares = [sq for _, sq in _squared_residuals(
+        layers, [preds_by_lake[lake.lake_id] for lake in lakes])]
+    if not squares:
         raise DomainError("no observed layer residuals to calibrate gamma")
-    return float(factor * np.sqrt(np.mean(np.concatenate(sq))))
+    return float(factor * _root_mean(squares))
 
 
 def label_drastic_days(series: LakeSeries, preds: np.ndarray, gamma: float,
@@ -273,21 +272,6 @@ def write_labels(path: str | Path, labels: Sequence[DayLabel]) -> None:
         for label in labels:
             writer.writerow([label.date, "MILD" if label.mild else "DRASTIC",
                              label.provenance, label.k])
-
-
-def load_labels(path: str | Path) -> list[DayLabel]:
-    """Inverse of write_labels; day indices are not stored and come back as -1."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
-    if not rows or tuple(rows[0]) != LABEL_COLUMNS:
-        raise SchemaError(f"{path}: malformed label header")
-    out = []
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != 4 or row[1] not in ("MILD", "DRASTIC"):
-            raise SchemaError(f"{path}: row {r}: malformed label row")
-        out.append(DayLabel(day=-1, date=int(row[0]), mild=row[1] == "MILD",
-                            provenance=row[2], k=int(row[3])))
-    return out
 
 
 def train_april(lakes: Sequence[LakeSeries], config: TrainConfig,

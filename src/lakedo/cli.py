@@ -38,11 +38,11 @@ from .series import LakeSeries, format_value, load_series, write_series
 from .synthetic import GenConfig, generate, load_truth, write_truth
 from .training import (
     TrainConfig,
+    _split_windows,
     pooled_rmse,
     train_pril,
     validation_rmse,
     write_history,
-    year_windows,
 )
 
 __all__ = [
@@ -266,19 +266,6 @@ def cmd_train(mode: str, data_dir: str | Path, out_dir: str | Path,
     return 0
 
 
-def _pooled_validation_rmse(params, lakes: Sequence[LakeSeries],
-                            config: TrainConfig) -> np.ndarray:
-    """Validation-window RMSE with the exact pooling the trainer reports."""
-    val_windows = []
-    for lake in lakes:
-        windows = year_windows(lake, config.window_days)
-        val_windows += [w for _, w in windows[config.train_years:]]
-    if not val_windows:
-        raise DomainError("no validation windows under this config")
-    epi, hyp, total, _ = validation_rmse(params, val_windows)
-    return np.array([epi, hyp, total])
-
-
 def cmd_evaluate(checkpoint: str | Path, data_dir: str | Path, out_dir: str | Path,
                  config_path: str | Path | None = None,
                  k_reference: int | None = None) -> int:
@@ -311,7 +298,11 @@ def cmd_evaluate(checkpoint: str | Path, data_dir: str | Path, out_dir: str | Pa
 
     if config_path is not None:
         config, _ = load_train_config(config_path)
-        rmse_tasks = _pooled_validation_rmse(predictor, lakes, config)
+        # The trainer's split and pooling; a lake too short to validate adds nothing.
+        val_windows = [w for lake in lakes for w in _split_windows(lake, config)[1]]
+        if not val_windows:
+            raise DomainError("no validation windows under this config")
+        rmse_tasks = np.array(validation_rmse(predictor, val_windows)[:3])
     else:
         config = None
         # A whole lake is a valid window: pool every observed day.

@@ -1,4 +1,4 @@
-"""Evaluation metrics and exports: per-task RMSE, mass inconsistency, tables.
+"""Evaluation metrics and exports: mass inconsistency, report tables, time series.
 
 Mass inconsistency measures how far predictions drift from the balance
 scheme re-seeded from those same predictions: the mean over days 2..T of
@@ -25,8 +25,6 @@ __all__ = [
     "REFERENCE_SUBSTEPS",
     "TIMESERIES_COLUMNS",
     "EvalReport",
-    "rmse",
-    "task_rmse",
     "mass_inconsistency",
     "reference_rollout",
     "regime_masked_predictions",
@@ -44,31 +42,6 @@ TIMESERIES_COLUMNS = (
     "obs_epi", "obs_hyp", "obs_total",
     "true_epi", "true_hyp", "true_total",
 )
-
-
-def rmse(preds, obs, mask) -> float:
-    """Root mean square error over the masked entries."""
-    p = np.asarray(preds, dtype=np.float64)
-    o = np.asarray(obs, dtype=np.float64)
-    m = np.asarray(mask, dtype=bool)
-    if p.shape != o.shape or p.shape != m.shape:
-        raise DomainError("preds, obs, and mask must share a shape")
-    if not m.any():
-        raise DomainError("rmse over an empty mask")
-    d = p[m] - o[m]
-    return float(np.sqrt(np.mean(d * d)))
-
-
-def task_rmse(preds: np.ndarray, series: LakeSeries) -> np.ndarray:
-    """Per-task RMSE against the series observations, NaN where unobserved."""
-    preds = _check_pred_shape(preds, series.n_days)
-    obs = stacked_observations(series)
-    out = np.full(3, np.nan)
-    for task in range(3):
-        m = np.isfinite(obs[:, task])
-        if m.any():
-            out[task] = rmse(preds[:, task], obs[:, task], m)
-    return out
 
 
 def _check_pred_shape(preds, n_days: int) -> np.ndarray:
@@ -218,22 +191,18 @@ def compare_models(reports: Sequence[EvalReport],
 
 
 def export_timeseries(path: str | Path, series: LakeSeries, preds: np.ndarray,
-                      simulated: np.ndarray | None = None,
                       truth: np.ndarray | None = None,
                       k_reference: int = REFERENCE_SUBSTEPS) -> np.ndarray:
     """Plot-ready per-day CSV of predictions, simulation, observations, truth.
 
     Absent values (undefined regime cells, missing observations, no truth)
-    render as empty fields. The simulation defaults to the reference
-    targets seeded from the predictions. Returns the simulation written.
+    render as empty fields. The simulation is the reference targets seeded
+    from the predictions. Returns the simulation written.
     """
     t = series.n_days
     preds = _check_pred_shape(preds, t)
-    if simulated is None:
-        simulated = simulate_targets(
-            series, preds, k_per_day=np.full(t, int(k_reference), dtype=np.int64))
-    else:
-        simulated = _check_pred_shape(simulated, t)
+    simulated = simulate_targets(
+        series, preds, k_per_day=np.full(t, int(k_reference), dtype=np.int64))
     if truth is None:
         truth = np.full((t, 3), np.nan)
     else:

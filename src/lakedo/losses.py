@@ -18,7 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import DomainError
-from .networks import predictor_forward, predictor_forward_tape
+from .networks import predictor_forward_tape
 from .physics import simulate_targets
 from .series import LakeSeries
 

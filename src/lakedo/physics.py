@@ -28,7 +28,6 @@ __all__ = [
     "simulate_stratified_step",
     "closed_form_hyp_shrink",
     "closed_form_epi_shrink",
-    "interpolate_volumes",
     "entrainment_fluxes_substep",
     "multi_step_euler",
     "mass_balance_residual",
@@ -175,14 +174,6 @@ def _interpolate(v_prev, v_cur, k: int) -> np.ndarray:
     t = np.arange(k + 1, dtype=np.float64) / k
     t = t.reshape(t.shape + (1,) * max(v_prev.ndim, v_cur.ndim))
     return v_prev * (1.0 - t) + v_cur * t
-
-
-def interpolate_volumes(v_prev, v_cur, k: int) -> np.ndarray:
-    """k + 1 linearly interpolated volumes with exact endpoints, shape (k + 1, *shape)."""
-    if not (isinstance(k, (int, np.integer)) and k >= 1):
-        raise DomainError(f"substep count k must be an integer >= 1, got {k!r}")
-    _require_positive(v_prev=v_prev, v_cur=v_cur)
-    return _interpolate(v_prev, v_cur, k)
 
 
 def _substep_entrainment(dv_epi, y_src, v_epi_next, v_hyp_next):

@@ -14,7 +14,6 @@ import enum
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
 from operator import itemgetter
 from pathlib import Path
 from typing import NamedTuple
@@ -27,7 +26,6 @@ __all__ = [
     "Regime",
     "RegimeSpan",
     "LakeSeries",
-    "ObservationMask",
     "ValidationReport",
     "load_series",
     "write_series",
@@ -109,17 +107,6 @@ class LakeSeries:
     def n_features(self) -> int:
         return int(self.features.shape[1])
 
-    @cached_property
-    def regime(self) -> np.ndarray:
-        return _readonly(np.where(self.stratified, Regime.STRATIFIED, Regime.MIXED))
-
-    def observation_mask(self) -> "ObservationMask":
-        return ObservationMask(
-            epi=np.isfinite(self.obs_epi),
-            hyp=np.isfinite(self.obs_hyp),
-            total=np.isfinite(self.obs_total),
-        )
-
     def subseries(self, lo: int, hi: int) -> "LakeSeries":
         """Contiguous positional slice [lo, hi) as a new series (dates keep their values)."""
         if not (0 <= lo < hi <= self.n_days):
@@ -139,23 +126,6 @@ class LakeSeries:
             obs_hyp=self.obs_hyp[lo:hi].copy(),
             features=self.features[lo:hi].copy(),
         )
-
-
-@dataclass(frozen=True)
-class ObservationMask:
-    """Boolean per-day observation masks, one per prediction task."""
-
-    epi: np.ndarray
-    hyp: np.ndarray
-    total: np.ndarray
-
-    def __post_init__(self) -> None:
-        for name in ("epi", "hyp", "total"):
-            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=bool)))
-
-    @property
-    def counts(self) -> tuple[int, int, int]:
-        return int(self.epi.sum()), int(self.hyp.sum()), int(self.total.sum())
 
 
 @dataclass(frozen=True)
@@ -256,17 +226,23 @@ def _float_column(body: list[list[str]], c: int) -> np.ndarray:
                     dtype=np.float64)
 
 
+def _parse_date(cell: str, path: Path, r: int) -> int:
+    """A CSV date cell as an int64-range integer; errors name the file and row."""
+    try:
+        day = int(cell)
+    except ValueError as exc:
+        raise OrderingError(f"{path}: row {r}: date {cell!r} is not an integer") from exc
+    if not _DATE_MIN <= day <= _DATE_MAX:
+        raise OrderingError(f"{path}: row {r}: date {cell!r} is out of range")
+    return day
+
+
 def _raise_first_bad_row(path: Path, header: list[str], body: list[list[str]]) -> None:
     """Raise the error of the first malformed row, scanning row by row."""
     for r, row in enumerate(body, start=2):
         if len(row) != len(header):
             raise SchemaError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
-        try:
-            day = int(row[0])
-        except ValueError as exc:
-            raise OrderingError(f"{path}: row {r}: date {row[0]!r} is not an integer") from exc
-        if not _DATE_MIN <= day <= _DATE_MAX:
-            raise OrderingError(f"{path}: row {r}: date {row[0]!r} is out of range")
+        day = _parse_date(row[0], path, r)
         if row[1] not in ("S", "M"):
             raise DomainError(f"{path}: row {r}: regime must be 'S' or 'M', got {row[1]!r}")
         for col, cell in zip(header[2:], row[2:]):

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, SchemaError
 from .physics import SubstepConfig, multi_step_euler, simulate_mixed_step
-from .series import LakeSeries, format_column, validate_series
+from .series import LakeSeries, _parse_date, format_column, validate_series
 
 __all__ = [
     "GenConfig",
@@ -487,8 +487,12 @@ def load_truth(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     for r, row in enumerate(rows[1:], start=2):
         if len(row) != 5:
             raise SchemaError(f"{path}: row {r}: expected 5 cells")
-        dates.append(int(row[0]))
-        truth.append([float(x) if x else np.nan for x in row[1:4]])
+        dates.append(_parse_date(row[0], path, r))
+        try:
+            truth.append([float(x) if x else np.nan for x in row[1:4]])
+        except ValueError as exc:
+            raise DomainError(f"{path}: row {r}: truth cells must be numbers, "
+                              f"got {row[1:4]}") from exc
         tags.append(row[4])
     return (np.asarray(dates, dtype=np.int64), np.asarray(truth),
             np.asarray(tags, dtype="<U1"))

@@ -165,6 +165,17 @@ def year_windows(series: LakeSeries, window_days: int = 365) -> list[tuple[int, 
             for i in range(n)]
 
 
+def _split_windows(lake: LakeSeries, config: TrainConfig
+                   ) -> tuple[list[tuple[int, LakeSeries]], list[LakeSeries]]:
+    """The train/validation split: (start_day, window) pairs that train, windows that validate.
+
+    The first train_years windows train and every later one validates; a
+    lake with no more than train_years windows has no validation window.
+    """
+    windows = year_windows(lake, config.window_days)
+    return windows[: config.train_years], [w for _, w in windows[config.train_years :]]
+
+
 def _prepare_windows(lakes: Sequence[LakeSeries], config: TrainConfig,
                      k_policies: dict[str, np.ndarray] | None):
     """Per-lake window split into cached train windows and raw validation windows."""
@@ -174,43 +185,47 @@ def _prepare_windows(lakes: Sequence[LakeSeries], config: TrainConfig,
     train_caches: list = []
     val_windows: list[LakeSeries] = []
     for lake in lakes:
-        windows = year_windows(lake, config.window_days)
-        if len(windows) <= config.train_years:
+        train, val = _split_windows(lake, config)
+        if not val:
             raise DomainError(
                 f"lake {lake.lake_id}: need more than {config.train_years} "
-                f"windows of {config.window_days} days, got {len(windows)}")
+                f"windows of {config.window_days} days, got {len(train)}")
         k_full = None
         if k_policies is not None:
             k_full = np.asarray(k_policies[lake.lake_id])
             if k_full.shape != (lake.n_days,):
                 raise DomainError(f"lake {lake.lake_id}: k policy must cover every day")
-        for start, window in windows[: config.train_years]:
+        for start, window in train:
             k_slice = None if k_full is None else k_full[start : start + config.window_days]
             train_caches.append(window_cache(window, k_per_day=k_slice,
                                              with_physics=with_physics))
-        val_windows.extend(w for _, w in windows[config.train_years :])
+        val_windows.extend(val)
     if not any(np.isfinite(stacked_observations(w)).any() for w in val_windows):
         raise DomainError("validation windows contain no observations")
     return train_caches, val_windows
 
 
-def pooled_rmse(windows: Sequence[LakeSeries], preds: Sequence[np.ndarray]
-                ) -> tuple[float, float, float, float]:
-    """Per-task and pooled RMSE of per-window (days, 3) predictions (NaN if none observed)."""
-    sq = [[], [], []]
-    for window, pred in zip(windows, preds):
-        obs = stacked_observations(window)
-        for task in range(3):
+def _squared_residuals(observed: Sequence[np.ndarray], preds: Sequence[np.ndarray]):
+    """(task, squared residuals) over each series' observed (finite) cells, series by series."""
+    for obs, pred in zip(observed, preds):
+        for task in range(obs.shape[1]):
             mask = np.isfinite(obs[:, task])
             if mask.any():
                 d = pred[mask, task] - obs[mask, task]
-                sq[task].append(d * d)
-    per_task = [float(np.sqrt(np.mean(np.concatenate(s)))) if s else float("nan")
-                for s in sq]
-    pooled_cells = [x for s in sq for x in s]
-    pooled = (float(np.sqrt(np.mean(np.concatenate(pooled_cells)))) if pooled_cells
-              else float("nan"))
-    return per_task[0], per_task[1], per_task[2], pooled
+                yield task, d * d
+
+
+def _root_mean(squares: list[np.ndarray]) -> float:
+    return float(np.sqrt(np.mean(np.concatenate(squares)))) if squares else float("nan")
+
+
+def pooled_rmse(windows: Sequence[LakeSeries], preds: Sequence[np.ndarray]
+                ) -> tuple[float, float, float, float]:
+    """Per-task and pooled RMSE of per-window (days, 3) predictions (NaN if none observed)."""
+    cells = list(_squared_residuals([stacked_observations(w) for w in windows], preds))
+    by_task = [[sq for t, sq in cells if t == task] for task in range(3)]
+    epi, hyp, total = (_root_mean(squares) for squares in by_task)
+    return epi, hyp, total, _root_mean([sq for squares in by_task for sq in squares])
 
 
 def validation_rmse(params: PredictorParams, val_windows: Sequence[LakeSeries]

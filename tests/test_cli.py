@@ -297,6 +297,32 @@ class TestEvaluate:
                                   got, rtol=1e-9)]
         assert matches
 
+    def test_config_split_skips_a_lake_without_validation_window(
+            self, data_dir, train_cfg, pril_run, tmp_path, capsys):
+        # lake_01 keeps 500 days: one training window, no validation window.
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "lake_00.csv").write_text((data_dir / "lake_00.csv").read_text())
+        lines = (data_dir / "lake_01.csv").read_text().splitlines()
+        (data / "lake_01.csv").write_text("\n".join(lines[:501]) + "\n")
+        checkpoint = str(pril_run / "checkpoint.csv")
+        out = tmp_path / "eval"
+        assert main(["evaluate", checkpoint, "--data", str(data), "--out", str(out),
+                     "--config", str(train_cfg)]) == 0
+        with open(out / "comparison.csv", newline="") as fh:
+            row = list(csv.reader(fh))[1]
+        from lakedo.series import load_series
+        predictor, _ = load_checkpoint(checkpoint)
+        val = [w for _, w in year_windows(load_series(data / "lake_00.csv"), 365)[1:]]
+        assert [float(row[1 + 3 * task]) for task in range(3)] == \
+            list(validation_rmse(predictor, val)[:3])
+
+        (data / "lake_00.csv").unlink()
+        assert main(["evaluate", checkpoint, "--data", str(data),
+                     "--out", str(tmp_path / "o"), "--config", str(train_cfg)]) == 2
+        err = capsys.readouterr().err
+        assert err == "error: no validation windows under this config\n"
+
     def test_one_predictor_forward_serves_every_lake(self, data_dir, pril_run, tmp_path,
                                                      monkeypatch):
         from lakedo import networks
@@ -352,6 +378,27 @@ class TestEvaluate:
         with open(out / "comparison.csv", newline="") as fh:
             row = list(csv.reader(fh))[1]
         assert [row[1 + 3 * task] == "" for task in range(3)] == expected_nan
+
+    @pytest.mark.parametrize("column, value", [
+        (0, "99999999999999999999"), (0, "abc"), (2, "x"),
+    ])
+    def test_corrupt_truth_file_exit_2(self, data_dir, pril_run, tmp_path, capsys,
+                                       column, value):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("lake_00.csv", "lake_00_truth.csv"):
+            (data / name).write_text((data_dir / name).read_text())
+        truth = data / "lake_00_truth.csv"
+        lines = truth.read_text().splitlines()
+        cells = lines[3].split(",")
+        cells[column] = value
+        lines[3] = ",".join(cells)
+        truth.write_text("\n".join(lines) + "\n")
+        assert main(["evaluate", str(pril_run / "checkpoint.csv"), "--data", str(data),
+                     "--out", str(tmp_path / "o"), "--k", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "lake_00_truth.csv" in err and "row 4" in err and value in err
 
     def test_corrupt_checkpoint_exit_2(self, data_dir, tmp_path, capsys):
         bad = tmp_path / "bad.csv"

@@ -16,48 +16,49 @@ from lakedo.evaluate import (
     mass_inconsistency,
     reference_rollout,
     regime_masked_predictions,
-    rmse,
-    task_rmse,
 )
 from lakedo.physics import simulate_targets
+from lakedo.training import pooled_rmse
+
+
+def epi_rmse(preds, obs) -> float:
+    """pooled_rmse's epilimnion entry for one all-stratified series."""
+    series = make_series("S" * len(obs),
+                         obs={day: (o, None, None) for day, o in enumerate(obs)})
+    full = np.zeros((len(obs), 3))
+    full[:, 0] = preds
+    return pooled_rmse([series], [full])[0]
 
 
 class TestRmse:
     def test_two_day_oracle(self):
-        value = rmse([8.0, 6.0], [7.0, 8.0], [True, True])
+        value = epi_rmse([8.0, 6.0], [7.0, 8.0])
         assert value == pytest.approx(np.sqrt(2.5), rel=1e-15)
 
     def test_perfect_predictions(self):
-        assert rmse([3.0, 4.0], [3.0, 4.0], [True, True]) == 0.0
+        assert epi_rmse([3.0, 4.0], [3.0, 4.0]) == 0.0
 
     def test_single_day_mask_is_absolute_residual(self):
-        assert rmse([8.0, 6.0], [7.0, 8.0], [False, True]) == 2.0
-
-    def test_empty_mask_rejected(self):
-        with pytest.raises(DomainError, match="empty mask"):
-            rmse([1.0], [2.0], [False])
-
-    def test_shape_mismatch_rejected(self):
-        with pytest.raises(DomainError, match="share a shape"):
-            rmse([1.0, 2.0], [2.0], [True])
+        assert epi_rmse([8.0, 6.0], [None, 8.0]) == 2.0
 
     def test_permutation_invariant(self):
         rng = np.random.default_rng(5)
         p = rng.normal(size=40)
-        o = rng.normal(size=40)
-        m = rng.random(40) < 0.5
+        o = np.where(rng.random(40) < 0.5, rng.normal(size=40) + 10.0, np.nan)
         perm = rng.permutation(40)
-        assert rmse(p, o, m) == pytest.approx(rmse(p[perm], o[perm], m[perm]),
-                                              rel=1e-12)
+        obs = [None if np.isnan(x) else float(x) for x in o]
+        assert epi_rmse(p, obs) == pytest.approx(
+            epi_rmse(p[perm], [obs[i] for i in perm]), rel=1e-12)
 
     def test_task_rmse_handles_unobserved_tasks(self):
         series = make_series("MSSM", obs={0: (None, None, 4.0),
                                           2: (5.0, None, None)})
         preds = np.full((4, 3), 6.0)
-        out = task_rmse(preds, series)
-        assert out[0] == 1.0
-        assert np.isnan(out[1])
-        assert out[2] == 2.0
+        epi, hyp, total, pooled = pooled_rmse([series], [preds])
+        assert epi == 1.0
+        assert np.isnan(hyp)
+        assert total == 2.0
+        assert pooled == np.sqrt(2.5)
 
 
 class TestMassInconsistency:

@@ -9,11 +9,11 @@ from hypothesis import given, settings, strategies as st
 from lakedo.errors import DomainError
 from lakedo.physics import (
     SubstepConfig,
+    _interpolate,
     closed_form_epi_shrink,
     closed_form_hyp_shrink,
     entrainment_fluxes_daily,
     entrainment_fluxes_substep,
-    interpolate_volumes,
     mass_balance_residual,
     multi_step_euler,
     simulate_mixed_step,
@@ -163,16 +163,16 @@ class TestClosedForms:
 
 class TestInterpolation:
     def test_worked_example(self):
-        assert np.array_equal(interpolate_volumes(100.0, 150.0, 4),
+        assert np.array_equal(_interpolate(100.0, 150.0, 4),
                               [100.0, 112.5, 125.0, 137.5, 150.0])
 
     def test_k1_is_endpoints(self):
-        assert np.array_equal(interpolate_volumes(100.0, 150.0, 1), [100.0, 150.0])
+        assert np.array_equal(_interpolate(100.0, 150.0, 1), [100.0, 150.0])
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(1.0, 1e6), st.floats(1.0, 1e6), st.integers(1, 64))
     def test_endpoints_exact_and_monotone(self, v0, v1, k):
-        v = interpolate_volumes(v0, v1, k)
+        v = _interpolate(v0, v1, k)
         assert v.shape == (k + 1,)
         assert v[0] == v0 and v[-1] == v1
         # Monotone between the endpoints, up to rounding of the convex combination.
@@ -180,19 +180,15 @@ class TestInterpolation:
         dv = np.diff(v)
         assert np.all(dv >= -slack) if v1 >= v0 else np.all(dv <= slack)
 
-    def test_rejects_bad_k(self):
-        with pytest.raises(DomainError):
-            interpolate_volumes(100.0, 150.0, 0)
-
     @pytest.mark.parametrize("k", [1, 4, 192])
     def test_array_input_matches_scalar_columns(self, k):
         rng = np.random.default_rng(k)
         v0 = rng.uniform(1.0, 1e6, 9)
         v1 = rng.uniform(1.0, 1e6, 9)
-        v = interpolate_volumes(v0, v1, k)
+        v = _interpolate(v0, v1, k)
         assert v.shape == (k + 1, 9)
         for j in range(9):
-            assert np.array_equal(v[:, j], interpolate_volumes(v0[j], v1[j], k))
+            assert np.array_equal(v[:, j], _interpolate(v0[j], v1[j], k))
 
 
 class TestSubstepEntrainment:

@@ -283,12 +283,6 @@ class TestValidation:
         bad = corrupted(sample_series(), edits)
         assert validate_series(bad).entries == per_day_validate(bad)
 
-    def test_mask_counts_match_cells(self):
-        s = sample_series()
-        mask = s.observation_mask()
-        assert mask.counts == (1, 1, 1)
-        assert mask.epi[3] and mask.hyp[3] and mask.total[1]
-
 
 class TestSegmentation:
     def test_worked_example(self):
