@@ -310,7 +310,11 @@ def lstm_sequence(w_cell: Var, b_cell: Var, features: np.ndarray,
     tape: the node holds and differentiates the B feature rows only, and the
     call returns (node, ride-along hidden states (T, V, H)). Both groups'
     values equal separate calls bit for bit, and the taped rows' cache is
-    copied out, so the node holds exactly what a B-row call holds.
+    copied out, so the node holds exactly what a B-row call holds. The
+    copies are C-contiguous (BPTT's tensordots take another BLAS path on
+    strided views, which changes the gradient's rounding), and each joint
+    array is released as soon as its taped rows are copied, so the copies
+    add at most one array to the joint forward's memory.
     """
     tape = _same_tape(w_cell, b_cell)
     features = np.asarray(features, dtype=np.float64)
@@ -318,12 +322,14 @@ def lstm_sequence(w_cell: Var, b_cell: Var, features: np.ndarray,
         hs, cache = lstm_sequence_values(w_cell.value, b_cell.value, features)
         return tape._push(hs, "lstm_sequence", (w_cell, b_cell), cache)
     n = features.shape[0]
-    _, (_, *full) = lstm_sequence_values(w_cell.value, b_cell.value,
-                                         np.concatenate([features, ride_along]), split=n)
-    gates, h, c, tanh_c = (np.ascontiguousarray(a[:, :n]) for a in full)
-    cache = (features.transpose(1, 0, 2), gates, h, c, tanh_c)
-    node = tape._push(h[1:], "lstm_sequence", (w_cell, b_cell), cache)
-    return node, np.ascontiguousarray(full[1][1:, n:])
+    joint = list(lstm_sequence_values(w_cell.value, b_cell.value,
+                                      np.concatenate([features, ride_along]), split=n)[1][1:])
+    ride_hs = np.ascontiguousarray(joint[1][1:, n:])    # joint: gates, h, c, tanh_c
+    cache = [features.transpose(1, 0, 2)]
+    while joint:
+        cache.append(np.ascontiguousarray(joint.pop(0)[:, :n]))
+    node = tape._push(cache[2][1:], "lstm_sequence", (w_cell, b_cell), tuple(cache))
+    return node, ride_hs
 
 
 def masked_sum(a: Var, mask: np.ndarray) -> Var:

@@ -275,21 +275,26 @@ def cmd_evaluate(checkpoint: str | Path, data_dir: str | Path, out_dir: str | Pa
     if predictor is None:
         raise DomainError(f"{checkpoint}: no predictor section in checkpoint")
     files, lakes = _load_lakes(data_dir)
+    truths = []
     for path, lake in zip(files, lakes):
         if lake.n_features != predictor.n_features:
             raise DomainError(
                 f"{path}: {lake.n_features} feature columns, but the "
                 f"checkpoint expects {predictor.n_features}")
+        truth = None
+        truth_path = path.with_name(f"{path.stem}_truth.csv")
+        if truth_path.exists():
+            truth_dates, truth, _ = load_truth(truth_path)
+            if not np.array_equal(truth_dates, lake.dates):
+                raise DomainError(f"{truth_path}: {len(truth_dates)} rows, but its dates "
+                                  f"must equal the {lake.n_days} days of {path.name}")
+        truths.append(truth)
     out = _prepare_out(out_dir)
 
     outputs = []
     inconsistency = []
     preds_by_lake = predictor_forward_series(predictor, [lake.features for lake in lakes])
-    for path, lake, preds in zip(files, lakes, preds_by_lake):
-        truth = None
-        truth_path = path.with_name(f"{path.stem}_truth.csv")
-        if truth_path.exists():
-            _, truth, _ = load_truth(truth_path)
+    for lake, preds, truth in zip(lakes, preds_by_lake, truths):
         ts_path = out / f"timeseries_{lake.lake_id}.csv"
         simulated = export_timeseries(ts_path, lake, regime_masked_predictions(preds, lake),
                                       truth=truth, k_reference=k_ref)

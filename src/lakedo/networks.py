@@ -38,6 +38,7 @@ MAX_HIDDEN = 200
 
 CHECKPOINT_MAGIC = "lakedo-checkpoint"
 CHECKPOINT_VERSION = 1
+CHECKPOINT_COLUMNS = ("section", "block", "shape", "index", "value")
 
 
 def _frozen(a) -> np.ndarray:
@@ -245,31 +246,28 @@ def discriminator_logits_tape(tape: ad.Tape, p: dict[str, ad.Var], x: np.ndarray
     return h
 
 
-def _render(value: float) -> str:
-    return repr(float(value))
-
-
 def save_checkpoint(path: str | Path, predictor: PredictorParams | None = None,
                     discriminator: DiscriminatorParams | None = None) -> None:
-    """Flat CSV of named parameter blocks: section,block,shape,index,value."""
+    """Flat CSV of named parameter blocks: section,block,shape,index,value.
+
+    Rows end in CRLF, as the csv module writes them; no cell ever needs
+    quoting, and values render as shortest-round-trip repr.
+    """
     if predictor is None and discriminator is None:
         raise DomainError("nothing to save")
-    path = Path(path)
+    lines = [f"{CHECKPOINT_MAGIC},{CHECKPOINT_VERSION}", ",".join(CHECKPOINT_COLUMNS)]
+    sections = []
+    if predictor is not None:
+        sections.append(("predictor", predictor.to_blocks()))
+    if discriminator is not None:
+        sections.append(("discriminator", discriminator.to_blocks()))
+    for section, blocks in sections:
+        for name, arr in blocks.items():
+            prefix = f"{section},{name},{'x'.join(str(d) for d in arr.shape)},"
+            lines += [f"{prefix}{idx},{value!r}"
+                      for idx, value in enumerate(arr.ravel().tolist())]
     with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow([CHECKPOINT_MAGIC, str(CHECKPOINT_VERSION)])
-        writer.writerow(["section", "block", "shape", "index", "value"])
-        sections = []
-        if predictor is not None:
-            sections.append(("predictor", predictor.to_blocks()))
-        if discriminator is not None:
-            sections.append(("discriminator", discriminator.to_blocks()))
-        for section, blocks in sections:
-            for name, arr in blocks.items():
-                shape = "x".join(str(d) for d in arr.shape)
-                flat = arr.ravel()
-                for idx in range(flat.size):
-                    writer.writerow([section, name, shape, str(idx), _render(flat[idx])])
+        fh.write("\r\n".join(lines) + "\r\n")
 
 
 def load_checkpoint(path: str | Path) -> tuple[PredictorParams | None, DiscriminatorParams | None]:
@@ -285,38 +283,43 @@ def load_checkpoint(path: str | Path) -> tuple[PredictorParams | None, Discrimin
         raise SchemaError(f"{path}: malformed checkpoint version") from exc
     if version != CHECKPOINT_VERSION:
         raise SchemaError(f"{path}: unsupported checkpoint version {version}")
-    if rows[1] != ["section", "block", "shape", "index", "value"]:
+    if tuple(rows[1]) != CHECKPOINT_COLUMNS:
         raise SchemaError(f"{path}: malformed checkpoint header")
 
-    store: dict[tuple[str, str], tuple[tuple[int, ...], dict[int, float]]] = {}
+    # (section, block) -> (shape cell as written, shape, indices, values)
+    store: dict[tuple[str, str], tuple[str, tuple[int, ...], list[int], list[float]]] = {}
     for r, row in enumerate(rows[2:], start=3):
         if len(row) != 5:
             raise SchemaError(f"{path}: row {r}: expected 5 cells")
         section, block, shape_s, idx_s, value_s = row
         if section not in ("predictor", "discriminator"):
             raise SchemaError(f"{path}: row {r}: unknown section {section!r}")
+        entry = store.get((section, block))
         try:
-            shape = tuple(int(d) for d in shape_s.split("x")) if shape_s else ()
+            # A block's rows repeat one shape cell: parse it once.
+            if entry is None or shape_s != entry[0]:
+                shape = tuple(int(d) for d in shape_s.split("x")) if shape_s else ()
             idx = int(idx_s)
             value = float(value_s)
         except ValueError as exc:
             raise SchemaError(f"{path}: row {r}: malformed cell") from exc
-        key = (section, block)
-        if key not in store:
-            store[key] = (shape, {})
-        elif store[key][0] != shape:
+        if entry is None:
+            entry = store[section, block] = (shape_s, shape, [], [])
+        elif shape_s != entry[0] and shape != entry[1]:
             raise SchemaError(f"{path}: row {r}: inconsistent shape for {block}")
-        store[key][1][idx] = value
+        entry[2].append(idx)
+        entry[3].append(value)
 
     def build(section: str) -> dict[str, np.ndarray] | None:
         blocks: dict[str, np.ndarray] = {}
-        for (sec, block), (shape, cells) in store.items():
+        for (sec, block), (_, shape, indices, values) in store.items():
             if sec != section:
                 continue
             size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            if sorted(cells) != list(range(size)):
+            if len(indices) != size or sorted(indices) != list(range(size)):
                 raise SchemaError(f"{path}: block {block} has missing or duplicate indices")
-            flat = np.array([cells[i] for i in range(size)])
+            flat = np.empty(size)
+            flat[indices] = values
             blocks[block] = flat.reshape(shape)
         return blocks or None
 

@@ -315,11 +315,14 @@ def train_pril(lakes: Sequence[LakeSeries], config: TrainConfig,
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
             grads = tape.backward(loss)
             tape_nodes, backward_visits = len(tape.values), tape.backward_visits
-            gdict = {k: grads[pvars[k].idx] for k in params}
-            params, opt = adam_update(params, gdict, opt, config.learning_rate)
+            params, opt = adam_update(params, {k: grads[pvars[k].idx] for k in params},
+                                      opt, config.learning_rate)
             for k in part_sums:
-                var = parts[k]
-                part_sums[k] += (float(var.value) if var is not None else 0.0) * len(chunk)
+                if parts[k] is not None:
+                    part_sums[k] += float(parts[k].value) * len(chunk)
+            # Every name that reaches this batch's tape goes before the next
+            # forward, so only one batch's BPTT cache is ever alive.
+            del tape, pvars, parts, loss, grads
         if stopped:
             break
         if any(not np.isfinite(p).all() for p in params.values()):

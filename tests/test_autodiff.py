@@ -283,3 +283,26 @@ class TestLstmSequence:
         grads = tape.backward(ad.masked_sum(hs, np.ones(hs.shape, dtype=bool)))
         assert grads[w.idx] is None
         assert grads[b.idx].shape == params["b_cell"].shape
+
+    def test_ride_along_node_caches_contiguous_copies(self):
+        # BPTT's tensordots take another BLAS path on strided views, which
+        # changes the gradient's rounding: the taped cache must be
+        # C-contiguous copies laid out like a call on the taped rows alone.
+        params, features, _ = lstm_case(8, days=30)
+        ride = np.random.default_rng(5).normal(size=(4, 30, 3))
+
+        def node_cache(ride_along):
+            tape = ad.Tape()
+            w, b = tape.param(params["w_cell"]), tape.param(params["b_cell"])
+            res = ad.lstm_sequence(w, b, features, ride_along)
+            node = res if ride_along is None else res[0]
+            return node.value, tape.ctx[node.idx]
+
+        value, (x, *states) = node_cache(ride)
+        alone_value, (alone_x, *alone_states) = node_cache(None)
+        assert all(a.flags.c_contiguous for a in states)
+        assert np.shares_memory(value, states[1])       # h[1:] of the copy, not the joint h
+        assert value.tobytes() == alone_value.tobytes()
+        for got, want in zip([x, *states], [alone_x, *alone_states]):
+            assert (got.shape, got.strides) == (want.shape, want.strides)
+            assert got.tobytes() == want.tobytes()

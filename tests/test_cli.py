@@ -400,6 +400,31 @@ class TestEvaluate:
         assert err.count("\n") == 1 and err.startswith("error:")
         assert "lake_00_truth.csv" in err and "row 4" in err and value in err
 
+    @pytest.mark.parametrize("cut", ["truncate", "shift"])
+    def test_truth_dates_must_match_lake_exit_2(self, data_dir, pril_run, tmp_path,
+                                                capsys, cut):
+        data = tmp_path / "data"
+        data.mkdir()
+        for name in ("lake_00.csv", "lake_00_truth.csv", "lake_01.csv"):
+            (data / name).write_text((data_dir / name).read_text())
+        n_days = len((data / "lake_01.csv").read_text().splitlines()) - 1
+        lines = (data_dir / "lake_01_truth.csv").read_text().splitlines()
+        if cut == "truncate":
+            lines, n_rows = lines[:100], 99
+        else:                                   # every date one day late
+            lines = lines[:1] + [f"{int(date) + 1},{rest}"
+                                 for date, rest in (line.split(",", 1) for line in lines[1:])]
+            n_rows = n_days
+        (data / "lake_01_truth.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert main(["evaluate", str(pril_run / "checkpoint.csv"), "--data", str(data),
+                     "--out", str(out), "--k", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert "lake_01_truth.csv" in err
+        assert f"{n_rows} rows" in err and f"{n_days} days" in err
+        assert not out.exists()                 # checked before lake 00's output is written
+
     def test_corrupt_checkpoint_exit_2(self, data_dir, tmp_path, capsys):
         bad = tmp_path / "bad.csv"
         bad.write_text("not,a,checkpoint\n")

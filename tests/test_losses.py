@@ -6,7 +6,6 @@ import pytest
 from lakedo import autodiff as ad
 from lakedo.errors import DomainError
 from lakedo.losses import (
-    WindowBatch,
     affine_day_coefficients,
     build_window_batch,
     combined_loss,

@@ -1,5 +1,8 @@
 """Generator/discriminator forward passes and checkpoint round-trips."""
 
+import csv
+import io
+
 import numpy as np
 import pytest
 
@@ -288,6 +291,46 @@ class TestCheckpoint:
                         "predictor,w_cell,2x2,0,1.0\n")
         with pytest.raises(SchemaError, match="missing or duplicate"):
             load_checkpoint(path)
+
+    @pytest.mark.parametrize("rows, message", [
+        (["predictor,b_head,3,0,1.0", "predictor,b_head,3,1"], "row 4: expected 5 cells"),
+        (["predictor,b_head,3,0,1.0", "encoder,b_head,3,1,1.0"],
+         "row 4: unknown section 'encoder'"),
+        (["predictor,b_head,3,0,1.0", "predictor,b_head,3,1,one"], "row 4: malformed cell"),
+        (["predictor,b_head,3,0,1.0", "predictor,b_head,3,x,1.0"], "row 4: malformed cell"),
+        (["predictor,b_head,3,0,1.0", "predictor,b_head,3y,1,1.0"], "row 4: malformed cell"),
+        (["predictor,b_head,3,0,1.0", "predictor,b_head,1x3,1,1.0"],
+         "row 4: inconsistent shape for b_head"),
+        # Duplicates are caught even when every index is present.
+        ([f"predictor,b_head,3,{i},1.0" for i in (0, 1, 2, 2)],
+         "block b_head has missing or duplicate indices"),
+        # A huge declared shape is rejected by its row count, never materialised.
+        (["predictor,b_head,100000x100000,0,1.0"],
+         "block b_head has missing or duplicate indices"),
+    ])
+    def test_malformed_rows_name_their_row(self, tmp_path, rows, message):
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(["lakedo-checkpoint,1", "section,block,shape,index,value",
+                                   *rows]) + "\n")
+        with pytest.raises(SchemaError) as err:
+            load_checkpoint(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_save_writes_csv_module_bytes(self, tmp_path):
+        # The format is the csv module's: CRLF rows, repr values.
+        pred, disc = init_predictor(3, 20, seed=5), init_discriminator(4, seed=6)
+        path = tmp_path / "a.csv"
+        save_checkpoint(path, predictor=pred, discriminator=disc)
+        expected = io.StringIO(newline="")
+        writer = csv.writer(expected)
+        writer.writerow(["lakedo-checkpoint", "1"])
+        writer.writerow(["section", "block", "shape", "index", "value"])
+        for section, params in (("predictor", pred), ("discriminator", disc)):
+            for name, arr in params.to_blocks().items():
+                shape = "x".join(str(d) for d in arr.shape)
+                for idx, value in enumerate(arr.ravel()):
+                    writer.writerow([section, name, shape, str(idx), repr(float(value))])
+        assert path.read_bytes() == expected.getvalue().encode()
 
     def test_empty_save_rejected(self, tmp_path):
         with pytest.raises(DomainError, match="nothing"):

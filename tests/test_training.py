@@ -1,5 +1,7 @@
 """Optimizer oracle, window splitting, and the training loop contract."""
 
+import weakref
+
 import numpy as np
 import pytest
 
@@ -7,7 +9,6 @@ from lakedo import autodiff as ad
 from lakedo.errors import ConfigError, DomainError, TrainingDiverged
 from lakedo.losses import stack_windows, taped_window_loss
 from lakedo.networks import PredictorParams, init_predictor
-from lakedo.series import LakeSeries
 from lakedo.training import (
     HISTORY_COLUMNS,
     TrainConfig,
@@ -280,6 +281,30 @@ class TestValidationRideAlong:
 
     def test_one_epoch_run_validates_standalone(self):
         self.assert_matches_standalone([mixed_lake()], quick_config(max_epochs=1))
+
+    def test_one_tape_alive_when_each_forward_starts(self, monkeypatch):
+        # Refcounting frees a tape the moment its last name goes, so the
+        # count is exact: only the batch's own, fresh tape may be alive.
+        live = weakref.WeakSet()
+        starts = []
+        init, sequence = ad.Tape.__init__, ad.lstm_sequence
+
+        def tracked_init(tape):
+            init(tape)
+            live.add(tape)
+
+        def counted_sequence(w_cell, b_cell, features, ride_along=None):
+            starts.append((len(live), ride_along is not None))
+            return sequence(w_cell, b_cell, features, ride_along)
+
+        monkeypatch.setattr(ad.Tape, "__init__", tracked_init)
+        monkeypatch.setattr(ad, "lstm_sequence", counted_sequence)
+        lakes = [striped_lake(windows=3, seed=s, lake_id=f"s{s}") for s in range(5)]
+        cfg = quick_config(max_epochs=4, patience=4, lambda_epi=1.0, lambda_hyp=1.0)
+        assert len(train_pril(lakes, cfg).history.rows) == cfg.max_epochs
+        assert len(starts) == 2 * cfg.max_epochs                  # two batches per epoch
+        assert sum(ride for _, ride in starts) == cfg.max_epochs - 1
+        assert [alive for alive, _ in starts] == [1] * len(starts)
 
 
 class TestHistoryCsv:
