@@ -289,6 +289,12 @@ def cmd_evaluate(checkpoint: str | Path, data_dir: str | Path, out_dir: str | Pa
                 raise DomainError(f"{truth_path}: {len(truth_dates)} rows, but its dates "
                                   f"must equal the {lake.n_days} days of {path.name}")
         truths.append(truth)
+    config = None if config_path is None else load_train_config(config_path)[0]
+    if config is not None:
+        # The trainer's split and pooling; a lake too short to validate adds nothing.
+        val_windows = [w for lake in lakes for w in _split_windows(lake, config)[1]]
+        if not val_windows:
+            raise DomainError("no validation windows under this config")
     out = _prepare_out(out_dir)
 
     outputs = []
@@ -301,15 +307,9 @@ def cmd_evaluate(checkpoint: str | Path, data_dir: str | Path, out_dir: str | Pa
         outputs.append(ts_path)
         inconsistency.append(mass_inconsistency(preds, lake, targets=simulated))
 
-    if config_path is not None:
-        config, _ = load_train_config(config_path)
-        # The trainer's split and pooling; a lake too short to validate adds nothing.
-        val_windows = [w for lake in lakes for w in _split_windows(lake, config)[1]]
-        if not val_windows:
-            raise DomainError("no validation windows under this config")
+    if config is not None:
         rmse_tasks = np.array(validation_rmse(predictor, val_windows)[:3])
     else:
-        config = None
         # A whole lake is a valid window: pool every observed day.
         rmse_tasks = np.array(pooled_rmse(lakes, preds_by_lake)[:3])
     with np.errstate(invalid="ignore"):

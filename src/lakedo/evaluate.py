@@ -19,7 +19,7 @@ import numpy as np
 from .errors import DomainError
 from .losses import TASK_NAMES, stacked_observations
 from .physics import simulate_targets
-from .series import LakeSeries, format_column, format_value
+from .series import LakeSeries, _write_rows, format_value
 
 __all__ = [
     "REFERENCE_SUBSTEPS",
@@ -207,12 +207,6 @@ def export_timeseries(path: str | Path, series: LakeSeries, preds: np.ndarray,
         truth = np.full((t, 3), np.nan)
     else:
         truth = _check_pred_shape(truth, t)
-    obs = stacked_observations(series)
-    columns = [series.dates.tolist()]
-    for block in (preds, simulated, obs, truth):
-        columns += [format_column(block[:, task]) for task in range(3)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TIMESERIES_COLUMNS)
-        writer.writerows(zip(*columns))
+    blocks = np.hstack([preds, simulated, stacked_observations(series), truth])
+    _write_rows(path, TIMESERIES_COLUMNS, [series.dates.tolist()], blocks.T)
     return simulated

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -176,6 +177,12 @@ def _interpolate(v_prev, v_cur, k: int) -> np.ndarray:
     return v_prev * (1.0 - t) + v_cur * t
 
 
+@lru_cache(maxsize=64)
+def _interpolation_weights(k: int) -> tuple[tuple[float, float], ...]:
+    """The (1 - t, t) pairs _interpolate weighs the volumes with, as floats."""
+    return tuple((1.0 - t, t) for t in (np.arange(k + 1, dtype=np.float64) / k).tolist())
+
+
 def _substep_entrainment(dv_epi, y_src, v_epi_next, v_hyp_next):
     return dv_epi * y_src / v_epi_next, -dv_epi * y_src / v_hyp_next
 
@@ -220,36 +227,31 @@ def multi_step_euler(y_epi_prev, y_hyp_prev, f_exo_epi, f_exo_hyp,
     _require_positive(v_epi_prev=v_epi_prev, v_epi_cur=v_epi_cur,
                       v_hyp_prev=v_hyp_prev, v_hyp_cur=v_hyp_cur)
     _check_volume_consistency(v_epi_prev, v_epi_cur, v_hyp_prev, v_hyp_cur)
-    y_e = np.asarray(y_epi_prev, dtype=np.float64)
-    y_h = np.asarray(y_hyp_prev, dtype=np.float64)
-    ve_p = np.asarray(v_epi_prev, dtype=np.float64)
-    ve_c = np.asarray(v_epi_cur, dtype=np.float64)
-    vh_p = np.asarray(v_hyp_prev, dtype=np.float64)
-
+    inputs = (y_epi_prev, y_hyp_prev, f_exo_epi, f_exo_hyp, v_epi_prev, v_epi_cur, v_hyp_prev, v_hyp_cur)
     k = cfg.k
     dt_sub = cfg.dt_days / k
-    exo_e = np.asarray(f_exo_epi, dtype=np.float64) * dt_sub * ve_p
-    exo_h = np.asarray(f_exo_hyp, dtype=np.float64) * dt_sub * vh_p
+    # Python raises on division by zero where numpy gives inf or NaN, so a day whose
+    # interpolated volumes underflow to 0 takes the numpy path and fails the exit check.
+    on_floats = all(isinstance(v, (float, int)) or getattr(v, "ndim", 1) == 0 for v in inputs)
+    if on_floats:
+        y_e, y_h, f_e, f_h, ve_p, ve_c, vh_p, vh_c = map(float, inputs)
+        ve = [ve_p * a + ve_c * b for a, b in _interpolation_weights(k)]
+        vh = [vh_p * a + vh_c * b for a, b in _interpolation_weights(k)]
+        on_floats = min(ve) > 0 and min(vh) > 0
+        select, maximum = _select_float, _maximum_float
+    if not on_floats:
+        y_e, y_h, f_e, f_h, ve_p, ve_c, vh_p = (np.asarray(v, dtype=np.float64) for v in inputs[:7])
+        ve = _interpolate(ve_p, ve_c, k)
+        vh = _interpolate(vh_p, v_hyp_cur, k)
+        select, maximum = np.where, np.maximum
+    exo_e = f_e * dt_sub * ve_p
+    exo_h = f_h * dt_sub * vh_p
     dv_epi = (ve_c - ve_p) / k
     grow = ve_c >= ve_p
-    ve = _interpolate(ve_p, ve_c, k)
-    vh = _interpolate(vh_p, v_hyp_cur, k)
-    # Python raises on division by zero where numpy gives inf or NaN, so a
-    # day whose interpolated volumes underflow to 0 stays on numpy and fails
-    # the exit check as before.
-    on_floats = (np.broadcast(y_e, y_h, exo_e, exo_h, ve_p, ve_c, vh_p, v_hyp_cur).ndim == 0
-                 and ve.min() > 0 and vh.min() > 0)
-    if on_floats:
-        y_e, y_h, exo_e, exo_h, dv_epi = map(float, (y_e, y_h, exo_e, exo_h, dv_epi))
-        grow = bool(grow)
-        ve, vh = ve.tolist(), vh.tolist()
-        select, maximum = _select_float, _maximum_float
-    else:
-        select, maximum = np.where, np.maximum
-    for i in range(k):
-        ent_e, ent_h = _substep_entrainment(dv_epi, select(grow, y_h, y_e), ve[i + 1], vh[i + 1])
-        y_e = (y_e * ve[i] + exo_e) / ve[i + 1] + ent_e
-        y_h = (y_h * vh[i] + exo_h) / vh[i + 1] + ent_h
+    for ve_0, ve_1, vh_0, vh_1 in zip(ve, ve[1:], vh, vh[1:]):
+        ent_e, ent_h = _substep_entrainment(dv_epi, select(grow, y_h, y_e), ve_1, vh_1)
+        y_e = (y_e * ve_0 + exo_e) / ve_1 + ent_e
+        y_h = (y_h * vh_0 + exo_h) / vh_1 + ent_h
         if clamp:
             y_e = maximum(y_e, 0.0)
             y_h = maximum(y_h, 0.0)

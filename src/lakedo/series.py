@@ -325,19 +325,27 @@ def format_value(x: float) -> str:
     return format(x, ".17g") if math.isfinite(x) else ""
 
 
-def format_column(values) -> list[str]:
-    """format_value over a 1-D array, one cell per entry."""
-    return [format_value(x) for x in np.asarray(values, dtype=np.float64).tolist()]
+def _write_rows(path: str | Path, header, lead, floats, trail=()) -> None:
+    """Write text columns around float columns as CSV, one `%` template per row.
+
+    The bytes are the csv module's (CRLF row ends) for two or more columns.
+    Text cells (ints, flags) are written as they are: they must need no
+    quoting and hold no "nan" or "inf". Floats take 17 significant digits;
+    NaN and inf become empty cells.
+    """
+    columns = [*lead, *(np.asarray(c, dtype=np.float64).tolist() for c in floats), *trail]
+    row = ",".join(["%s"] * len(lead) + ["%.17g"] * len(floats) + ["%s"] * len(trail)) + "\r\n"
+    body = "".join([row % cells for cells in zip(*columns)])
+    # %.17g spells a finite float with digits, sign, point and exponent only,
+    # so these words are exactly the non-finite cells.
+    body = body.replace("-inf", "").replace("inf", "").replace("nan", "")
+    with open(path, "w", newline="") as fh:
+        fh.write(",".join(header) + "\r\n" + body)
 
 
 def write_series(series: LakeSeries, path: str | Path) -> None:
     """Write the CSV form; round-trips through load_series exactly."""
-    path = Path(path)
     header = list(_BASE_COLUMNS) + [f"feat_{j}" for j in range(series.n_features)]
-    columns = [series.dates.tolist(), ["S" if s else "M" for s in series.stratified.tolist()]]
-    columns += [format_column(getattr(series, col)) for col in _BASE_COLUMNS[2:]]
-    columns += [format_column(series.features[:, j]) for j in range(series.n_features)]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(zip(*columns))
+    lead = [series.dates.tolist(), ["S" if s else "M" for s in series.stratified.tolist()]]
+    floats = [getattr(series, col) for col in _BASE_COLUMNS[2:]] + list(series.features.T)
+    _write_rows(path, header, lead, floats)

@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, SchemaError
 from .physics import SubstepConfig, multi_step_euler, simulate_mixed_step
-from .series import LakeSeries, _parse_date, format_column, validate_series
+from .series import LakeSeries, _parse_date, _write_rows, validate_series
 
 __all__ = [
     "GenConfig",
@@ -148,17 +148,17 @@ def _volumes(cfg: GenConfig, rng: np.random.Generator,
     span = cfg.strat_end - cfg.strat_start
     progress = np.clip((doy - cfg.strat_start) / max(span - 1, 1), 0.0, 1.0)
     ramp = cfg.epi_frac_start + (cfg.epi_frac_end - cfg.epi_frac_start) * progress
-    frac = np.full(t, np.nan)
+    frac = [np.nan] * t
     state = 0.0
-    for i in range(t):
-        if not stratified[i]:
+    for i, (strat, r) in enumerate(zip(stratified.tolist(), ramp.tolist())):
+        if not strat:
             state = 0.0
             continue
         state = cfg.epi_frac_ar * state + rng.normal(0.0, cfg.epi_frac_noise)
         if rng.random() < cfg.shock_probability:
-            state += np.sign(rng.random() - 0.5) * cfg.shock_scale * ramp[i]
-        frac[i] = np.clip(ramp[i] + state, 0.08, 0.92)
-    return frac * cfg.v_total
+            state += np.sign(rng.random() - 0.5) * cfg.shock_scale * r
+        frac[i] = min(max(r + state, 0.08), 0.92)    # np.clip on floats
+    return np.array(frac) * cfg.v_total
 
 
 def _fluxes(cfg: GenConfig, rng: np.random.Generator, stratified: np.ndarray,
@@ -183,34 +183,34 @@ def _fluxes(cfg: GenConfig, rng: np.random.Generator, stratified: np.ndarray,
 def _integrate_truth(cfg: GenConfig, draft: _Draft) -> tuple[np.ndarray, np.ndarray]:
     """Ground truth by forward integration, stratified days finely substepped."""
     t = draft.dates.size
-    truth = np.full((t, 3), np.nan)
-    clamped = np.zeros(t, dtype=bool)
-    strat = draft.stratified
-    v_epi, v_hyp, v_tot = draft.v_epi, draft.v_hyp, draft.v_total
+    strat = draft.stratified.tolist()
     if strat[0]:
         raise DomainError("lake must start on a mixed day")
-    truth[0, 2] = cfg.initial_do
+    # Python floats: numpy scalars' arithmetic without their per-operation cost.
+    v_epi, v_hyp, v_tot = draft.v_epi, draft.v_hyp, draft.v_total
+    ve, vh, vt, f_epi, f_hyp, f_mixed = (a.tolist() for a in (
+        v_epi, v_hyp, v_tot, draft.f_epi, draft.f_hyp, draft.f_mixed))
+    epi, hyp, tot = [np.nan] * t, [np.nan] * t, [np.nan] * t
+    tot[0] = float(cfg.initial_do)
+    clamped = np.zeros(t, dtype=bool)
     sub = SubstepConfig(k=cfg.truth_substeps)
     euler_days = []
     for i in range(1, t):
         if not strat[i - 1] and not strat[i]:
-            total = simulate_mixed_step(truth[i - 1, 2], draft.f_mixed[i - 1])
+            total = simulate_mixed_step(tot[i - 1], f_mixed[i - 1])
             clamped[i] = total < 0.0
-            truth[i, 2] = max(total, 0.0)
+            tot[i] = max(total, 0.0)
         elif not strat[i - 1]:
-            truth[i, 0] = truth[i, 1] = truth[i - 1, 2]
-            truth[i, 2] = truth[i - 1, 2]
+            epi[i] = hyp[i] = tot[i] = tot[i - 1]
         elif strat[i]:
-            args = (truth[i - 1, 0], truth[i - 1, 1],
-                    draft.f_epi[i - 1], draft.f_hyp[i - 1],
-                    v_epi[i - 1], v_epi[i], v_hyp[i - 1], v_hyp[i])
-            e, h = multi_step_euler(*args, cfg=sub, clamp=True)
+            e, h = multi_step_euler(epi[i - 1], hyp[i - 1], f_epi[i - 1], f_hyp[i - 1],
+                                    ve[i - 1], ve[i], vh[i - 1], vh[i], cfg=sub, clamp=True)
             euler_days.append(i)
-            truth[i, 0], truth[i, 1] = e, h
-            truth[i, 2] = (e * v_epi[i] + h * v_hyp[i]) / v_tot[i]
+            epi[i], hyp[i] = e, h
+            tot[i] = (e * ve[i] + h * vh[i]) / vt[i]
         else:
-            truth[i, 2] = (truth[i - 1, 0] * v_epi[i - 1]
-                           + truth[i - 1, 1] * v_hyp[i - 1]) / v_tot[i - 1]
+            tot[i] = (epi[i - 1] * ve[i - 1] + hyp[i - 1] * vh[i - 1]) / vt[i - 1]
+    truth = np.column_stack([epi, hyp, tot])
     # A day is clamped when the unclamped step from the same start state ends
     # elsewhere. Those steps are independent, so they run as array calls over
     # fixed-size blocks of days (elementwise, so bit-identical to one call per
@@ -467,13 +467,8 @@ def sparsify_observations(series: LakeSeries, keep_fraction: float,
 
 
 def write_truth(path: str | Path, lake: GeneratedLake) -> None:
-    columns = [lake.series.dates.tolist()]
-    columns += [format_column(lake.truth[:, task]) for task in range(3)]
-    columns.append(lake.scenario_tags.tolist())
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(TRUTH_COLUMNS)
-        writer.writerows(zip(*columns))
+    _write_rows(path, TRUTH_COLUMNS, [lake.series.dates.tolist()], lake.truth.T,
+                [lake.scenario_tags.tolist()])
 
 
 def load_truth(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

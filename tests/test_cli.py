@@ -322,6 +322,17 @@ class TestEvaluate:
                      "--out", str(tmp_path / "o"), "--config", str(train_cfg)]) == 2
         err = capsys.readouterr().err
         assert err == "error: no validation windows under this config\n"
+        assert not (tmp_path / "o").exists()    # checked before any output is written
+
+    def test_bad_config_exit_2_before_any_output(self, data_dir, train_cfg, pril_run,
+                                                 tmp_path, capsys):
+        cfg = write_json(tmp_path / "bad.json", dict(TRAIN_CONFIG, bogus=1))
+        out = tmp_path / "o"
+        assert main(["evaluate", str(pril_run / "checkpoint.csv"), "--data", str(data_dir),
+                     "--out", str(out), "--config", str(cfg), "--k", "2"]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "unknown keys ['bogus']" in err
+        assert not out.exists()
 
     def test_one_predictor_forward_serves_every_lake(self, data_dir, pril_run, tmp_path,
                                                      monkeypatch):

@@ -17,7 +17,9 @@ from lakedo.evaluate import (
     reference_rollout,
     regime_masked_predictions,
 )
+from lakedo.losses import stacked_observations
 from lakedo.physics import simulate_targets
+from lakedo.series import format_value
 from lakedo.training import pooled_rmse
 
 
@@ -209,6 +211,23 @@ class TestExport:
             rows = list(csv.reader(fh))
         assert float(rows[1][12]) == 7.0
         assert rows[1][10] == ""
+
+    def test_matches_per_row_writer(self, tmp_path):
+        # Reference: the csv module, one row and one format_value call per cell.
+        series = make_series("MSSSM", obs={0: (None, None, 4.0), 2: (5.0, 6.0, None)})
+        preds = np.random.default_rng(3).normal(8.0, 1.0, (5, 3))
+        preds[1, 0] = -0.0
+        truth = np.array([[np.nan, np.nan, 7.0], [1.0, 2.0, np.inf], [5e-324, -np.inf, 3.0],
+                          [0.1 + 0.2, 1.0 / 3.0, 1e308], [np.nan, np.nan, -7.0]])
+        simulated = export_timeseries(tmp_path / "got.csv", series, preds, truth=truth,
+                                      k_reference=3)
+        cells = np.hstack([preds, simulated, stacked_observations(series), truth])
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(TIMESERIES_COLUMNS)
+            for t in range(series.n_days):
+                writer.writerow([str(int(series.dates[t]))] + [format_value(x) for x in cells[t]])
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_length_mismatch_rejected(self, tmp_path):
         series = make_series("MM")

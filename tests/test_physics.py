@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from lakedo.errors import DomainError
 from lakedo.physics import (
@@ -35,6 +35,8 @@ def volume_pair():
 
 concentrations = st.floats(-5.0, 25.0)
 fluxes = st.floats(-3.0, 3.0)
+#: Subnormal volumes whose midpoint interpolates to exactly 0.0 at even k.
+UNDERFLOW_VOLUMES = (5e-324,) * 4
 
 
 class TestMixedStep:
@@ -323,17 +325,29 @@ class TestMultiStepEuler:
                                  cfg=SubstepConfig(k=k))
 
     @settings(max_examples=150, deadline=None)
-    @given(st.one_of(volume_pair(), st.floats(10.0, 2e4).map(lambda v: (v, v, 2 * v, 2 * v))),
+    @given(st.one_of(volume_pair(), st.floats(10.0, 2e4).map(lambda v: (v, v, 2 * v, 2 * v)),
+                     st.just(UNDERFLOW_VOLUMES)),
            *[st.one_of(st.sampled_from([-0.0, 0.0, -1e-12]), concentrations)] * 2,
            *[st.one_of(st.sampled_from([-0.0, 0.0]), fluxes)] * 2,
-           st.sampled_from([1, 2, 3, 12, 192]), st.booleans())
-    def test_single_day_matches_array_path_bitwise(self, vols, y_e, y_h, f_e, f_h, k, clamp):
-        # A single day runs on Python floats, a one-element array on numpy;
-        # both must agree to the bit, signed zeros and clamp floors included.
+           st.sampled_from([1, 2, 3, 12, 192]), st.booleans(),
+           st.sampled_from([float, np.float64, np.array]))
+    @example(UNDERFLOW_VOLUMES, 1.0, 1.0, 0.0, 0.0, 2, False, float)
+    def test_single_day_matches_array_path_bitwise(self, vols, y_e, y_h, f_e, f_h, k, clamp,
+                                                   kind):
+        # A single day (Python floats, numpy scalars or 0-d arrays) runs on
+        # Python floats, a one-element array on numpy; both must agree to the
+        # bit, signed zeros and clamp floors included. A day whose interpolated
+        # volumes underflow to 0 must raise DomainError on both.
         args = (y_e, y_h, f_e, f_h, *vols)
         cfg = SubstepConfig(k=k)
-        scalar = multi_step_euler(*args, cfg=cfg, clamp=clamp)
-        array = multi_step_euler(*[np.array([a]) for a in args], cfg=cfg, clamp=clamp)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            try:
+                array = multi_step_euler(*[np.array([a]) for a in args], cfg=cfg, clamp=clamp)
+            except DomainError:
+                with pytest.raises(DomainError):
+                    multi_step_euler(*map(kind, args), cfg=cfg, clamp=clamp)
+                return
+        scalar = multi_step_euler(*map(kind, args), cfg=cfg, clamp=clamp)
         for got, ref in zip(scalar, array):
             assert type(got) is np.float64
             assert np.array([got]).tobytes() == ref.tobytes()

@@ -7,13 +7,14 @@ import dataclasses
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from lakedo.errors import DomainError, OrderingError, SchemaError
 from lakedo.series import (
     VOLUME_REL_TOL,
     Regime,
     RegimeSpan,
+    _write_rows,
     format_value,
     load_series,
     segment_regimes,
@@ -155,6 +156,50 @@ class TestRoundTrip:
         write_series(s, tmp_path / "columns.csv")
         per_row_write(s, tmp_path / "rows.csv")
         assert (tmp_path / "columns.csv").read_bytes() == (tmp_path / "rows.csv").read_bytes()
+
+
+#: Floats the row writer must spell exactly as format_value does.
+_EDGE_FLOATS = (np.nan, np.inf, -np.inf, -0.0, 0.0, 5e-324, 1.7976931348623157e308)
+_TEXT_CELLS = st.one_of(st.integers(-10**20, 10**20),
+                        st.text(alphabet="ABMS0123456789 _-.", max_size=4))
+
+
+@st.composite
+def row_blocks(draw):
+    """(lead, float block, trail) columns of one CSV with at least two columns.
+
+    (With one column the csv module quotes an empty cell, to tell the row
+    from a blank line; every CSV the program writes has four or more.)
+    """
+    n_rows = draw(st.integers(0, 6))
+    n_lead, n_float, n_trail = draw(st.integers(0, 2)), draw(st.integers(0, 4)), draw(st.integers(0, 2))
+    assume(n_lead + n_float + n_trail >= 2)
+    cell = st.one_of(st.sampled_from(_EDGE_FLOATS), st.floats(allow_nan=True, allow_infinity=True))
+    block = np.array(draw(st.lists(st.lists(cell, min_size=n_float, max_size=n_float),
+                                   min_size=n_rows, max_size=n_rows)),
+                     dtype=np.float64).reshape(n_rows, n_float)
+    text = [draw(st.lists(_TEXT_CELLS, min_size=n_rows, max_size=n_rows))
+            for _ in range(n_lead + n_trail)]
+    return text[:n_lead], block, text[n_lead:]
+
+
+class TestRowWriter:
+    @settings(max_examples=100, deadline=None)
+    @given(row_blocks())
+    def test_matches_csv_module_writer(self, tmp_path_factory, parts):
+        # Oracle: the csv module fed one format_value string per float cell.
+        lead, block, trail = parts
+        header = [f"c{j}" for j in range(len(lead) + block.shape[1] + len(trail))]
+        path = tmp_path_factory.mktemp("rows")
+        _write_rows(path / "got.csv", header, lead, block.T, trail)
+        with open(path / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(header)
+            for r in range(block.shape[0]):
+                writer.writerow([col[r] for col in lead]
+                                + [format_value(x) for x in block[r]]
+                                + [col[r] for col in trail])
+        assert (path / "got.csv").read_bytes() == (path / "want.csv").read_bytes()
 
 
 class TestLoadErrors:

@@ -4,16 +4,26 @@ The mass-budget checks are independent of the integrator's code path: they
 recompute day-over-day mass from the published series alone.
 """
 
+import csv
+
 import numpy as np
 import pytest
 from dataclasses import replace
 
 from lakedo.errors import ConfigError, DomainError, SchemaError
-from lakedo.physics import SubstepConfig, multi_step_euler, simulate_stratified_step
-from lakedo.series import relative_epi_volume_change, validate_series
+from lakedo.physics import (
+    SubstepConfig,
+    multi_step_euler,
+    simulate_mixed_step,
+    simulate_stratified_step,
+)
+from lakedo.series import format_value, relative_epi_volume_change, validate_series
 from lakedo.synthetic import (
     FEATURE_COUNT,
+    TRUTH_COLUMNS,
     GenConfig,
+    _draft_from_series,
+    _integrate_truth,
     generate,
     generate_lake,
     inject_scenario_a,
@@ -46,6 +56,36 @@ def clean_lake():
 def dense_lake():
     cfg = replace(ONE_YEAR, obs_sparsity=1.0, obs_noise_sd=0.0)
     return generate_lake(cfg, 0)
+
+
+def per_day_truth(cfg, draft):
+    """Reference integrator: numpy per day, each stratified step a one-element array call."""
+    t = draft.dates.size
+    truth = np.full((t, 3), np.nan)
+    clamped = np.zeros(t, dtype=bool)
+    strat, v_epi, v_hyp, v_tot = draft.stratified, draft.v_epi, draft.v_hyp, draft.v_total
+    truth[0, 2] = cfg.initial_do
+    sub = SubstepConfig(k=cfg.truth_substeps)
+    for i in range(1, t):
+        if not strat[i - 1] and not strat[i]:
+            total = simulate_mixed_step(truth[i - 1, 2], draft.f_mixed[i - 1])
+            clamped[i] = total < 0.0
+            truth[i, 2] = max(total, 0.0)
+        elif not strat[i - 1]:
+            truth[i] = truth[i - 1, 2]
+        elif strat[i]:
+            args = [np.array([a]) for a in (truth[i - 1, 0], truth[i - 1, 1],
+                                            draft.f_epi[i - 1], draft.f_hyp[i - 1],
+                                            v_epi[i - 1], v_epi[i], v_hyp[i - 1], v_hyp[i])]
+            (e,), (h,) = multi_step_euler(*args, cfg=sub, clamp=True)
+            (free_e,), (free_h,) = multi_step_euler(*args, cfg=sub, clamp=False)
+            truth[i, :2] = e, h
+            truth[i, 2] = (e * v_epi[i] + h * v_hyp[i]) / v_tot[i]
+            clamped[i] = free_e != e or free_h != h
+        else:
+            truth[i, 2] = (truth[i - 1, 0] * v_epi[i - 1]
+                           + truth[i - 1, 1] * v_hyp[i - 1]) / v_tot[i - 1]
+    return truth, clamped
 
 
 def scenario_day(lake, tag):
@@ -143,6 +183,19 @@ class TestTruth:
             expected.append(e != truth[t, 0] or h != truth[t, 1])
         np.testing.assert_array_equal(lake.clamped[pair], expected)
         assert 0 < sum(expected) < len(expected)
+
+    @pytest.mark.parametrize("cfg", [ONE_YEAR, replace(ONE_YEAR, seed=4, truth_substeps=2,
+                                                       initial_do=3)],
+                             ids=["default", "k2-int-start"])
+    def test_float_day_loop_matches_per_day_array_reference(self, cfg):
+        lake = generate_lake(cfg, 0)
+        draft = _draft_from_series(lake.series, lake.scenario_tags)
+        truth, clamped = _integrate_truth(cfg, draft)
+        want_truth, want_clamped = per_day_truth(cfg, draft)
+        assert truth.tobytes() == want_truth.tobytes() == lake.truth.tobytes()
+        assert clamped.dtype == bool
+        np.testing.assert_array_equal(clamped, want_clamped)
+        assert clamped.any()
 
     def test_stratified_mass_budget(self, lake):
         # Day-over-day: new mass = old mass + exogenous input, except where
@@ -330,6 +383,18 @@ class TestTruthFile:
         np.testing.assert_array_equal(dates, lake.series.dates)
         np.testing.assert_array_equal(truth, lake.truth)
         np.testing.assert_array_equal(tags, lake.scenario_tags)
+
+    def test_matches_per_row_writer(self, lake, tmp_path):
+        # Reference: the csv module, one row and one format_value call per cell.
+        write_truth(tmp_path / "got.csv", lake)
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(TRUTH_COLUMNS)
+            for t in range(lake.series.n_days):
+                writer.writerow([str(int(lake.series.dates[t]))]
+                                + [format_value(lake.truth[t, task]) for task in range(3)]
+                                + [lake.scenario_tags[t]])
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
     def test_malformed_header_rejected(self, tmp_path):
         path = tmp_path / "bad.csv"
