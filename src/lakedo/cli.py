@@ -89,7 +89,9 @@ def _is_num(value, types) -> bool:
 #: Per annotated config field type: what the JSON value must be, and the test.
 _FIELD_CHECKS = {
     "int": ("an integer", lambda v: _is_num(v, int)),
-    "float": ("a number", lambda v: _is_num(v, (int, float))),
+    # NaN, inf and ints beyond the float range all fail the comparison.
+    "float": ("a finite number",
+              lambda v: _is_num(v, (int, float)) and abs(v) <= sys.float_info.max),
     "tuple[int, ...]": ("a list of integers",
                         lambda v: isinstance(v, list) and all(_is_num(x, int) for x in v)),
 }
@@ -149,18 +151,14 @@ def load_sweep_config(path: str | Path) -> tuple[list[float], list[float], Train
     return grids["lambda_epi"], grids["lambda_hyp"], base
 
 
-def _config_hash(resolved) -> str:
-    """Platform-stable hash of the resolved config(s): canonical JSON, sha256."""
-    canonical = json.dumps(resolved, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(canonical.encode()).hexdigest()
-
-
 def _write_manifest(out_dir: Path, command: str, resolved_config, seed: int,
                     inputs: Sequence[str | Path], outputs: Sequence[str | Path],
                     started: float, counters: dict | None = None) -> Path:
+    # Platform-stable hash of the resolved config(s): canonical JSON, sha256.
+    canonical = json.dumps(resolved_config, sort_keys=True, separators=(",", ":"))
     payload = {
         "command": command,
-        "config_sha256": _config_hash(resolved_config),
+        "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
         "seed": seed,
         "inputs": sorted(str(p) for p in inputs),
         "outputs": sorted(str(p) for p in outputs),
@@ -182,18 +180,13 @@ def _prepare_out(out_dir: str | Path) -> Path:
     return out
 
 
-def _lake_files(data_dir: str | Path) -> list[Path]:
+def _load_lakes(data_dir: str | Path) -> tuple[list[Path], list[LakeSeries]]:
     data = Path(data_dir)
     if not data.is_dir():
         raise DomainError(f"data directory not found: {data}")
     files = sorted(p for p in data.glob("*.csv") if not p.stem.endswith("_truth"))
     if not files:
         raise DomainError(f"no lake CSV files in {data}")
-    return files
-
-
-def _load_lakes(data_dir: str | Path) -> tuple[list[Path], list[LakeSeries]]:
-    files = _lake_files(data_dir)
     return files, [load_series(p) for p in files]
 
 
@@ -342,7 +335,7 @@ def _sweep_point(args) -> tuple[float, float, tuple[float, float, float] | str]:
         # Worker processes do not inherit the errstate set in main().
         with np.errstate(over="ignore", invalid="ignore"):
             result = train_pril(lakes, config)
-    except (TrainingDiverged, ValueError) as exc:
+    except TrainingDiverged as exc:
         return config.lambda_epi, config.lambda_hyp, f"{type(exc).__name__}: {exc}"
     return config.lambda_epi, config.lambda_hyp, _best_epoch_rmse(result)
 
@@ -391,6 +384,8 @@ def cmd_sweep(config_path: str | Path, data_dir: str | Path, out_dir: str | Path
                 "train": asdict(base), "failures": failures}
     inputs = [config_path] + list(files)
     _write_manifest(out, "sweep", resolved, base.seed, inputs, [sweep_path], started)
+    if len(failures) == len(results):
+        raise TrainingDiverged(f"all {len(results)} sweep points diverged")
     return 0
 
 

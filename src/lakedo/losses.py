@@ -29,7 +29,6 @@ __all__ = [
     "mass_conservation_loss",
     "combined_loss",
     "affine_day_coefficients",
-    "WindowCache",
     "window_cache",
     "stack_windows",
     "WindowBatch",
@@ -154,57 +153,42 @@ class WindowBatch:
     defined: np.ndarray | None    # (days, windows, 3) bool
 
     @property
-    def n_windows(self) -> int:
-        return self.features.shape[0]
-
-    @property
     def n_days(self) -> int:
         return self.features.shape[1]
 
 
-@dataclass(frozen=True)
-class WindowCache:
-    """One window's training inputs, physics coefficients precomputed once."""
-
-    features: np.ndarray          # (days, n_features)
-    obs: np.ndarray               # (days, 3), zeros where unobserved
-    obs_mask: np.ndarray          # (days, 3) bool
-    a: np.ndarray | None          # (days, 3, 3)
-    c: np.ndarray | None          # (days, 3)
-    defined: np.ndarray | None    # (days, 3) bool
-
-
 def window_cache(series: LakeSeries, k_per_day=None,
-                 with_physics: bool = True) -> WindowCache:
+                 with_physics: bool = True) -> WindowBatch:
+    """One window as a one-window batch, physics coefficients precomputed once."""
     obs_raw = stacked_observations(series)
     obs_mask = np.isfinite(obs_raw)
     a = c = defined = None
     if with_physics:
-        a, c, defined = affine_day_coefficients(series, k_per_day=k_per_day)
-    return WindowCache(features=series.features, obs=np.where(obs_mask, obs_raw, 0.0),
-                       obs_mask=obs_mask, a=a, c=c, defined=defined)
+        a, c, defined = (x[:, None] for x in affine_day_coefficients(series, k_per_day))
+    return WindowBatch(features=series.features[None],
+                       obs=np.where(obs_mask, obs_raw, 0.0)[:, None],
+                       obs_mask=obs_mask[:, None], a=a, c=c, defined=defined)
 
 
-def stack_windows(caches: Sequence[WindowCache]) -> WindowBatch:
-    """Stack same-length cached windows into one batch (day-major layouts)."""
+def stack_windows(caches: Sequence[WindowBatch]) -> WindowBatch:
+    """Concatenate same-length cached windows into one batch (day-major layouts)."""
     if not caches:
         raise DomainError("need at least one window")
-    t_count = caches[0].features.shape[0]
-    m = caches[0].features.shape[1]
+    shape = caches[0].features.shape[1:]
     for w in caches:
-        if w.features.shape != (t_count, m):
+        if w.features.shape[1:] != shape:
             raise DomainError("all windows must share length and feature width")
     with_physics = caches[0].a is not None
     if any((w.a is not None) != with_physics for w in caches):
         raise DomainError("cannot mix physics and physics-free windows")
-    features = np.stack([w.features for w in caches])
-    obs = np.stack([w.obs for w in caches], axis=1)
-    obs_mask = np.stack([w.obs_mask for w in caches], axis=1)
+    features = np.concatenate([w.features for w in caches])
+    obs = np.concatenate([w.obs for w in caches], axis=1)
+    obs_mask = np.concatenate([w.obs_mask for w in caches], axis=1)
     a = c = defined = None
     if with_physics:
-        a = np.stack([w.a for w in caches], axis=1)
-        c = np.stack([w.c for w in caches], axis=1)
-        defined = np.stack([w.defined for w in caches], axis=1)
+        a = np.concatenate([w.a for w in caches], axis=1)
+        c = np.concatenate([w.c for w in caches], axis=1)
+        defined = np.concatenate([w.defined for w in caches], axis=1)
     return WindowBatch(features=features, obs=obs, obs_mask=obs_mask,
                        a=a, c=c, defined=defined)
 

@@ -276,63 +276,6 @@ def mass_balance_residual(y_epi_prev, y_hyp_prev, y_epi_new, y_hyp_new,
     return after - before - exo
 
 
-def _simulate_arrays(stratified: np.ndarray, v_total: np.ndarray,
-                     v_epi: np.ndarray, v_hyp: np.ndarray,
-                     f_exo_total: np.ndarray, f_exo_epi: np.ndarray, f_exo_hyp: np.ndarray,
-                     pred_epi: np.ndarray, pred_hyp: np.ndarray, pred_total: np.ndarray,
-                     k_per_day: np.ndarray, dt: float = 1.0) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Mass-balance targets for days 2..T, each seeded from the previous day's predictions.
-
-    Returns (sim_epi, sim_hyp, sim_total) with NaN wherever a task is
-    undefined (always on day 1). Days are independent given the predictions,
-    so stratified steps are vectorized per distinct substep count.
-    """
-    t_count = stratified.shape[0]
-    sim_epi = np.full(t_count, np.nan)
-    sim_hyp = np.full(t_count, np.nan)
-    sim_total = np.full(t_count, np.nan)
-    if t_count < 2:
-        return sim_epi, sim_hyp, sim_total
-
-    prev_strat = stratified[:-1]
-    cur_strat = stratified[1:]
-    day = np.arange(1, t_count)
-
-    # Mixed pair: plain exogenous step on the total.
-    sel = day[~prev_strat & ~cur_strat]
-    if sel.size:
-        sim_total[sel] = pred_total[sel - 1] + f_exo_total[sel - 1] * dt
-
-    # Spring onset: both layers inherit the previous day's total prediction.
-    sel = day[~prev_strat & cur_strat]
-    if sel.size:
-        sim_epi[sel] = pred_total[sel - 1]
-        sim_hyp[sel] = pred_total[sel - 1]
-
-    # Fall turnover: volume-weighted mixture of the previous day's layers.
-    sel = day[prev_strat & ~cur_strat]
-    if sel.size:
-        sim_total[sel] = (pred_epi[sel - 1] * v_epi[sel - 1]
-                          + pred_hyp[sel - 1] * v_hyp[sel - 1]) / v_total[sel - 1]
-
-    # Stratified pair: the two-layer scheme, grouped by substep count.
-    strat_days = day[prev_strat & cur_strat]
-    if strat_days.size:
-        ks = np.asarray(k_per_day, dtype=np.int64)[strat_days]
-        # Not np.unique: it imports numpy.ma on first use (about 12 ms a process).
-        for kval in sorted(set(ks.tolist())):
-            sel = strat_days[ks == kval]
-            y_e, y_h = multi_step_euler(
-                pred_epi[sel - 1], pred_hyp[sel - 1],
-                f_exo_epi[sel - 1], f_exo_hyp[sel - 1],
-                v_epi[sel - 1], v_epi[sel], v_hyp[sel - 1], v_hyp[sel],
-                cfg=SubstepConfig(k=int(kval), dt_days=dt),
-            )
-            sim_epi[sel] = y_e
-            sim_hyp[sel] = y_h
-    return sim_epi, sim_hyp, sim_total
-
-
 def simulate_targets(series: LakeSeries, preds, k_per_day=None,
                      dt: float = 1.0) -> np.ndarray:
     """Per-day mass-balance targets, each seeded from the previous day's predictions.
@@ -340,7 +283,8 @@ def simulate_targets(series: LakeSeries, preds, k_per_day=None,
     preds: (T, 3) array of epi/hyp/total, NaN where undefined. k_per_day:
     per-day substep counts for stratified steps (default 1 everywhere; mixed
     days ignore it). Returns (T, 3) in the same layout, NaN wherever a task
-    is undefined (always on day 1).
+    is undefined (always on day 1). Days are independent given the
+    predictions, so stratified steps are vectorized per distinct substep count.
     """
     t_count = series.n_days
     if k_per_day is None:
@@ -353,9 +297,47 @@ def simulate_targets(series: LakeSeries, preds, k_per_day=None,
     if not isinstance(preds, np.ndarray) or preds.shape != (t_count, 3):
         raise DomainError(f"prediction array must have shape ({t_count}, 3)")
     preds = preds.astype(np.float64, copy=False)
-    sim_epi, sim_hyp, sim_total = _simulate_arrays(
-        series.stratified, series.v_total, series.v_epi, series.v_hyp,
-        series.f_exo_total, series.f_exo_epi, series.f_exo_hyp,
-        preds[:, 0], preds[:, 1], preds[:, 2], k_per_day, dt=dt)
+    pred_epi, pred_hyp, pred_total = preds[:, 0], preds[:, 1], preds[:, 2]
+    v_epi, v_hyp = series.v_epi, series.v_hyp
+    sim_epi = np.full(t_count, np.nan)
+    sim_hyp = np.full(t_count, np.nan)
+    sim_total = np.full(t_count, np.nan)
+
+    prev_strat = series.stratified[:-1]
+    cur_strat = series.stratified[1:]
+    day = np.arange(1, t_count)
+
+    # Mixed pair: plain exogenous step on the total.
+    sel = day[~prev_strat & ~cur_strat]
+    if sel.size:
+        sim_total[sel] = pred_total[sel - 1] + series.f_exo_total[sel - 1] * dt
+
+    # Spring onset: both layers inherit the previous day's total prediction.
+    sel = day[~prev_strat & cur_strat]
+    if sel.size:
+        sim_epi[sel] = pred_total[sel - 1]
+        sim_hyp[sel] = pred_total[sel - 1]
+
+    # Fall turnover: volume-weighted mixture of the previous day's layers.
+    sel = day[prev_strat & ~cur_strat]
+    if sel.size:
+        sim_total[sel] = (pred_epi[sel - 1] * v_epi[sel - 1]
+                          + pred_hyp[sel - 1] * v_hyp[sel - 1]) / series.v_total[sel - 1]
+
+    # Stratified pair: the two-layer scheme, grouped by substep count.
+    strat_days = day[prev_strat & cur_strat]
+    if strat_days.size:
+        ks = np.asarray(k_per_day, dtype=np.int64)[strat_days]
+        # Not np.unique: it imports numpy.ma on first use (about 12 ms a process).
+        for kval in sorted(set(ks.tolist())):
+            sel = strat_days[ks == kval]
+            y_e, y_h = multi_step_euler(
+                pred_epi[sel - 1], pred_hyp[sel - 1],
+                series.f_exo_epi[sel - 1], series.f_exo_hyp[sel - 1],
+                v_epi[sel - 1], v_epi[sel], v_hyp[sel - 1], v_hyp[sel],
+                cfg=SubstepConfig(k=int(kval), dt_days=dt),
+            )
+            sim_epi[sel] = y_e
+            sim_hyp[sel] = y_h
     return np.stack([sim_epi, sim_hyp, sim_total], axis=1)
 

@@ -186,8 +186,11 @@ def validate_series(series: LakeSeries) -> ValidationReport:
 
 
 def relative_epi_volume_change(series: LakeSeries) -> np.ndarray:
-    """Signed day-over-day epilimnion volume change, 0 where either day lacks a layer."""
-    out = np.zeros(series.n_days)
+    """Signed day-over-day epilimnion volume change, 0 where either day lacks a layer.
+
+    Reads only `stratified` and `v_epi`, so the generator's draft arrays work too.
+    """
+    out = np.zeros(series.stratified.shape)
     both = series.stratified.copy()
     both[1:] &= series.stratified[:-1]
     both[0] = False

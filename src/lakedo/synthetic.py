@@ -22,16 +22,14 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, SchemaError
 from .physics import SubstepConfig, multi_step_euler, simulate_mixed_step
-from .series import LakeSeries, _parse_date, _write_rows, validate_series
+from .series import (LakeSeries, _parse_date, _write_rows, relative_epi_volume_change,
+                     validate_series)
 
 __all__ = [
     "GenConfig",
     "GeneratedLake",
     "generate",
     "generate_lake",
-    "inject_scenario_a",
-    "inject_scenario_b",
-    "sparsify_observations",
     "write_truth",
     "load_truth",
 ]
@@ -111,7 +109,6 @@ class GeneratedLake:
     scenario_tags: np.ndarray  # (days,) '', 'A', or 'B'
     clamped: np.ndarray        # (days,) True where the truth integrator clamped
     obs_days: np.ndarray       # (days,) sampling visits
-    weather: np.ndarray        # (days,) raw weather feature channel
 
 
 @dataclass
@@ -226,24 +223,16 @@ def _integrate_truth(cfg: GenConfig, draft: _Draft) -> tuple[np.ndarray, np.ndar
     return truth, clamped
 
 
-def _features(cfg: GenConfig, draft: _Draft, weather: np.ndarray) -> np.ndarray:
-    t = draft.dates.size
+def _features(cfg: GenConfig, draft: _Draft, weather: np.ndarray,
+              f_total: np.ndarray) -> np.ndarray:
     doy = (draft.dates - 1) % cfg.year_days
     strat = draft.stratified
-    v_epi = draft.v_epi
-    rel = np.zeros(t)
-    both = strat.copy()
-    both[1:] &= strat[:-1]
-    both[0] = False
-    idx = np.flatnonzero(both)
-    rel[idx] = (v_epi[idx] - v_epi[idx - 1]) / v_epi[idx - 1]
-    f_total = _combined_total_flux(draft)
     raw = np.column_stack([
         np.sin(2 * np.pi * doy / cfg.year_days),
         np.cos(2 * np.pi * doy / cfg.year_days),
         strat.astype(np.float64),
-        np.where(strat, v_epi / draft.v_total, 0.0),
-        rel,
+        np.where(strat, draft.v_epi / draft.v_total, 0.0),
+        relative_epi_volume_change(draft),
         np.where(strat, draft.f_epi, 0.0),
         np.where(strat, draft.f_hyp, 0.0),
         f_total,
@@ -284,54 +273,9 @@ def _observations(cfg: GenConfig, obs_days: np.ndarray, noise: np.ndarray,
     return obs_epi, obs_hyp, obs_total
 
 
-def _assemble(cfg: GenConfig, draft: _Draft, weather: np.ndarray,
-              obs_days: np.ndarray, noise: np.ndarray, lake_id: str) -> GeneratedLake:
-    truth, clamped = _integrate_truth(cfg, draft)
-    features = _features(cfg, draft, weather)
-    obs_epi, obs_hyp, obs_total = _observations(cfg, obs_days, noise,
-                                                draft.stratified, truth)
-    series = LakeSeries(
-        lake_id=lake_id,
-        dates=draft.dates,
-        stratified=draft.stratified,
-        v_total=draft.v_total,
-        v_epi=draft.v_epi,
-        v_hyp=draft.v_hyp,
-        f_exo_total=_combined_total_flux(draft),
-        f_exo_epi=draft.f_epi,
-        f_exo_hyp=draft.f_hyp,
-        obs_total=obs_total,
-        obs_epi=obs_epi,
-        obs_hyp=obs_hyp,
-        features=features,
-    )
-    report = validate_series(series)
-    if not report.ok:
-        raise DomainError(f"generated series failed validation: {report.entries[:3]}")
-    return GeneratedLake(series=series, truth=truth,
-                         scenario_tags=draft.scenario_tags, clamped=clamped,
-                         obs_days=obs_days, weather=weather)
-
-
-def _draft_from_series(series: LakeSeries, tags: np.ndarray) -> _Draft:
-    strat = series.stratified
-    # Recover the mixed-day flux column (on stratified days the stored total
-    # flux is the volume-weighted layer mix and is rebuilt on assembly).
-    return _Draft(dates=series.dates.copy(), stratified=strat.copy(),
-                  v_total=series.v_total.copy(), v_epi=series.v_epi.copy(),
-                  f_epi=series.f_exo_epi.copy(), f_hyp=series.f_exo_hyp.copy(),
-                  f_mixed=np.where(strat, 0.0, series.f_exo_total),
-                  scenario_tags=tags.copy())
-
-
 def _apply_scenario(cfg: GenConfig, draft: _Draft, day: int, kind: str) -> None:
+    """Apply scenario kind "A" or "B" at a stratified day with a stratified predecessor."""
     t = draft.dates.size
-    if not 1 <= day < t:
-        raise DomainError("scenario day must have a previous day (day 1 onward)")
-    if not (draft.stratified[day] and draft.stratified[day - 1]):
-        raise DomainError("scenario day and its predecessor must both be stratified")
-    if draft.scenario_tags[day]:
-        raise DomainError(f"day {day} already carries a scenario")
     span_end = day
     while span_end < t and draft.stratified[span_end]:
         span_end += 1
@@ -344,14 +288,12 @@ def _apply_scenario(cfg: GenConfig, draft: _Draft, day: int, kind: str) -> None:
         draft.v_epi[day:span_end] = draft.v_total[day:span_end] - \
             new_at_day * (old_tail / old_tail[0])
         draft.f_hyp[day - 1] = -cfg.scenario_flux
-    elif kind == "B":
+    else:
         # Epilimnion collapses; production kick the day before.
         old_tail = v_epi[day:span_end].copy()
         new_at_day = v_epi[day - 1] / cfg.scenario_shrink_ratio
         draft.v_epi[day:span_end] = new_at_day * (old_tail / old_tail[0])
         draft.f_epi[day - 1] = cfg.scenario_flux
-    else:
-        raise DomainError(f"unknown scenario kind {kind!r}")
     draft.scenario_tags[day] = kind
 
 
@@ -408,62 +350,35 @@ def generate_lake(cfg: GenConfig, index: int) -> GeneratedLake:
         weather[i] = state
     obs_days = visit_rng.random(t) < cfg.obs_sparsity
     noise = noise_rng.normal(0.0, cfg.obs_noise_sd, (t, 2))
-    # Bare two-digit id: series files are written as lake_{id}.csv, and the
-    # loader drops that prefix, so this survives a write/load round trip.
-    return _assemble(cfg, draft, weather, obs_days, noise, f"{index:02d}")
+    truth, clamped = _integrate_truth(cfg, draft)
+    f_total = _combined_total_flux(draft)
+    obs_epi, obs_hyp, obs_total = _observations(cfg, obs_days, noise, stratified, truth)
+    series = LakeSeries(
+        # Bare two-digit id: series files are written as lake_{id}.csv, and the
+        # loader drops that prefix, so this survives a write/load round trip.
+        lake_id=f"{index:02d}",
+        dates=dates,
+        stratified=stratified,
+        v_total=draft.v_total,
+        v_epi=draft.v_epi,
+        v_hyp=draft.v_hyp,
+        f_exo_total=f_total,
+        f_exo_epi=draft.f_epi,
+        f_exo_hyp=draft.f_hyp,
+        obs_total=obs_total,
+        obs_epi=obs_epi,
+        obs_hyp=obs_hyp,
+        features=_features(cfg, draft, weather, f_total),
+    )
+    report = validate_series(series)
+    if not report.ok:
+        raise DomainError(f"generated series failed validation: {report.entries[:3]}")
+    return GeneratedLake(series=series, truth=truth, scenario_tags=draft.scenario_tags,
+                         clamped=clamped, obs_days=obs_days)
 
 
 def generate(cfg: GenConfig) -> list[GeneratedLake]:
     return [generate_lake(cfg, i) for i in range(cfg.n_lakes)]
-
-
-def _inject(cfg: GenConfig, lake: GeneratedLake, day: int, kind: str,
-            rng: np.random.Generator) -> GeneratedLake:
-    draft = _draft_from_series(lake.series, lake.scenario_tags)
-    _apply_scenario(cfg, draft, day, kind)
-    noise = rng.normal(0.0, cfg.obs_noise_sd, (draft.dates.size, 2))
-    return _assemble(cfg, draft, lake.weather, lake.obs_days, noise,
-                     lake.series.lake_id)
-
-
-def inject_scenario_a(cfg: GenConfig, lake: GeneratedLake, day: int,
-                      rng: np.random.Generator) -> GeneratedLake:
-    """Collapse the hypolimnion at `day` (>= 10x shrink) with a demand kick.
-
-    The truth is re-integrated and observations are re-drawn on the same
-    visit days with noise from `rng`.
-    """
-    return _inject(cfg, lake, day, "A", rng)
-
-
-def inject_scenario_b(cfg: GenConfig, lake: GeneratedLake, day: int,
-                      rng: np.random.Generator) -> GeneratedLake:
-    """Collapse the epilimnion at `day` (>= 10x shrink) with a production kick."""
-    return _inject(cfg, lake, day, "B", rng)
-
-
-def sparsify_observations(series: LakeSeries, keep_fraction: float,
-                          seed) -> LakeSeries:
-    """Drop whole observation days, keeping each with probability keep_fraction."""
-    if not 0 <= keep_fraction <= 1:
-        raise DomainError("keep_fraction must lie in [0, 1]")
-    rng = np.random.default_rng(seed)
-    observed = (np.isfinite(series.obs_epi) | np.isfinite(series.obs_hyp)
-                | np.isfinite(series.obs_total))
-    keep = rng.random(series.n_days) < keep_fraction
-    drop = observed & ~keep
-    def filtered(a):
-        out = a.copy()
-        out[drop] = np.nan
-        return out
-    return LakeSeries(
-        lake_id=series.lake_id, dates=series.dates.copy(),
-        stratified=series.stratified.copy(), v_total=series.v_total.copy(),
-        v_epi=series.v_epi.copy(), v_hyp=series.v_hyp.copy(),
-        f_exo_total=series.f_exo_total.copy(), f_exo_epi=series.f_exo_epi.copy(),
-        f_exo_hyp=series.f_exo_hyp.copy(), obs_total=filtered(series.obs_total),
-        obs_epi=filtered(series.obs_epi), obs_hyp=filtered(series.obs_hyp),
-        features=series.features.copy())
 
 
 def write_truth(path: str | Path, lake: GeneratedLake) -> None:

@@ -3,6 +3,7 @@
 import csv
 import json
 import os
+import re
 import subprocess
 import sys
 import warnings
@@ -13,7 +14,7 @@ import pytest
 
 import lakedo
 from conftest import make_series
-from lakedo.cli import load_generate_config, main
+from lakedo.cli import load_generate_config, load_sweep_config, load_train_config, main
 from lakedo.networks import init_predictor, load_checkpoint, save_checkpoint
 from lakedo.series import write_series
 from lakedo.training import validation_rmse, year_windows
@@ -115,6 +116,8 @@ class TestGenerate:
     @pytest.mark.parametrize("key, value", [
         ("n_lakes", "4"), ("n_lakes", True), ("n_lakes", 2.0), ("truth_substeps", None),
         ("v_total", "2e6"), ("v_total", False), ("obs_sparsity", [0.4]),
+        ("obs_noise_sd", float("nan")), ("initial_do", float("inf")),
+        pytest.param("v_total", 10**400, id="v_total-beyond-float-range"),
     ])
     def test_mistyped_field_rejected(self, tmp_path, capsys, key, value):
         cfg = write_json(tmp_path / "gen.json", dict(GEN_CONFIG, **{key: value}))
@@ -196,6 +199,7 @@ class TestTrain:
         ({"april": {"disc_hidden": ["a"]}}, "disc_hidden"),
         ({"april": {"disc_hidden": 32}}, "disc_hidden"),
         ({"april": {"disc_hidden": [0]}}, "disc_hidden"),
+        ({"april": {"disc_learning_rate": float("nan")}}, "disc_learning_rate"),
     ])
     def test_mistyped_train_field_rejected(self, tmp_path, capsys, payload, key):
         cfg = write_json(tmp_path / "train.json", dict(TRAIN_CONFIG, **payload))
@@ -516,6 +520,33 @@ class TestSweep:
                              capture_output=True, text=True).stdout
         assert out.strip() == "False"
 
+    def test_too_short_corpus_exit_2(self, data_dir, tmp_path, capsys):
+        # A bad-input error in a grid point fails the command, as it fails train.
+        cfg = write_json(tmp_path / "grid.json", {
+            "schema": "lakedo-sweep-v1", "lambda_epi": [0.0, 1.0], "lambda_hyp": [0.0],
+            "train": dict(max_epochs=2, window_days=365, train_years=2)})
+        assert main(["sweep", "--config", str(cfg), "--data", str(data_dir),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:") and "windows" in err
+
+    def test_every_point_diverged_exit_3(self, tmp_path, capsys):
+        # test_divergence_exit_3's series: every grid point overflows.
+        series = make_series("M" * 30, obs={t: (None, None, 1e200)
+                                            for t in range(0, 30, 2)})
+        data = tmp_path / "data"
+        data.mkdir()
+        write_series(series, data / "lake_t0.csv")
+        cfg = write_json(tmp_path / "grid.json", {
+            "schema": "lakedo-sweep-v1", "lambda_epi": [0.0, 1.0], "lambda_hyp": [0.0],
+            "train": dict(max_epochs=2, window_days=10)})
+        assert main(["sweep", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "o")]) == 3
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 3
+        assert all("failed: TrainingDiverged" in line for line in lines[:2])
+        assert lines[2].startswith("error:")
+
     @pytest.mark.parametrize("grid", [[], [None], ["1.0"], [True], [{"a": 1}], 1.0])
     def test_malformed_grid_exit_2(self, data_dir, tmp_path, capsys, grid):
         cfg = write_json(tmp_path / "grid.json", {"schema": "lakedo-sweep-v1",
@@ -523,3 +554,16 @@ class TestSweep:
         assert main(["sweep", "--config", str(cfg), "--data", str(data_dir),
                      "--out", str(tmp_path / "o")]) == 2
         assert "lambda_epi" in capsys.readouterr().err
+
+
+def test_readme_json_examples_load(tmp_path):
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    loaders = {"lakedo-generate-v1": load_generate_config,
+               "lakedo-train-v1": load_train_config,
+               "lakedo-sweep-v1": load_sweep_config}
+    blocks = re.findall(r"```json\n(.*?)```", readme, flags=re.DOTALL)
+    assert len(blocks) >= 2
+    for i, block in enumerate(blocks):
+        path = tmp_path / f"example_{i}.json"
+        path.write_text(block)
+        loaders[json.loads(block)["schema"]](path)

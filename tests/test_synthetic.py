@@ -22,14 +22,11 @@ from lakedo.synthetic import (
     FEATURE_COUNT,
     TRUTH_COLUMNS,
     GenConfig,
-    _draft_from_series,
+    _Draft,
     _integrate_truth,
     generate,
     generate_lake,
-    inject_scenario_a,
-    inject_scenario_b,
     load_truth,
-    sparsify_observations,
     write_truth,
 )
 
@@ -44,12 +41,6 @@ def lake():
 @pytest.fixture(scope="module")
 def lake_refined():
     return generate_lake(replace(ONE_YEAR, truth_substeps=384), 0)
-
-
-@pytest.fixture(scope="module")
-def clean_lake():
-    cfg = replace(ONE_YEAR, scenario_a_count=0, scenario_b_count=0)
-    return generate_lake(cfg, 0)
 
 
 @pytest.fixture(scope="module")
@@ -189,7 +180,13 @@ class TestTruth:
                              ids=["default", "k2-int-start"])
     def test_float_day_loop_matches_per_day_array_reference(self, cfg):
         lake = generate_lake(cfg, 0)
-        draft = _draft_from_series(lake.series, lake.scenario_tags)
+        s = lake.series
+        # On stratified days the stored total flux is the layer mix, which
+        # the truth integrator does not read.
+        draft = _Draft(dates=s.dates, stratified=s.stratified, v_total=s.v_total,
+                       v_epi=s.v_epi, f_epi=s.f_exo_epi, f_hyp=s.f_exo_hyp,
+                       f_mixed=np.where(s.stratified, 0.0, s.f_exo_total),
+                       scenario_tags=lake.scenario_tags)
         truth, clamped = _integrate_truth(cfg, draft)
         want_truth, want_clamped = per_day_truth(cfg, draft)
         assert truth.tobytes() == want_truth.tobytes() == lake.truth.tobytes()
@@ -272,35 +269,6 @@ class TestObservations:
         np.testing.assert_array_equal(s.obs_hyp[strat], truth[strat, 1])
         np.testing.assert_array_equal(s.obs_total[~strat], truth[~strat, 2])
 
-    def test_sparsify_bounds(self, lake):
-        s = lake.series
-        full = sparsify_observations(s, 1.0, seed=7)
-        np.testing.assert_array_equal(full.obs_epi, s.obs_epi)
-        np.testing.assert_array_equal(full.obs_total, s.obs_total)
-        none = sparsify_observations(s, 0.0, seed=7)
-        assert not np.isfinite(none.obs_epi).any()
-        assert not np.isfinite(none.obs_hyp).any()
-        assert not np.isfinite(none.obs_total).any()
-        with pytest.raises(DomainError):
-            sparsify_observations(s, 1.2, seed=7)
-
-    def test_sparsify_drops_whole_days(self, lake):
-        s = lake.series
-        thin = sparsify_observations(s, 0.5, seed=3)
-        again = sparsify_observations(s, 0.5, seed=3)
-        np.testing.assert_array_equal(thin.obs_epi, again.obs_epi)
-        had = np.isfinite(s.obs_epi) | np.isfinite(s.obs_hyp) | np.isfinite(s.obs_total)
-        has = (np.isfinite(thin.obs_epi) | np.isfinite(thin.obs_hyp)
-               | np.isfinite(thin.obs_total))
-        assert has.sum() < had.sum()
-        # A surviving day keeps its exact values; a dropped day loses all of them.
-        kept = has & had
-        np.testing.assert_array_equal(thin.obs_epi[kept], s.obs_epi[kept])
-        dropped = had & ~has
-        assert dropped.any()
-        assert not np.isfinite(thin.obs_epi[dropped]).any()
-        assert not np.isfinite(thin.obs_hyp[dropped]).any()
-
 
 class TestScenarios:
     def test_volume_ratios_and_flux_kicks(self, lake):
@@ -338,41 +306,6 @@ class TestScenarios:
             s.f_exo_epi[d - 1], s.f_exo_hyp[d - 1],
             s.v_epi[d - 1], s.v_epi[d], s.v_hyp[d - 1], s.v_hyp[d])
         assert e_daily > lake.truth[d, 0] + 1.0
-
-    def test_injection_matches_generation_semantics(self, clean_lake):
-        day = 200
-        rng = np.random.default_rng(42)
-        shocked = inject_scenario_a(ONE_YEAR, clean_lake, day, rng)
-        s0, s1 = clean_lake.series, shocked.series
-        assert shocked.scenario_tags[day] == "A"
-        assert s1.v_hyp[day - 1] / s1.v_hyp[day] == pytest.approx(10.0, rel=1e-9)
-        assert s1.f_exo_hyp[day - 1] == -ONE_YEAR.scenario_flux
-        np.testing.assert_array_equal(s1.v_epi[:day], s0.v_epi[:day])
-        np.testing.assert_array_equal(s1.f_exo_hyp[:day - 1], s0.f_exo_hyp[:day - 1])
-        np.testing.assert_array_equal(shocked.truth[:day], clean_lake.truth[:day])
-        assert not np.array_equal(shocked.truth[day:], clean_lake.truth[day:])
-        np.testing.assert_array_equal(shocked.obs_days, clean_lake.obs_days)
-        assert validate_series(s1).ok
-
-    def test_injection_b_collapses_epi(self, clean_lake):
-        rng = np.random.default_rng(43)
-        shocked = inject_scenario_b(ONE_YEAR, clean_lake, 200, rng)
-        s1 = shocked.series
-        assert shocked.scenario_tags[200] == "B"
-        assert s1.v_epi[199] / s1.v_epi[200] == pytest.approx(10.0, rel=1e-9)
-        assert s1.f_exo_epi[199] == ONE_YEAR.scenario_flux
-
-    def test_injection_rejects_bad_days(self, clean_lake, lake):
-        rng = np.random.default_rng(0)
-        with pytest.raises(DomainError, match="day 1 onward"):
-            inject_scenario_a(ONE_YEAR, clean_lake, 0, rng)
-        with pytest.raises(DomainError, match="stratified"):
-            inject_scenario_a(ONE_YEAR, clean_lake, 50, rng)
-        with pytest.raises(DomainError, match="stratified"):
-            inject_scenario_a(ONE_YEAR, clean_lake, ONE_YEAR.strat_start, rng)
-        taken = scenario_day(lake, "A")
-        with pytest.raises(DomainError, match="already carries"):
-            inject_scenario_b(ONE_YEAR, lake, taken, rng)
 
 
 class TestTruthFile:
