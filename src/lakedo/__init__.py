@@ -1,59 +1,8 @@
 """Two-layer lake dissolved-oxygen prediction with mass-balance guidance.
 
-Submodules carry the full API; this namespace re-exports the common workflow:
-generate a corpus, load or write series, train, adapt, evaluate.
+The API lives in the submodules (synthetic, series, physics, training,
+adaptive, evaluate, cli, ...); the package root holds only the version, so
+importing one submodule loads no others it does not need.
 """
 
-from .adaptive import AprilConfig, AprilResult, train_april
-from .errors import (
-    ConfigError,
-    DomainError,
-    OrderingError,
-    SchemaError,
-    TrainingDiverged,
-)
-from .evaluate import (
-    EvalReport,
-    build_report,
-    compare_models,
-    export_timeseries,
-    mass_inconsistency,
-)
-from .networks import load_checkpoint, save_checkpoint
-from .series import LakeSeries, load_series, validate_series, write_series
-from .synthetic import GenConfig, GeneratedLake, generate, load_truth, write_truth
-from .training import TrainConfig, TrainResult, train_pril, validation_rmse
-
 __version__ = "0.1.0"
-
-__all__ = [
-    "__version__",
-    "AprilConfig",
-    "AprilResult",
-    "ConfigError",
-    "DomainError",
-    "EvalReport",
-    "GenConfig",
-    "GeneratedLake",
-    "LakeSeries",
-    "OrderingError",
-    "SchemaError",
-    "TrainConfig",
-    "TrainResult",
-    "TrainingDiverged",
-    "build_report",
-    "compare_models",
-    "export_timeseries",
-    "generate",
-    "load_checkpoint",
-    "load_series",
-    "load_truth",
-    "mass_inconsistency",
-    "save_checkpoint",
-    "train_april",
-    "train_pril",
-    "validate_series",
-    "validation_rmse",
-    "write_series",
-    "write_truth",
-]

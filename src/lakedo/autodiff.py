@@ -53,33 +53,6 @@ class Var:
     def shape(self) -> tuple[int, ...]:
         return self.tape.values[self.idx].shape
 
-    def __add__(self, other):
-        return add_const(self, other) if isinstance(other, (int, float)) else add(self, other)
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return add_const(self, -other) if isinstance(other, (int, float)) else sub(self, other)
-
-    def __rsub__(self, other):
-        return add_const(neg(self), other)
-
-    def __mul__(self, other):
-        return scale(self, other) if isinstance(other, (int, float)) else mul(self, other)
-
-    __rmul__ = __mul__
-
-    def __truediv__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, 1.0 / other)
-        raise TypeError("division is only supported by a constant")
-
-    def __neg__(self):
-        return neg(self)
-
-    def __matmul__(self, other):
-        return matmul(self, other)
-
     def __getitem__(self, key):
         return index(self, key)
 
@@ -591,12 +564,16 @@ def _unflatten(vec, structure, like):
     return vec.reshape(structure)
 
 
-def gradient_check(loss_program, params, eps: float = 1e-5,
-                   floor: float | None = None) -> float:
+#: Central-difference step of gradient_check.
+FD_STEP = 1e-5
+
+
+def gradient_check(loss_program, params) -> float:
     """Max relative error between reverse-mode and central-difference gradients.
 
-    The error at each coordinate is |a - b| / max(|a|, |b|, floor). floor
-    defaults to 1e-3 times the largest gradient magnitude (at least 1e-6):
+    Central differences step each coordinate by FD_STEP. The error at each
+    coordinate is |a - b| / max(|a|, |b|, floor), where floor is 1e-3 times
+    the largest gradient magnitude (at least 1e-6):
     coordinates far below the gradient's own scale get an absolute rather
     than relative comparison, because central differences cannot resolve
     them relatively (roundoff of the loss value dominates there), while a
@@ -604,18 +581,17 @@ def gradient_check(loss_program, params, eps: float = 1e-5,
     """
     _, grad = evaluate_with_gradient(loss_program, params)
     gvec, _ = _flatten(grad)
-    if floor is None:
-        gmax = float(np.max(np.abs(gvec))) if gvec.size else 0.0
-        floor = max(1e-6, 1e-3 * gmax)
+    gmax = float(np.max(np.abs(gvec))) if gvec.size else 0.0
+    floor = max(1e-6, 1e-3 * gmax)
     pvec, structure = _flatten(params)
     worst = 0.0
     for i in range(pvec.size):
         bumped = pvec.copy()
-        bumped[i] = pvec[i] + eps
+        bumped[i] = pvec[i] + FD_STEP
         hi = evaluate_value(loss_program, _unflatten(bumped, structure, params))
-        bumped[i] = pvec[i] - eps
+        bumped[i] = pvec[i] - FD_STEP
         lo = evaluate_value(loss_program, _unflatten(bumped, structure, params))
-        fd = (hi - lo) / (2.0 * eps)
+        fd = (hi - lo) / (2.0 * FD_STEP)
         a, b = gvec[i], fd
         worst = max(worst, abs(a - b) / max(abs(a), abs(b), floor))
     return worst

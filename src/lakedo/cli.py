@@ -86,14 +86,22 @@ def _is_num(value, types) -> bool:
     return isinstance(value, types) and not isinstance(value, bool)
 
 
+_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+
+
+def _is_int64(value) -> bool:
+    # Integer fields end up as numpy sizes, seeds and counts.
+    return _is_num(value, int) and _INT64_MIN <= value <= _INT64_MAX
+
+
 #: Per annotated config field type: what the JSON value must be, and the test.
 _FIELD_CHECKS = {
-    "int": ("an integer", lambda v: _is_num(v, int)),
+    "int": ("an integer in the int64 range", _is_int64),
     # NaN, inf and ints beyond the float range all fail the comparison.
     "float": ("a finite number",
               lambda v: _is_num(v, (int, float)) and abs(v) <= sys.float_info.max),
-    "tuple[int, ...]": ("a list of integers",
-                        lambda v: isinstance(v, list) and all(_is_num(x, int) for x in v)),
+    "tuple[int, ...]": ("a list of integers in the int64 range",
+                        lambda v: isinstance(v, list) and all(map(_is_int64, v))),
 }
 
 
@@ -109,6 +117,9 @@ def _build(cls, data: dict, context: str):
             raise ConfigError(f"{context}: {name} must be {kind}, got {value!r}")
         if isinstance(value, list):
             data[name] = tuple(value)
+        elif types[name] == "float":
+            # An int beyond int64 would reach numpy as an object array.
+            data[name] = float(value)
     return cls(**data)
 
 
@@ -136,10 +147,10 @@ def load_sweep_config(path: str | Path) -> tuple[list[float], list[float], Train
     data = _read_json(path)
     _pop_schema(data, SWEEP_SCHEMA, path)
     grids = {}
+    _, finite = _FIELD_CHECKS["float"]
     for key in ("lambda_epi", "lambda_hyp"):
         values = data.pop(key, None)
-        if not (isinstance(values, list) and values
-                and all(_is_num(v, (int, float)) for v in values)):
+        if not (isinstance(values, list) and values and all(map(finite, values))):
             raise ConfigError(f"{path}: {key} must be a nonempty list of weights")
         grids[key] = [float(v) for v in values]
     train_data = data.pop("train", {})
@@ -307,9 +318,7 @@ def cmd_evaluate(checkpoint: str | Path, data_dir: str | Path, out_dir: str | Pa
         rmse_tasks = np.array(pooled_rmse(lakes, preds_by_lake)[:3])
     with np.errstate(invalid="ignore"):
         pooled_inc = np.nanmean(np.stack(inconsistency), axis=0)
-    report = build_report(Path(checkpoint).stem, rmse_tasks[None, :],
-                          pooled_inc[None, :],
-                          timeseries_paths=[str(p) for p in outputs])
+    report = build_report(Path(checkpoint).stem, rmse_tasks[None, :], pooled_inc[None, :])
     comparison = out / "comparison.csv"
     compare_models([report], path=comparison)
     outputs.append(comparison)
@@ -453,6 +462,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         # Covers the package error taxonomy (all ValueError subclasses)
         # plus unreadable paths.
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        # A config asking for more than memory holds, e.g. a huge n_years.
+        print(f"error: out of memory: {exc}", file=sys.stderr)
         return 2
 
 

@@ -10,7 +10,7 @@ stratified simulation run at a configurable reference substep count
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -134,7 +134,6 @@ class EvalReport:
     rmse_mean: np.ndarray
     rmse_std: np.ndarray
     inconsistency: np.ndarray
-    timeseries_paths: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
         if not self.model:
@@ -153,8 +152,7 @@ class EvalReport:
 
 
 def build_report(model: str, rmse_per_seed: np.ndarray,
-                 inconsistency_per_seed: np.ndarray,
-                 timeseries_paths: Sequence[str] = ()) -> EvalReport:
+                 inconsistency_per_seed: np.ndarray) -> EvalReport:
     """Aggregate per-seed (n, 3) metric arrays into a report (NaN propagates)."""
     r = np.asarray(rmse_per_seed, dtype=np.float64)
     c = np.asarray(inconsistency_per_seed, dtype=np.float64)
@@ -164,8 +162,7 @@ def build_report(model: str, rmse_per_seed: np.ndarray,
         raise DomainError("per-seed metrics must share a shape")
     return EvalReport(model=model, n_seeds=r.shape[0],
                       rmse_mean=r.mean(axis=0), rmse_std=r.std(axis=0),
-                      inconsistency=c.mean(axis=0),
-                      timeseries_paths=tuple(timeseries_paths))
+                      inconsistency=c.mean(axis=0))
 
 
 def compare_models(reports: Sequence[EvalReport],

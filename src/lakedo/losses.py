@@ -95,8 +95,7 @@ def mass_conservation_loss(pred: np.ndarray, target: np.ndarray, tau: float) -> 
     return float(np.mean(hinge))
 
 
-def combined_loss(preds: np.ndarray, series: LakeSeries, lambdas, tau: float,
-                  k_per_day=None) -> LossParts:
+def combined_loss(preds: np.ndarray, series: LakeSeries, lambdas, tau: float) -> LossParts:
     """Value-level total loss for one series given raw (T, 3) predictions.
 
     Consistency terms with a zero weight are skipped outright, so an
@@ -107,7 +106,7 @@ def combined_loss(preds: np.ndarray, series: LakeSeries, lambdas, tau: float,
     ml = supervised_loss(preds, stacked_observations(series))
     mc = [0.0, 0.0, 0.0]
     if any(lams):
-        targets = simulate_targets(series, preds, k_per_day=k_per_day)
+        targets = simulate_targets(series, preds)
         for task in range(3):
             if lams[task] > 0:
                 mc[task] = mass_conservation_loss(preds[:, task], targets[:, task], tau)

@@ -19,7 +19,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DomainError
-from .series import LakeSeries
+from .series import VOLUME_CHANGE_REL_TOL, LakeSeries
 
 __all__ = [
     "EntrainmentFluxes",
@@ -35,9 +35,6 @@ __all__ = [
     "simulate_targets",
 ]
 
-#: Relative tolerance on the layer volume-change consistency precondition.
-VOLUME_CHANGE_REL_TOL = 1e-9
-
 
 @dataclass(frozen=True)
 class EntrainmentFluxes:
@@ -49,16 +46,13 @@ class EntrainmentFluxes:
 
 @dataclass(frozen=True)
 class SubstepConfig:
-    """Sub-daily Euler resolution: k substeps spanning dt_days."""
+    """Sub-daily Euler resolution: k substeps spanning one day."""
 
     k: int = 1
-    dt_days: float = 1.0
 
     def __post_init__(self) -> None:
         if not (isinstance(self.k, (int, np.integer)) and not isinstance(self.k, bool) and self.k >= 1):
             raise DomainError(f"substep count k must be an integer >= 1, got {self.k!r}")
-        if not (np.isfinite(self.dt_days) and self.dt_days > 0):
-            raise DomainError(f"dt_days must be positive and finite, got {self.dt_days!r}")
 
 
 def _require_finite(**named) -> None:
@@ -96,10 +90,10 @@ def _check_volume_consistency(v_epi_prev, v_epi_cur, v_hyp_prev, v_hyp_cur) -> N
                           "what the hypolimnion loses")
 
 
-def simulate_mixed_step(y_prev_total, f_exo_total, dt: float = 1.0):
-    """One daily step under fully mixed conditions: y + f_exo * dt."""
-    _require_finite(y_prev_total=y_prev_total, f_exo_total=f_exo_total, dt=dt)
-    return np.asarray(y_prev_total, dtype=np.float64) + np.asarray(f_exo_total, dtype=np.float64) * dt
+def simulate_mixed_step(y_prev_total, f_exo_total):
+    """One daily step under fully mixed conditions: y + f_exo."""
+    _require_finite(y_prev_total=y_prev_total, f_exo_total=f_exo_total)
+    return np.asarray(y_prev_total, dtype=np.float64) + np.asarray(f_exo_total, dtype=np.float64)
 
 
 def entrainment_fluxes_daily(v_epi_prev, v_epi_cur, v_hyp_prev, v_hyp_cur,
@@ -128,25 +122,24 @@ def entrainment_fluxes_daily(v_epi_prev, v_epi_cur, v_hyp_prev, v_hyp_cur,
 
 
 def simulate_stratified_step(y_epi_prev, y_hyp_prev, f_exo_epi, f_exo_hyp,
-                             v_epi_prev, v_epi_cur, v_hyp_prev, v_hyp_cur,
-                             dt: float = 1.0):
+                             v_epi_prev, v_epi_cur, v_hyp_prev, v_hyp_cur):
     """One daily two-layer step: exogenous mass, volume rescaling, entrainment.
 
-    Per layer: y_new = (y_prev + f_exo * dt) * (v_prev / v_cur) + f_ent,
+    Per layer: y_new = (y_prev + f_exo) * (v_prev / v_cur) + f_ent,
     evaluated in mass form so that a single Algorithm substep (k = 1 in
     multi_step_euler) reproduces it bit for bit.
     """
     _require_finite(y_epi_prev=y_epi_prev, y_hyp_prev=y_hyp_prev,
-                    f_exo_epi=f_exo_epi, f_exo_hyp=f_exo_hyp, dt=dt)
+                    f_exo_epi=f_exo_epi, f_exo_hyp=f_exo_hyp)
     ent = entrainment_fluxes_daily(v_epi_prev, v_epi_cur, v_hyp_prev, v_hyp_cur,
                                    y_epi_prev, y_hyp_prev)
-    y_e = (np.asarray(y_epi_prev, np.float64) * v_epi_prev + np.asarray(f_exo_epi, np.float64) * dt * v_epi_prev) / v_epi_cur + ent.f_epi
-    y_h = (np.asarray(y_hyp_prev, np.float64) * v_hyp_prev + np.asarray(f_exo_hyp, np.float64) * dt * v_hyp_prev) / v_hyp_cur + ent.f_hyp
+    y_e = (np.asarray(y_epi_prev, np.float64) * v_epi_prev + np.asarray(f_exo_epi, np.float64) * v_epi_prev) / v_epi_cur + ent.f_epi
+    y_h = (np.asarray(y_hyp_prev, np.float64) * v_hyp_prev + np.asarray(f_exo_hyp, np.float64) * v_hyp_prev) / v_hyp_cur + ent.f_hyp
     return y_e, y_h
 
 
-def closed_form_hyp_shrink(y_hyp_prev, f_exo_hyp, v_hyp_prev, v_hyp_cur, dt: float = 1.0):
-    """Hypolimnion update when the epilimnion grows: y + f_exo * dt * (v_prev / v_cur).
+def closed_form_hyp_shrink(y_hyp_prev, f_exo_hyp, v_hyp_prev, v_hyp_cur):
+    """Hypolimnion update when the epilimnion grows: y + f_exo * (v_prev / v_cur).
 
     Entrainment out of a shrinking layer cancels its own rescaling, leaving
     only the exogenous term amplified by the volume ratio. A strong negative
@@ -154,19 +147,19 @@ def closed_form_hyp_shrink(y_hyp_prev, f_exo_hyp, v_hyp_prev, v_hyp_cur, dt: flo
     a single daily step; that overshoot is the daily scheme's failure mode.
     """
     _require_positive(v_hyp_prev=v_hyp_prev, v_hyp_cur=v_hyp_cur)
-    _require_finite(y_hyp_prev=y_hyp_prev, f_exo_hyp=f_exo_hyp, dt=dt)
+    _require_finite(y_hyp_prev=y_hyp_prev, f_exo_hyp=f_exo_hyp)
     if np.any(np.asarray(v_hyp_cur) > np.asarray(v_hyp_prev)):
         raise DomainError("closed_form_hyp_shrink requires a shrinking (or constant) hypolimnion")
-    return np.asarray(y_hyp_prev, np.float64) + np.asarray(f_exo_hyp, np.float64) * dt * (np.asarray(v_hyp_prev, np.float64) / v_hyp_cur)
+    return np.asarray(y_hyp_prev, np.float64) + np.asarray(f_exo_hyp, np.float64) * (np.asarray(v_hyp_prev, np.float64) / v_hyp_cur)
 
 
-def closed_form_epi_shrink(y_epi_prev, f_exo_epi, v_epi_prev, v_epi_cur, dt: float = 1.0):
-    """Epilimnion update when it shrinks: y + f_exo * dt * (v_prev / v_cur)."""
+def closed_form_epi_shrink(y_epi_prev, f_exo_epi, v_epi_prev, v_epi_cur):
+    """Epilimnion update when it shrinks: y + f_exo * (v_prev / v_cur)."""
     _require_positive(v_epi_prev=v_epi_prev, v_epi_cur=v_epi_cur)
-    _require_finite(y_epi_prev=y_epi_prev, f_exo_epi=f_exo_epi, dt=dt)
+    _require_finite(y_epi_prev=y_epi_prev, f_exo_epi=f_exo_epi)
     if np.any(np.asarray(v_epi_cur) > np.asarray(v_epi_prev)):
         raise DomainError("closed_form_epi_shrink requires a shrinking (or constant) epilimnion")
-    return np.asarray(y_epi_prev, np.float64) + np.asarray(f_exo_epi, np.float64) * dt * (np.asarray(v_epi_prev, np.float64) / v_epi_cur)
+    return np.asarray(y_epi_prev, np.float64) + np.asarray(f_exo_epi, np.float64) * (np.asarray(v_epi_prev, np.float64) / v_epi_cur)
 
 
 def _interpolate(v_prev, v_cur, k: int) -> np.ndarray:
@@ -229,7 +222,7 @@ def multi_step_euler(y_epi_prev, y_hyp_prev, f_exo_epi, f_exo_hyp,
     _check_volume_consistency(v_epi_prev, v_epi_cur, v_hyp_prev, v_hyp_cur)
     inputs = (y_epi_prev, y_hyp_prev, f_exo_epi, f_exo_hyp, v_epi_prev, v_epi_cur, v_hyp_prev, v_hyp_cur)
     k = cfg.k
-    dt_sub = cfg.dt_days / k
+    dt_sub = 1.0 / k
     # Python raises on division by zero where numpy gives inf or NaN, so a day whose
     # interpolated volumes underflow to 0 takes the numpy path and fails the exit check.
     on_floats = all(isinstance(v, (float, int)) or getattr(v, "ndim", 1) == 0 for v in inputs)
@@ -263,21 +256,20 @@ def multi_step_euler(y_epi_prev, y_hyp_prev, f_exo_epi, f_exo_hyp,
 
 def mass_balance_residual(y_epi_prev, y_hyp_prev, y_epi_new, y_hyp_new,
                           v_epi_prev, v_epi_cur, v_hyp_prev, v_hyp_cur,
-                          f_exo_epi, f_exo_hyp, dt: float = 1.0):
+                          f_exo_epi, f_exo_hyp):
     """Signed mass defect of a candidate step, in grams.
 
     Total mass after the step, minus total mass before, minus the net
-    exogenous mass added over dt. Zero (to rounding) for any state produced
+    exogenous mass added over the day. Zero (to rounding) for any state produced
     by simulate_stratified_step or multi_step_euler without clamping.
     """
     after = np.asarray(y_epi_new, np.float64) * v_epi_cur + np.asarray(y_hyp_new, np.float64) * v_hyp_cur
     before = np.asarray(y_epi_prev, np.float64) * v_epi_prev + np.asarray(y_hyp_prev, np.float64) * v_hyp_prev
-    exo = (np.asarray(f_exo_epi, np.float64) * v_epi_prev + np.asarray(f_exo_hyp, np.float64) * v_hyp_prev) * dt
+    exo = (np.asarray(f_exo_epi, np.float64) * v_epi_prev + np.asarray(f_exo_hyp, np.float64) * v_hyp_prev)
     return after - before - exo
 
 
-def simulate_targets(series: LakeSeries, preds, k_per_day=None,
-                     dt: float = 1.0) -> np.ndarray:
+def simulate_targets(series: LakeSeries, preds, k_per_day=None) -> np.ndarray:
     """Per-day mass-balance targets, each seeded from the previous day's predictions.
 
     preds: (T, 3) array of epi/hyp/total, NaN where undefined. k_per_day:
@@ -310,7 +302,7 @@ def simulate_targets(series: LakeSeries, preds, k_per_day=None,
     # Mixed pair: plain exogenous step on the total.
     sel = day[~prev_strat & ~cur_strat]
     if sel.size:
-        sim_total[sel] = pred_total[sel - 1] + series.f_exo_total[sel - 1] * dt
+        sim_total[sel] = pred_total[sel - 1] + series.f_exo_total[sel - 1]
 
     # Spring onset: both layers inherit the previous day's total prediction.
     sel = day[~prev_strat & cur_strat]
@@ -335,7 +327,7 @@ def simulate_targets(series: LakeSeries, preds, k_per_day=None,
                 pred_epi[sel - 1], pred_hyp[sel - 1],
                 series.f_exo_epi[sel - 1], series.f_exo_hyp[sel - 1],
                 v_epi[sel - 1], v_epi[sel], v_hyp[sel - 1], v_hyp[sel],
-                cfg=SubstepConfig(k=int(kval), dt_days=dt),
+                cfg=SubstepConfig(k=int(kval)),
             )
             sim_epi[sel] = y_e
             sim_hyp[sel] = y_h

@@ -36,6 +36,9 @@ __all__ = [
 
 #: Relative tolerance for the stratified-day volume identity v_epi + v_hyp = v_total.
 VOLUME_REL_TOL = 1e-9
+#: Relative tolerance for the change identity between consecutive stratified days:
+#: the epilimnion gains exactly what the hypolimnion loses.
+VOLUME_CHANGE_REL_TOL = 1e-9
 
 _BASE_COLUMNS = (
     "date", "regime", "v_total", "v_epi", "v_hyp",
@@ -156,16 +159,25 @@ def validate_series(series: LakeSeries) -> ValidationReport:
                ("v_total", "v_epi", "v_hyp", "f_exo_total", "f_exo_epi", "f_exo_hyp",
                 "obs_total", "obs_epi", "obs_hyp")}
     vt, ve, vh = series.v_total, series.v_epi, series.v_hyp
+    layered = strat & present["v_epi"] & present["v_hyp"]
     with np.errstate(invalid="ignore", over="ignore"):
         identity_off = np.abs(ve + vh - vt) > VOLUME_REL_TOL * np.abs(vt)
+        # Day t against a layered day t - 1, in the physics kernel's arithmetic,
+        # so that every series that loads can be stepped.
+        change_off = np.zeros_like(strat)
+        change_off[1:] = layered[:-1] & (np.abs((ve[1:] - ve[:-1]) + (vh[1:] - vh[:-1]))
+                                         > VOLUME_CHANGE_REL_TOL * (ve[1:] + vh[1:]))
     # Stratified-only and mixed-only checks never fire on the same day, so one
     # list in per-day order covers both branches.
     checks = [
         (~(present["v_total"] & (vt > 0)), "v_total must be positive and finite"),
         (strat & ~(present["v_epi"] & (ve > 0)), "v_epi must be positive on stratified days"),
         (strat & ~(present["v_hyp"] & (vh > 0)), "v_hyp must be positive on stratified days"),
-        (strat & present["v_epi"] & present["v_hyp"] & identity_off,
+        (layered & identity_off,
          "v_epi + v_hyp must equal v_total on stratified days"),
+        (layered & change_off,
+         "layer volume changes must cancel: v_epi + v_hyp must not change "
+         "from one stratified day to the next"),
         (strat & ~present["f_exo_epi"], "f_exo_epi must be present on stratified days"),
         (strat & ~present["f_exo_hyp"], "f_exo_hyp must be present on stratified days"),
         (strat & present["obs_total"], "obs_total is only defined on mixed days"),

@@ -74,6 +74,8 @@ class GenConfig:
     def __post_init__(self) -> None:
         if self.n_lakes < 1 or self.n_years < 1:
             raise ConfigError("n_lakes and n_years must be >= 1")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.v_total <= 0:
             raise ConfigError("v_total must be > 0")
         if not 1 <= self.strat_start < self.strat_end <= self.year_days:

@@ -46,6 +46,8 @@ HISTORY_COLUMNS = ("epoch", "loss_ml", "loss_mc_epi", "loss_mc_hyp", "loss_mc_to
 
 LEARNING_RATE_RANGE = (0.001, 0.05)
 BATCH_SIZE_RANGE = (8, 32)
+#: Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
@@ -78,6 +80,8 @@ class TrainConfig:
             raise ConfigError(f"batch_size must lie in [{lo}, {hi}]")
         if not MIN_HIDDEN <= self.hidden_size <= MAX_HIDDEN:
             raise ConfigError(f"hidden_size must lie in [{MIN_HIDDEN}, {MAX_HIDDEN}]")
+        if self.seed < 0:
+            raise ConfigError("seed must be >= 0")
         if self.max_epochs < 1 or self.patience < 1:
             raise ConfigError("max_epochs and patience must be >= 1")
         if self.window_days < 2 or self.train_years < 1:
@@ -102,19 +106,17 @@ def adam_init(params: dict[str, np.ndarray]) -> AdamState:
 
 
 def adam_update(params: dict[str, np.ndarray], grads: dict[str, np.ndarray],
-                state: AdamState, lr: float, beta1: float = 0.9,
-                beta2: float = 0.999, eps: float = 1e-8
-                ) -> tuple[dict[str, np.ndarray], AdamState]:
+                state: AdamState, lr: float) -> tuple[dict[str, np.ndarray], AdamState]:
     """One bias-corrected Adam step; returns fresh arrays, mutates nothing."""
     step = state.step + 1
     new_params, new_m, new_v = {}, {}, {}
     for k, p in params.items():
         g = grads[k]
-        m = beta1 * state.m[k] + (1 - beta1) * g
-        v = beta2 * state.v[k] + (1 - beta2) * g * g
-        m_hat = m / (1 - beta1 ** step)
-        v_hat = v / (1 - beta2 ** step)
-        new_params[k] = p - lr * m_hat / (np.sqrt(v_hat) + eps)
+        m = ADAM_BETA1 * state.m[k] + (1 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * state.v[k] + (1 - ADAM_BETA2) * g * g
+        m_hat = m / (1 - ADAM_BETA1 ** step)
+        v_hat = v / (1 - ADAM_BETA2 ** step)
+        new_params[k] = p - lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
         new_m[k] = m
         new_v[k] = v
     return new_params, AdamState(m=new_m, v=new_v, step=step)

@@ -27,14 +27,6 @@ class TestScalarBasics:
         _, grad = ad.evaluate_with_gradient(lambda tape, w: ad.absval(w), 0.0)
         assert grad == 0.0
 
-    def test_operator_sugar(self):
-        def program(tape, w):
-            return (w * 2.0 + 1.0) * w - 0.5
-
-        value, grad = ad.evaluate_with_gradient(program, 3.0)
-        assert value == (3.0 * 2 + 1) * 3 - 0.5
-        assert grad == pytest.approx(4 * 3.0 + 1.0)
-
     def test_logsigmoid_matches_log_of_sigmoid(self):
         value, grad = ad.evaluate_with_gradient(lambda t, w: ad.logsigmoid(w), 1.3)
         assert value == pytest.approx(np.log(1.0 / (1.0 + np.exp(-1.3))), rel=1e-12)

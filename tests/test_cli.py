@@ -1,7 +1,9 @@
 """Command-line behavior: files written, exit codes, reproducibility."""
 
 import csv
+import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -11,13 +13,17 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import lakedo
 from conftest import make_series
+from lakedo.adaptive import AprilConfig
 from lakedo.cli import load_generate_config, load_sweep_config, load_train_config, main
+from lakedo.errors import ConfigError
 from lakedo.networks import init_predictor, load_checkpoint, save_checkpoint
 from lakedo.series import write_series
-from lakedo.training import validation_rmse, year_windows
+from lakedo.synthetic import GenConfig
+from lakedo.training import TrainConfig, validation_rmse, year_windows
 
 GEN_CONFIG = {
     "schema": "lakedo-generate-v1",
@@ -118,6 +124,8 @@ class TestGenerate:
         ("v_total", "2e6"), ("v_total", False), ("obs_sparsity", [0.4]),
         ("obs_noise_sd", float("nan")), ("initial_do", float("inf")),
         pytest.param("v_total", 10**400, id="v_total-beyond-float-range"),
+        pytest.param("n_years", 10**400, id="n_years-beyond-int64-range"),
+        pytest.param("seed", -1, id="negative-seed"),
     ])
     def test_mistyped_field_rejected(self, tmp_path, capsys, key, value):
         cfg = write_json(tmp_path / "gen.json", dict(GEN_CONFIG, **{key: value}))
@@ -130,6 +138,20 @@ class TestGenerate:
     def test_int_accepted_for_float_field(self, tmp_path):
         cfg = write_json(tmp_path / "gen.json", dict(GEN_CONFIG, v_total=2_000_000))
         assert load_generate_config(cfg).v_total == 2_000_000
+
+    def test_negative_seed_flag_exit_2(self, tmp_path, capsys):
+        assert main(["generate", "--out", str(tmp_path / "d"), "--seed", "-1"]) == 2
+        err = capsys.readouterr().err
+        assert "seed" in err and err.count("\n") == 1
+        assert not (tmp_path / "d").exists()
+
+    def test_out_of_memory_exit_2(self, tmp_path, capsys):
+        # The int64 calendar of 10**15 years needs over 2 EiB, more than any
+        # address space holds, so the allocation fails without touching memory.
+        cfg = write_json(tmp_path / "gen.json", dict(GEN_CONFIG, n_years=10**15))
+        assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: out of memory") and err.count("\n") == 1
 
     def test_wrong_schema_rejected(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "gen.json",
@@ -200,6 +222,8 @@ class TestTrain:
         ({"april": {"disc_hidden": 32}}, "disc_hidden"),
         ({"april": {"disc_hidden": [0]}}, "disc_hidden"),
         ({"april": {"disc_learning_rate": float("nan")}}, "disc_learning_rate"),
+        ({"april": {"disc_hidden": [10**20]}}, "disc_hidden"),
+        ({"seed": -1}, "seed"),
     ])
     def test_mistyped_train_field_rejected(self, tmp_path, capsys, payload, key):
         cfg = write_json(tmp_path / "train.json", dict(TRAIN_CONFIG, **payload))
@@ -327,6 +351,27 @@ class TestEvaluate:
         err = capsys.readouterr().err
         assert err == "error: no validation windows under this config\n"
         assert not (tmp_path / "o").exists()    # checked before any output is written
+
+    def test_volume_change_violation_exit_2_before_any_output(self, data_dir, pril_run,
+                                                              tmp_path, capsys):
+        # One stratified day grows by 1 % with its volume identity kept: the
+        # layer changes from the day before no longer cancel.
+        data = tmp_path / "data"
+        data.mkdir()
+        lines = (data_dir / "lake_00.csv").read_text().splitlines()
+        day = next(i for i in range(2, len(lines))
+                   if lines[i].split(",")[1] == lines[i - 1].split(",")[1] == "S")
+        cells = lines[day].split(",")
+        cells[2:5] = [repr(float(c) * 1.01) for c in cells[2:5]]
+        lines[day] = ",".join(cells)
+        (data / "lake_00.csv").write_text("\n".join(lines) + "\n")
+        assert main(["evaluate", str(pril_run / "checkpoint.csv"), "--data", str(data),
+                     "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {data / 'lake_00.csv'}: day {cells[0]}: "
+                              "layer volume changes must cancel")
+        assert err.count("\n") == 1
+        assert not (tmp_path / "o").exists()
 
     def test_bad_config_exit_2_before_any_output(self, data_dir, train_cfg, pril_run,
                                                  tmp_path, capsys):
@@ -567,3 +612,69 @@ def test_readme_json_examples_load(tmp_path):
         path = tmp_path / f"example_{i}.json"
         path.write_text(block)
         loaders[json.loads(block)["schema"]](path)
+
+
+def test_data_modules_load_without_the_training_stack():
+    # The package root re-exports nothing, so importing what the benchmark's
+    # checks import loads no trainer, adaptive, evaluation or loss code.
+    code = ("import sys, lakedo.series, lakedo.networks, lakedo.synthetic; "
+            "print(sorted(m for m in ('lakedo.training', 'lakedo.adaptive', "
+            "'lakedo.evaluate', 'lakedo.losses') if m in sys.modules))")
+    env = dict(os.environ, PYTHONPATH=str(Path(lakedo.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == "[]"
+
+
+_JSON_SCALARS = (st.none() | st.booleans() | st.integers()
+                 | st.sampled_from([-1, 2**63 - 1, 2**63, -2**63 - 1, 10**15, 10**400])
+                 | st.floats() | st.text(max_size=4))
+_JSON_VALUES = (_JSON_SCALARS | st.lists(_JSON_SCALARS, max_size=3)
+                | st.dictionaries(st.text(max_size=3), _JSON_SCALARS, max_size=2))
+#: (loader, schema, minimal valid payload, key paths into it that take a value).
+_LOADER_CASES = (
+    (load_generate_config, "lakedo-generate-v1", {},
+     [(f.name,) for f in dataclasses.fields(GenConfig)]),
+    (load_train_config, "lakedo-train-v1", {},
+     [(f.name,) for f in dataclasses.fields(TrainConfig)] + [("april",)]
+     + [("april", f.name) for f in dataclasses.fields(AprilConfig)]),
+    (load_sweep_config, "lakedo-sweep-v1", {"lambda_epi": [0.0], "lambda_hyp": [0.0]},
+     [("lambda_epi",), ("lambda_hyp",), ("train",)]
+     + [("train", f.name) for f in dataclasses.fields(TrainConfig)]),
+)
+
+
+def _assert_valid_config(cfg):
+    for f in dataclasses.fields(cfg):
+        value = getattr(cfg, f.name)
+        if f.type == "float":
+            assert type(value) is float and math.isfinite(value), f.name
+        else:
+            ints = value if f.type == "tuple[int, ...]" else (value,)
+            assert all(type(v) is int and -2**63 <= v < 2**63 for v in ints), f.name
+    assert getattr(cfg, "seed", 0) >= 0
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_config_loaders_return_a_valid_config_or_raise_config_error(tmp_path_factory, data):
+    loader, schema, base, paths = data.draw(st.sampled_from(_LOADER_CASES))
+    payload = dict(base, schema=schema)
+    for path in data.draw(st.lists(st.sampled_from(paths), min_size=1, max_size=2)):
+        target = payload
+        for key in path[:-1]:
+            if not isinstance(target.get(key), dict):
+                target[key] = {}
+            target = target[key]
+        target[path[-1]] = data.draw(_JSON_VALUES)
+    config_path = tmp_path_factory.getbasetemp() / "loader_property.json"
+    config_path.write_text(json.dumps(payload))
+    try:
+        loaded = loader(config_path)
+    except ConfigError:
+        return
+    if loader is load_sweep_config:
+        grid_epi, grid_hyp, loaded = loaded
+        assert all(type(v) is float and math.isfinite(v) for v in grid_epi + grid_hyp)
+    for cfg in loaded if isinstance(loaded, tuple) else (loaded,):
+        _assert_valid_config(cfg)

@@ -11,6 +11,7 @@ from hypothesis import assume, given, settings, strategies as st
 
 from lakedo.errors import DomainError, OrderingError, SchemaError
 from lakedo.series import (
+    VOLUME_CHANGE_REL_TOL,
     VOLUME_REL_TOL,
     Regime,
     RegimeSpan,
@@ -57,6 +58,13 @@ def per_day_validate(series):
                     off = abs(ve + vh - vt) > VOLUME_REL_TOL * abs(vt)
                 if off:
                     entries.append((day, "v_epi + v_hyp must equal v_total on stratified days"))
+                ve0, vh0 = (series.v_epi[t - 1], series.v_hyp[t - 1]) if t else (np.nan, np.nan)
+                if series.stratified[t - 1] and np.isfinite(ve0) and np.isfinite(vh0):
+                    with np.errstate(invalid="ignore", over="ignore"):
+                        off = abs((ve - ve0) + (vh - vh0)) > VOLUME_CHANGE_REL_TOL * (ve + vh)
+                    if off:
+                        entries.append((day, "layer volume changes must cancel: v_epi + v_hyp "
+                                             "must not change from one stratified day to the next"))
             for col in ("f_exo_epi", "f_exo_hyp"):
                 if not np.isfinite(getattr(series, col)[t]):
                     entries.append((day, f"{col} must be present on stratified days"))
@@ -242,6 +250,17 @@ class TestLoadErrors:
         rows = [["1", "S", "300", "100", "150", "", "0.2", "-0.4", "", "", "", "0"]]
         p = self.write_rows(tmp_path, self.base_header(), rows)
         with pytest.raises(DomainError, match="v_epi \\+ v_hyp"):
+            load_series(p)
+
+    def test_volume_change_identity_enforced(self, tmp_path):
+        # v_total grows 1 % from day 1 to day 2 while each day keeps the
+        # identity, so the layer changes do not cancel; the later day is named.
+        rows = [["1", "S", "300", "100", "200", "", "0.2", "-0.4", "", "", "", "0"],
+                ["2", "S", "303", "101", "202", "", "0.2", "-0.4", "", "", "", "0"],
+                ["3", "M", "300", "", "", "0.1", "", "", "", "", "", "0"]]
+        p = self.write_rows(tmp_path, self.base_header(), rows)
+        with pytest.raises(DomainError, match=r"lake_x\.csv: day 2: layer volume changes "
+                                              r"must cancel.*\(1 violation"):
             load_series(p)
 
     def test_bad_regime_flag(self, tmp_path):
