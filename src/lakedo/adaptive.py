@@ -14,7 +14,6 @@ is bit-identical to stage 1.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -31,7 +30,7 @@ from .networks import (
     init_discriminator,
     predictor_forward_series,
 )
-from .series import LakeSeries, relative_epi_volume_change
+from .series import LakeSeries, _write_rows, relative_epi_volume_change
 from .training import (
     TrainConfig,
     TrainHistory,
@@ -47,7 +46,6 @@ __all__ = [
     "AprilConfig",
     "DayLabel",
     "AprilResult",
-    "relative_epi_volume_change",
     "discriminator_inputs",
     "residual_gamma",
     "label_drastic_days",
@@ -266,12 +264,11 @@ def k_policy_from_labels(series: LakeSeries, labels: Sequence[DayLabel]) -> np.n
 
 
 def write_labels(path: str | Path, labels: Sequence[DayLabel]) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(LABEL_COLUMNS)
-        for label in labels:
-            writer.writerow([label.date, "MILD" if label.mild else "DRASTIC",
-                             label.provenance, label.k])
+    _write_rows(path, LABEL_COLUMNS,
+                [[label.date for label in labels],
+                 ["MILD" if label.mild else "DRASTIC" for label in labels],
+                 [label.provenance for label in labels],
+                 [label.k for label in labels]], [])
 
 
 def train_april(lakes: Sequence[LakeSeries], config: TrainConfig,

@@ -275,25 +275,26 @@ def lstm_sequence_values(w_cell: np.ndarray, b_cell: np.ndarray, features: np.nd
 
 
 def lstm_sequence(w_cell: Var, b_cell: Var, features: np.ndarray,
-                  ride_along: np.ndarray | None = None):
+                  ride_along: np.ndarray | None = None) -> tuple[Var, np.ndarray | None]:
     """Fused LSTM over features (B, T, m): hidden states (T, B, H) as one tape node.
 
-    The backward pass is hand-written backpropagation through time.
-    ride_along (V, T, m) rows join the same time loop without entering the
-    tape: the node holds and differentiates the B feature rows only, and the
-    call returns (node, ride-along hidden states (T, V, H)). Both groups'
-    values equal separate calls bit for bit, and the taped rows' cache is
-    copied out, so the node holds exactly what a B-row call holds. The
-    copies are C-contiguous (BPTT's tensordots take another BLAS path on
-    strided views, which changes the gradient's rounding), and each joint
-    array is released as soon as its taped rows are copied, so the copies
-    add at most one array to the joint forward's memory.
+    Returns (node, ride). The backward pass is hand-written backpropagation
+    through time. ride_along (V, T, m) rows join the same time loop without
+    entering the tape: the node holds and differentiates the B feature rows
+    only, and ride is the ride-along hidden states (T, V, H), or None when
+    nothing rides along. Both groups' values equal separate calls bit for
+    bit, and the taped rows' cache is copied out, so the node holds exactly
+    what a B-row call holds. The copies are C-contiguous (BPTT's tensordots
+    take another BLAS path on strided views, which changes the gradient's
+    rounding), and each joint array is released as soon as its taped rows
+    are copied, so the copies add at most one array to the joint forward's
+    memory.
     """
     tape = _same_tape(w_cell, b_cell)
     features = np.asarray(features, dtype=np.float64)
     if ride_along is None:
         hs, cache = lstm_sequence_values(w_cell.value, b_cell.value, features)
-        return tape._push(hs, "lstm_sequence", (w_cell, b_cell), cache)
+        return tape._push(hs, "lstm_sequence", (w_cell, b_cell), cache), None
     n = features.shape[0]
     joint = list(lstm_sequence_values(w_cell.value, b_cell.value,
                                       np.concatenate([features, ride_along]), split=n)[1][1:])
@@ -502,73 +503,53 @@ _BACKWARD = {
 }
 
 
-def _wrap_params(tape: Tape, params):
-    if isinstance(params, dict):
-        return {k: tape.param(np.asarray(v, dtype=np.float64)) for k, v in params.items()}
-    return tape.param(np.asarray(params, dtype=np.float64))
-
-
-def evaluate_with_gradient(loss_program, params):
+def evaluate_with_gradient(loss_program, params: dict) -> tuple[float, dict]:
     """Run a tape-building closure and return (loss value, gradients).
 
-    params is a float, an array, or a dict of named arrays; the gradient
-    mirrors that structure. loss_program(tape, p) must return a scalar Var.
+    params is a dict of named arrays and the gradient is a dict with the
+    same names. loss_program(tape, p) must return a scalar Var.
     """
     tape = Tape()
-    pvars = _wrap_params(tape, params)
+    pvars = {k: tape.param(v) for k, v in params.items()}
     out = loss_program(tape, pvars)
     if not isinstance(out, Var) or out.value.size != 1:
         raise DomainError("loss_program must return a scalar Var")
     grads = tape.backward(out)
-    value = float(out.value)
-    if isinstance(params, dict):
-        grad = {}
-        for name, pv in pvars.items():
-            g = grads[pv.idx]
-            grad[name] = np.zeros_like(pv.value) if g is None else np.asarray(g)
-        return value, grad
-    g = grads[pvars.idx]
-    g = np.zeros_like(pvars.value) if g is None else np.asarray(g)
-    if np.ndim(params) == 0:
-        return value, float(g)
-    return value, g
+    grad = {}
+    for name, pv in pvars.items():
+        g = grads[pv.idx]
+        grad[name] = np.zeros_like(pv.value) if g is None else np.asarray(g)
+    return float(out.value), grad
 
 
-def evaluate_value(loss_program, params) -> float:
+def evaluate_value(loss_program, params: dict) -> float:
     """Forward-only evaluation of a loss_program."""
     tape = Tape()
-    pvars = _wrap_params(tape, params)
-    out = loss_program(tape, pvars)
+    out = loss_program(tape, {k: tape.param(v) for k, v in params.items()})
     return float(out.value)
 
 
-def _flatten(params):
-    if isinstance(params, dict):
-        names = sorted(params)
-        vec = np.concatenate([np.asarray(params[n], dtype=np.float64).ravel() for n in names])
-        shapes = [(n, np.asarray(params[n]).shape) for n in names]
-        return vec, shapes
-    arr = np.asarray(params, dtype=np.float64)
-    return arr.ravel().copy(), arr.shape
+def _flatten(params: dict) -> tuple[np.ndarray, list]:
+    names = sorted(params)
+    vec = np.concatenate([np.asarray(params[n], dtype=np.float64).ravel() for n in names])
+    return vec, [(n, np.asarray(params[n]).shape) for n in names]
 
 
-def _unflatten(vec, structure, like):
-    if isinstance(like, dict):
-        out = {}
-        offset = 0
-        for name, shape in structure:
-            size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-            out[name] = vec[offset:offset + size].reshape(shape)
-            offset += size
-        return out
-    return vec.reshape(structure)
+def _unflatten(vec: np.ndarray, structure: list) -> dict:
+    out = {}
+    offset = 0
+    for name, shape in structure:
+        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+        out[name] = vec[offset:offset + size].reshape(shape)
+        offset += size
+    return out
 
 
 #: Central-difference step of gradient_check.
 FD_STEP = 1e-5
 
 
-def gradient_check(loss_program, params) -> float:
+def gradient_check(loss_program, params: dict) -> float:
     """Max relative error between reverse-mode and central-difference gradients.
 
     Central differences step each coordinate by FD_STEP. The error at each
@@ -588,9 +569,9 @@ def gradient_check(loss_program, params) -> float:
     for i in range(pvec.size):
         bumped = pvec.copy()
         bumped[i] = pvec[i] + FD_STEP
-        hi = evaluate_value(loss_program, _unflatten(bumped, structure, params))
+        hi = evaluate_value(loss_program, _unflatten(bumped, structure))
         bumped[i] = pvec[i] - FD_STEP
-        lo = evaluate_value(loss_program, _unflatten(bumped, structure, params))
+        lo = evaluate_value(loss_program, _unflatten(bumped, structure))
         fd = (hi - lo) / (2.0 * FD_STEP)
         a, b = gvec[i], fd
         worst = max(worst, abs(a - b) / max(abs(a), abs(b), floor))

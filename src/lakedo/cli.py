@@ -10,7 +10,6 @@ usage/config/data problems, 3 for numerical failure.
 from __future__ import annotations
 
 import argparse
-import csv
 import hashlib
 import json
 import sys
@@ -34,7 +33,7 @@ from .evaluate import (
     regime_masked_predictions,
 )
 from .networks import load_checkpoint, predictor_forward_series, save_checkpoint
-from .series import LakeSeries, format_value, load_series, write_series
+from .series import LakeSeries, _write_rows, load_series, write_series
 from .synthetic import GenConfig, generate, load_truth, write_truth
 from .training import (
     TrainConfig,
@@ -373,18 +372,12 @@ def cmd_sweep(config_path: str | Path, data_dir: str | Path, out_dir: str | Path
             results = list(pool.map(_sweep_point, jobs))
 
     sweep_path = out / "sweep.csv"
-    failures = []
-    with open(sweep_path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(SWEEP_COLUMNS)
-        for le, lh, outcome in results:
-            if isinstance(outcome, str):
-                failures.append({"lambda_epi": le, "lambda_hyp": lh,
-                                 "error": outcome})
-                writer.writerow([format_value(le), format_value(lh), "", "", ""])
-            else:
-                writer.writerow([format_value(le), format_value(lh)]
-                                + [format_value(v) for v in outcome])
+    failures = [{"lambda_epi": le, "lambda_hyp": lh, "error": outcome}
+                for le, lh, outcome in results if isinstance(outcome, str)]
+    # A diverged point keeps its row, with empty RMSE cells.
+    rows = [(le, lh, *((np.nan,) * 3 if isinstance(outcome, str) else outcome))
+            for le, lh, outcome in results]
+    _write_rows(sweep_path, SWEEP_COLUMNS, [], list(zip(*rows)))
     for failure in failures:
         print(f"sweep point {failure['lambda_epi']},{failure['lambda_hyp']} "
               f"failed: {failure['error']}", file=sys.stderr)

@@ -207,20 +207,19 @@ def build_window_batch(windows: Sequence[LakeSeries], k_per_day=None,
 
 def taped_window_loss(tape: ad.Tape, pvars: dict[str, ad.Var], batch: WindowBatch,
                       lambdas, tau: float, ride_along: np.ndarray | None = None) -> dict:
-    """Differentiable batch loss; returns {"loss", "ml", "mc_epi", "mc_hyp", "mc_total"}.
+    """Differentiable batch loss.
 
-    Zero-weighted consistency terms emit no tape nodes at all, which keeps
-    an all-zero weighting bit-identical to a purely supervised program.
-    ride_along (V, days, n_features) windows run in the same forward off the
-    tape; their head outputs come back as parts["ride_along"], (V, days, 3).
+    Returns {"loss", "ml", "mc_epi", "mc_hyp", "mc_total", "ride_along"}.
+    Zero-weighted consistency terms emit no tape nodes at all (their parts
+    stay None), which keeps an all-zero weighting bit-identical to a purely
+    supervised program. ride_along (V, days, n_features) windows run in the
+    same forward off the tape; their head outputs come back as
+    parts["ride_along"], (V, days, 3), which is None when nothing rides along.
     """
     lams = _check_weights(lambdas, tau)
     parts: dict = {"ml": None, "mc_epi": None, "mc_hyp": None, "mc_total": None}
-    if ride_along is None:
-        out = predictor_forward_tape(tape, pvars, batch.features)  # (days, windows, 3)
-    else:
-        out, parts["ride_along"] = predictor_forward_tape(tape, pvars, batch.features,
-                                                          ride_along)
+    # out is (days, windows, 3).
+    out, parts["ride_along"] = predictor_forward_tape(tape, pvars, batch.features, ride_along)
     obs = tape.constant(batch.obs)
     ml = ad.masked_mean(ad.sqdiff(out, obs), batch.obs_mask)
     loss = ml

@@ -12,7 +12,6 @@ round-trips exactly (values rendered with shortest-round-trip repr).
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
@@ -22,6 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import sigmoid_values
 from .errors import DomainError, SchemaError
+from .series import _read_csv
 
 __all__ = [
     "MIN_HIDDEN", "MAX_HIDDEN",
@@ -148,19 +148,19 @@ def predictor_forward_series(params: PredictorParams,
 
 
 def predictor_forward_tape(tape: ad.Tape, p: dict[str, ad.Var], features: np.ndarray,
-                           ride_along: np.ndarray | None = None):
-    """Differentiable batched forward: features (B, T, m) -> head outputs (T, B, 3).
+                           ride_along: np.ndarray | None = None
+                           ) -> tuple[ad.Var, np.ndarray | None]:
+    """Differentiable batched forward: features (B, T, m) -> (head outputs (T, B, 3), ride).
 
     ride_along (V, T, m) windows share the LSTM time loop without entering
-    the tape; the call then returns (head outputs, ride-along outputs as a
-    (V, T, 3) array laid out like predictor_forward's).
+    the tape; ride is their outputs as a (V, T, 3) array laid out like
+    predictor_forward's, or None when nothing rides along.
     """
-    if ride_along is None:
-        hs = ad.lstm_sequence(p["w_cell"], p["b_cell"], features)
-        return ad.add(ad.matmul(hs, p["w_head"]), p["b_head"])
     hs, ride_hs = ad.lstm_sequence(p["w_cell"], p["b_cell"], features, ride_along)
     out = ad.add(ad.matmul(hs, p["w_head"]), p["b_head"])
-    return out, _head(ride_hs, p["w_head"].value, p["b_head"].value)
+    if ride_hs is not None:
+        ride_hs = _head(ride_hs, p["w_head"].value, p["b_head"].value)
+    return out, ride_hs
 
 
 @dataclass(frozen=True)
@@ -230,10 +230,9 @@ def discriminator_logits(params: DiscriminatorParams, x: np.ndarray) -> np.ndarr
     return (h @ w + b)[:, 0]
 
 
-def discriminator_forward(params: DiscriminatorParams, x: np.ndarray):
-    """Probability that each day is mild, strictly inside (0, 1)."""
-    p = sigmoid_values(discriminator_logits(params, x))
-    return float(p[0]) if np.ndim(x) == 1 else p
+def discriminator_forward(params: DiscriminatorParams, x: np.ndarray) -> np.ndarray:
+    """Probability that each day (row) is mild, strictly inside (0, 1)."""
+    return sigmoid_values(discriminator_logits(params, x))
 
 
 def discriminator_logits_tape(tape: ad.Tape, p: dict[str, ad.Var], x: np.ndarray) -> ad.Var:
@@ -273,8 +272,7 @@ def save_checkpoint(path: str | Path, predictor: PredictorParams | None = None,
 def load_checkpoint(path: str | Path) -> tuple[PredictorParams | None, DiscriminatorParams | None]:
     """Inverse of save_checkpoint; raises SchemaError on malformed content."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_csv(path)
     if len(rows) < 2 or rows[0][:1] != [CHECKPOINT_MAGIC]:
         raise SchemaError(f"{path}: not a checkpoint file")
     try:

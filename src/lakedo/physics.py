@@ -24,7 +24,6 @@ from .series import VOLUME_CHANGE_REL_TOL, LakeSeries
 __all__ = [
     "EntrainmentFluxes",
     "SubstepConfig",
-    "simulate_mixed_step",
     "entrainment_fluxes_daily",
     "simulate_stratified_step",
     "closed_form_hyp_shrink",
@@ -88,12 +87,6 @@ def _check_volume_consistency(v_epi_prev, v_epi_cur, v_hyp_prev, v_hyp_cur) -> N
     if inconsistent:
         raise DomainError("layer volume changes must cancel: the epilimnion gains exactly "
                           "what the hypolimnion loses")
-
-
-def simulate_mixed_step(y_prev_total, f_exo_total):
-    """One daily step under fully mixed conditions: y + f_exo."""
-    _require_finite(y_prev_total=y_prev_total, f_exo_total=f_exo_total)
-    return np.asarray(y_prev_total, dtype=np.float64) + np.asarray(f_exo_total, dtype=np.float64)
 
 
 def entrainment_fluxes_daily(v_epi_prev, v_epi_cur, v_hyp_prev, v_hyp_cur,

@@ -264,11 +264,28 @@ def _raise_first_bad_row(path: Path, header: list[str], body: list[list[str]]) -
             _parse_float(cell, day, col)
 
 
+def _read_csv(path: str | Path) -> list[list[str]]:
+    """Every row of a CSV file; malformed quoting is a SchemaError naming row and line.
+
+    A stray quote makes the csv module read on to the next quote, or to the
+    end of the file, as one field, and a field past its size limit raises
+    csv.Error, which is not a ValueError.
+    """
+    rows: list[list[str]] = []
+    with open(path, newline="") as fh:
+        reader = csv.reader(fh)
+        try:
+            rows.extend(reader)     # keeps the rows read before an error
+        except csv.Error as exc:
+            raise SchemaError(f"{path}: row {len(rows) + 1}: malformed CSV up to line "
+                              f"{reader.line_num} ({exc}); look for a stray quote") from exc
+    return rows
+
+
 def load_series(path: str | Path) -> LakeSeries:
     """Read one lake CSV; the lake id is the file stem (a leading 'lake_' is dropped)."""
     path = Path(path)
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_csv(path)
     if not rows:
         raise SchemaError(f"{path}: empty file")
     header, body = rows[0], rows[1:]

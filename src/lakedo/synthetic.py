@@ -14,16 +14,15 @@ overshoot while the finely substepped truth stays tame.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import ConfigError, DomainError, SchemaError
-from .physics import SubstepConfig, multi_step_euler, simulate_mixed_step
-from .series import (LakeSeries, _parse_date, _write_rows, relative_epi_volume_change,
-                     validate_series)
+from .physics import SubstepConfig, multi_step_euler
+from .series import (LakeSeries, _parse_date, _read_csv, _write_rows,
+                     relative_epi_volume_change, validate_series)
 
 __all__ = [
     "GenConfig",
@@ -96,6 +95,10 @@ class GenConfig:
             raise ConfigError("scenario counts must be >= 0")
         if self.scenario_shrink_ratio < 10:
             raise ConfigError("scenario_shrink_ratio must be >= 10")
+        if 8 * self.n_years * self.year_days > np.iinfo(np.intp).max:
+            # Past this, numpy cannot even size the int64 calendar.
+            raise ConfigError(f"n_years * year_days = {self.n_years * self.year_days} "
+                              "days, more than a numpy array can hold")
         if self.truth_substeps < 1:
             raise ConfigError("truth_substeps must be >= 1")
         if self.initial_do < 0:
@@ -196,7 +199,7 @@ def _integrate_truth(cfg: GenConfig, draft: _Draft) -> tuple[np.ndarray, np.ndar
     euler_days = []
     for i in range(1, t):
         if not strat[i - 1] and not strat[i]:
-            total = simulate_mixed_step(tot[i - 1], f_mixed[i - 1])
+            total = tot[i - 1] + f_mixed[i - 1]
             clamped[i] = total < 0.0
             tot[i] = max(total, 0.0)
         elif not strat[i - 1]:
@@ -210,6 +213,9 @@ def _integrate_truth(cfg: GenConfig, draft: _Draft) -> tuple[np.ndarray, np.ndar
         else:
             tot[i] = (epi[i - 1] * ve[i - 1] + hyp[i - 1] * vh[i - 1]) / vt[i - 1]
     truth = np.column_stack([epi, hyp, tot])
+    bad = np.flatnonzero(~np.isfinite(truth[:, 2]))
+    if bad.size:
+        raise DomainError(f"truth total is not finite on day {draft.dates[bad[0]]}")
     # A day is clamped when the unclamped step from the same start state ends
     # elsewhere. Those steps are independent, so they run as array calls over
     # fixed-size blocks of days (elementwise, so bit-identical to one call per
@@ -249,14 +255,10 @@ def _features(cfg: GenConfig, draft: _Draft, weather: np.ndarray,
 
 def _combined_total_flux(draft: _Draft) -> np.ndarray:
     """Whole-lake flux column: the mixed flux, or the volume-weighted layer mix."""
-    strat = draft.stratified
-    weighted = np.where(
-        strat,
-        (np.where(strat, draft.f_epi, 0.0) * np.where(strat, draft.v_epi, 0.0)
-         + np.where(strat, draft.f_hyp, 0.0) * np.where(strat, draft.v_hyp, 0.0))
-        / draft.v_total,
-        draft.f_mixed)
-    return weighted
+    # Layer columns are NaN on mixed days, where the outer where takes f_mixed.
+    return np.where(draft.stratified,
+                    (draft.f_epi * draft.v_epi + draft.f_hyp * draft.v_hyp) / draft.v_total,
+                    draft.f_mixed)
 
 
 def _observations(cfg: GenConfig, obs_days: np.ndarray, noise: np.ndarray,
@@ -390,8 +392,7 @@ def write_truth(path: str | Path, lake: GeneratedLake) -> None:
 
 def load_truth(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Read a truth file back as (dates, truth (n,3), tags)."""
-    with open(path, newline="") as fh:
-        rows = list(csv.reader(fh))
+    rows = _read_csv(path)
     if not rows or tuple(rows[0]) != TRUTH_COLUMNS:
         raise SchemaError(f"{path}: malformed truth header")
     dates, truth, tags = [], [], []

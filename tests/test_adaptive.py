@@ -1,5 +1,7 @@
 """Labeling rules, discriminator training, and the adaptive pipeline paths."""
 
+import csv
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,6 @@ from lakedo.adaptive import (
     discriminator_inputs,
     k_policy_from_labels,
     label_drastic_days,
-    relative_epi_volume_change,
     residual_gamma,
     train_april,
     train_discriminator,
@@ -24,6 +25,7 @@ from lakedo import autodiff as ad
 from lakedo.adaptive import _RuleLabel
 from lakedo.errors import ConfigError, DomainError
 from lakedo.networks import discriminator_logits_tape, init_discriminator
+from lakedo.series import relative_epi_volume_change
 from lakedo.training import TrainConfig, adam_init, adam_update, train_pril
 
 from conftest import make_series
@@ -276,6 +278,25 @@ class TestLabelCsv:
         assert lines[1] == "152,MILD,ERROR_RULE,1"
         assert lines[2] == "153,DRASTIC,VOLUME_RULE,12"
         assert len(lines) == 3
+
+
+    @pytest.mark.parametrize("labels", [
+        [],
+        [DayLabel(day=0, date=-3, mild=True, provenance=VOLUME_RULE, k=1),
+         DayLabel(day=1, date=0, mild=False, provenance=ERROR_RULE, k=12),
+         DayLabel(day=2, date=2**62, mild=True, provenance=DISCRIMINATOR, k=1),
+         DayLabel(day=3, date=7, mild=False, provenance=FALLBACK, k=192)],
+    ], ids=["empty", "every-provenance"])
+    def test_matches_per_row_writer(self, tmp_path, labels):
+        # Oracle: the csv module, one row per label.
+        write_labels(tmp_path / "got.csv", labels)
+        with open(tmp_path / "want.csv", "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["date", "class", "provenance", "k"])
+            for label in labels:
+                writer.writerow([label.date, "MILD" if label.mild else "DRASTIC",
+                                 label.provenance, label.k])
+        assert (tmp_path / "got.csv").read_bytes() == (tmp_path / "want.csv").read_bytes()
 
 
 class TestAprilPipeline:

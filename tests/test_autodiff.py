@@ -9,31 +9,37 @@ from lakedo import autodiff as ad
 from lakedo.errors import DomainError
 
 
+def scalar_value_and_grad(op, w):
+    """(value, gradient) of op applied to one scalar parameter named w."""
+    value, grad = ad.evaluate_with_gradient(lambda tape, p: op(p["w"]), {"w": w})
+    return value, grad["w"]
+
+
 class TestScalarBasics:
     def test_square_value_and_gradient(self):
-        value, grad = ad.evaluate_with_gradient(lambda tape, w: ad.mul(w, w), 3.0)
+        value, grad = scalar_value_and_grad(lambda w: ad.mul(w, w), 3.0)
         assert value == 9.0
         assert grad == 6.0
 
     def test_relu_subgradient_zero_at_kink(self):
-        _, grad = ad.evaluate_with_gradient(lambda tape, w: ad.relu(w), 0.0)
+        _, grad = scalar_value_and_grad(ad.relu, 0.0)
         assert grad == 0.0
-        _, grad = ad.evaluate_with_gradient(lambda tape, w: ad.relu(w), 2.0)
+        _, grad = scalar_value_and_grad(ad.relu, 2.0)
         assert grad == 1.0
-        _, grad = ad.evaluate_with_gradient(lambda tape, w: ad.relu(w), -2.0)
+        _, grad = scalar_value_and_grad(ad.relu, -2.0)
         assert grad == 0.0
 
     def test_abs_subgradient_zero_at_kink(self):
-        _, grad = ad.evaluate_with_gradient(lambda tape, w: ad.absval(w), 0.0)
+        _, grad = scalar_value_and_grad(ad.absval, 0.0)
         assert grad == 0.0
 
     def test_logsigmoid_matches_log_of_sigmoid(self):
-        value, grad = ad.evaluate_with_gradient(lambda t, w: ad.logsigmoid(w), 1.3)
+        value, grad = scalar_value_and_grad(ad.logsigmoid, 1.3)
         assert value == pytest.approx(np.log(1.0 / (1.0 + np.exp(-1.3))), rel=1e-12)
         assert grad == pytest.approx(1.0 - 1.0 / (1.0 + np.exp(-1.3)), rel=1e-12)
 
     def test_logsigmoid_stable_in_tails(self):
-        value, _ = ad.evaluate_with_gradient(lambda t, w: ad.logsigmoid(w), -800.0)
+        value, _ = scalar_value_and_grad(ad.logsigmoid, -800.0)
         assert value == -800.0
 
 
@@ -81,18 +87,18 @@ class TestStructuredGradients:
 
     def test_masked_mean_empty_mask_is_zero(self):
         def program(tape, p):
-            return ad.masked_mean(p, np.zeros(3, dtype=bool))
+            return ad.masked_mean(p["x"], np.zeros(3, dtype=bool))
 
-        value, grad = ad.evaluate_with_gradient(program, np.array([1.0, 2.0, 3.0]))
+        value, grad = ad.evaluate_with_gradient(program, {"x": np.array([1.0, 2.0, 3.0])})
         assert value == 0.0
-        assert np.array_equal(grad, np.zeros(3))
+        assert np.array_equal(grad["x"], np.zeros(3))
 
     def test_slicing_scatter(self):
         def program(tape, p):
-            return ad.masked_sum(p[1:3], np.ones(2, dtype=bool))
+            return ad.masked_sum(p["x"][1:3], np.ones(2, dtype=bool))
 
-        _, grad = ad.evaluate_with_gradient(program, np.array([1.0, 2.0, 3.0, 4.0]))
-        assert np.array_equal(grad, [0.0, 1.0, 1.0, 0.0])
+        _, grad = ad.evaluate_with_gradient(program, {"x": np.array([1.0, 2.0, 3.0, 4.0])})
+        assert np.array_equal(grad["x"], [0.0, 1.0, 1.0, 0.0])
 
 
 class TestFiniteDifferenceAgreement:
@@ -186,17 +192,17 @@ class TestTapeDiscipline:
     def test_gradient_check_flags_wrong_gradient(self):
         # A deliberately wrong "gradient" route: value uses w**2 while the
         # recorded op pretends to be w**3 by scaling; mismatch must be caught.
-        def program(tape, w):
-            return ad.scale(ad.mul(w, w), 1.0)
+        def program(tape, p):
+            return ad.scale(ad.mul(p["w"], p["w"]), 1.0)
 
-        def broken(tape, w):
-            return ad.scale(ad.mul(ad.mul(w, w), w), 1.0)
+        def broken(tape, p):
+            return ad.scale(ad.mul(ad.mul(p["w"], p["w"]), p["w"]), 1.0)
 
-        good = ad.gradient_check(program, 1.7)
+        good = ad.gradient_check(program, {"w": 1.7})
         assert good < 1e-8
-        v1, g1 = ad.evaluate_with_gradient(program, 1.7)
-        v3, g3 = ad.evaluate_with_gradient(broken, 1.7)
-        assert abs(g1 - g3) > 1e-3
+        v1, g1 = ad.evaluate_with_gradient(program, {"w": 1.7})
+        v3, g3 = ad.evaluate_with_gradient(broken, {"w": 1.7})
+        assert abs(g1["w"] - g3["w"]) > 1e-3
 
 
 def lstm_oracle(tape, w_cell, b_cell, features):
@@ -246,7 +252,7 @@ class TestLstmSequence:
             return states[0], loss, grad
 
         fused_hs, fused_loss, fused_grad = run(
-            lambda tape, w, b, x: ad.lstm_sequence(w, b, x))
+            lambda tape, w, b, x: ad.lstm_sequence(w, b, x)[0])
         oracle_hs, oracle_loss, oracle_grad = run(lstm_oracle)
         assert fused_hs.shape == (40, batch, 6)
         np.testing.assert_allclose(fused_hs, oracle_hs, rtol=0, atol=1e-12)
@@ -259,7 +265,7 @@ class TestLstmSequence:
         params, features, weights = lstm_case(2, days=6, hidden=3, seed=1)
 
         def program(tape, p):
-            hs = ad.lstm_sequence(p["w_cell"], p["b_cell"], features)
+            hs, _ = ad.lstm_sequence(p["w_cell"], p["b_cell"], features)
             return ad.masked_mean(ad.sqdiff(hs, tape.constant(weights)),
                                   np.ones(weights.shape, dtype=bool))
 
@@ -270,7 +276,7 @@ class TestLstmSequence:
         tape = ad.Tape()
         w = tape.constant(params["w_cell"])
         b = tape.param(params["b_cell"])
-        hs = ad.lstm_sequence(w, b, features)
+        hs, _ = ad.lstm_sequence(w, b, features)
         assert len(tape.values) == 3
         grads = tape.backward(ad.masked_sum(hs, np.ones(hs.shape, dtype=bool)))
         assert grads[w.idx] is None
@@ -286,8 +292,7 @@ class TestLstmSequence:
         def node_cache(ride_along):
             tape = ad.Tape()
             w, b = tape.param(params["w_cell"]), tape.param(params["b_cell"])
-            res = ad.lstm_sequence(w, b, features, ride_along)
-            node = res if ride_along is None else res[0]
+            node, _ = ad.lstm_sequence(w, b, features, ride_along)
             return node.value, tape.ctx[node.idx]
 
         value, (x, *states) = node_cache(ride)

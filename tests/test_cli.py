@@ -1,13 +1,17 @@
 """Command-line behavior: files written, exit codes, reproducibility."""
 
+import contextlib
 import csv
 import dataclasses
+import io
 import json
 import math
 import os
 import re
+import shutil
 import subprocess
 import sys
+import tracemalloc
 import warnings
 from pathlib import Path
 
@@ -18,11 +22,12 @@ from hypothesis import given, settings, strategies as st
 import lakedo
 from conftest import make_series
 from lakedo.adaptive import AprilConfig
-from lakedo.cli import load_generate_config, load_sweep_config, load_train_config, main
+from lakedo.cli import (SWEEP_COLUMNS, _sweep_point, load_generate_config, load_sweep_config,
+                        load_train_config, main)
 from lakedo.errors import ConfigError
-from lakedo.networks import init_predictor, load_checkpoint, save_checkpoint
-from lakedo.series import write_series
-from lakedo.synthetic import GenConfig
+from lakedo.networks import init_discriminator, init_predictor, load_checkpoint, save_checkpoint
+from lakedo.series import format_value, load_series, write_series
+from lakedo.synthetic import GenConfig, generate_lake, write_truth
 from lakedo.training import TrainConfig, validation_rmse, year_windows
 
 GEN_CONFIG = {
@@ -66,6 +71,16 @@ def data_dir(tmp_path_factory):
 def train_cfg(tmp_path_factory):
     root = tmp_path_factory.mktemp("cfg")
     return write_json(root / "train.json", TRAIN_CONFIG)
+
+
+@pytest.fixture(scope="module")
+def long_lake_dir(tmp_path_factory):
+    """One 12-year lake and its truth, each file larger than 128 KiB."""
+    out = tmp_path_factory.mktemp("long")
+    lake = generate_lake(GenConfig(n_lakes=1, n_years=12, truth_substeps=1), 0)
+    write_series(lake.series, out / "lake_00.csv")
+    write_truth(out / "lake_00_truth.csv", lake)
+    return out
 
 
 @pytest.fixture(scope="module")
@@ -152,6 +167,23 @@ class TestGenerate:
         assert main(["generate", "--config", str(cfg), "--out", str(tmp_path / "d")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: out of memory") and err.count("\n") == 1
+
+    @pytest.mark.parametrize("key", ["n_years", "year_days"])
+    def test_unsizable_day_count_names_both_fields(self, tmp_path, capsys, key):
+        # 2**62 days: numpy cannot even size their int64 calendar (2**65
+        # bytes), so the config is rejected before any array is made.
+        cfg = write_json(tmp_path / "gen.json", dict(GEN_CONFIG, **{key: 2**62}))
+        tracemalloc.start()
+        try:
+            code = main(["generate", "--config", str(cfg), "--out", str(tmp_path / "d")])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and "n_years" in err and "year_days" in err
+        assert peak < 2**20
+        assert not (tmp_path / "d").exists()
 
     def test_wrong_schema_rejected(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "gen.json",
@@ -492,6 +524,31 @@ class TestEvaluate:
                      "--out", str(tmp_path / "o")]) == 2
         assert "checkpoint" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("command, target", [
+        ("evaluate", "lake_00.csv"), ("train", "lake_00.csv"),
+        ("evaluate", "lake_00_truth.csv"), ("evaluate", "checkpoint.csv"),
+    ])
+    def test_stray_quote_exit_2(self, long_lake_dir, train_cfg, tmp_path, capsys,
+                                command, target):
+        # The csv module reads from a stray quote to the end of the file as one
+        # field, and every target holds more than its 128 KiB field limit.
+        data = tmp_path / "data"
+        shutil.copytree(long_lake_dir, data)
+        checkpoint = tmp_path / "checkpoint.csv"
+        # A hidden-20 checkpoint as train --mode april writes it.
+        save_checkpoint(checkpoint, predictor=init_predictor(10, 20, seed=0),
+                        discriminator=init_discriminator(11, seed=0))
+        path = checkpoint if target == checkpoint.name else data / target
+        lines = path.read_bytes().split(b"\r\n")
+        lines[2] = b'"' + lines[2]
+        path.write_bytes(b"\r\n".join(lines))
+        args = (["evaluate", str(checkpoint), "--k", "2"] if command == "evaluate"
+                else ["train", "--mode", "pril", "--config", str(train_cfg)])
+        assert main(args + ["--data", str(data), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error:")
+        assert target in err and "row 3" in err and "line" in err
+
     def test_feature_mismatch_exit_2(self, pril_run, tmp_path, capsys):
         data = tmp_path / "narrow"
         data.mkdir()
@@ -592,6 +649,47 @@ class TestSweep:
         assert all("failed: TrainingDiverged" in line for line in lines[:2])
         assert lines[2].startswith("error:")
 
+    @pytest.mark.parametrize("case", ["weights", "diverged"])
+    def test_sweep_csv_matches_per_row_writer(self, tmp_path, case):
+        # Big layer fluxes: a 1e308 weight overflows the consistency term.
+        regimes = ("MMM" + "S" * 4 + "MMM") * 3
+        healthy = make_series(regimes, lake_id="h1", f_exo=(50.0, -40.0, 0.1),
+                              obs={t: (6.0 + 0.1 * t, 4.0, None) if regimes[t] == "S"
+                                   else (None, None, 7.0) for t in range(0, 30, 2)})
+        data = tmp_path / "data"
+        data.mkdir()
+        write_series(healthy, data / "lake_h1.csv")
+        if case == "weights":
+            grid, code = {"lambda_epi": [-0.0, 1e308], "lambda_hyp": [0.0, 1.0]}, 0
+        else:
+            # test_every_point_diverged_exit_3's series overflows every point.
+            write_series(make_series("M" * 30, obs={t: (None, None, 1e200)
+                                                    for t in range(0, 30, 2)}),
+                         data / "lake_t0.csv")
+            grid, code = {"lambda_epi": [0.0, 1.0], "lambda_hyp": [0.0]}, 3
+        cfg = write_json(tmp_path / "grid.json", dict(
+            grid, schema="lakedo-sweep-v1", train=dict(max_epochs=2, window_days=10)))
+        assert main(["sweep", "--config", str(cfg), "--data", str(data),
+                     "--out", str(tmp_path / "o")]) == code
+        # Oracle: the csv module, one row per grid point, empty cells where
+        # the point diverged.
+        grid_epi, grid_hyp, base = load_sweep_config(cfg)
+        lakes = [load_series(p) for p in sorted(data.glob("*.csv"))]
+        with np.errstate(over="ignore", invalid="ignore"):
+            points = [_sweep_point((lakes, dataclasses.replace(base, lambda_epi=le,
+                                                               lambda_hyp=lh)))
+                      for le in grid_epi for lh in grid_hyp]
+        want = tmp_path / "want.csv"
+        with open(want, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(SWEEP_COLUMNS)
+            for le, lh, outcome in points:
+                rmse = ["", "", ""] if isinstance(outcome, str) else map(format_value, outcome)
+                writer.writerow([format_value(le), format_value(lh), *rmse])
+        diverged = [isinstance(outcome, str) for _, _, outcome in points]
+        assert diverged == ([False, False, True, True] if case == "weights" else [True, True])
+        assert (tmp_path / "o" / "sweep.csv").read_bytes() == want.read_bytes()
+
     @pytest.mark.parametrize("grid", [[], [None], ["1.0"], [True], [{"a": 1}], 1.0])
     def test_malformed_grid_exit_2(self, data_dir, tmp_path, capsys, grid):
         cfg = write_json(tmp_path / "grid.json", {"schema": "lakedo-sweep-v1",
@@ -678,3 +776,66 @@ def test_config_loaders_return_a_valid_config_or_raise_config_error(tmp_path_fac
         assert all(type(v) is float and math.isfinite(v) for v in grid_epi + grid_hyp)
     for cfg in loaded if isinstance(loaded, tuple) else (loaded,):
         _assert_valid_config(cfg)
+
+
+#: What the fuzz test puts into a cell; EXTRA appends a cell, DROP removes one.
+_EXTRA, _DROP = object(), object()
+_CELL_TOKENS = ("", "nan", "1e400", "-1", '"', "0x3", _EXTRA, _DROP)
+
+
+@pytest.fixture(scope="module")
+def fuzz_inputs(tmp_path_factory):
+    """A small lake with its truth, a checkpoint for it and a one-epoch train config.
+
+    The checkpoint carries a discriminator, as train --mode april writes it,
+    which takes it past the csv module's 128 KiB field limit.
+    """
+    root = tmp_path_factory.mktemp("fuzz_inputs")
+    gen = write_json(root / "gen.json", dict(
+        GEN_CONFIG, n_lakes=1, year_days=60, strat_start=15, strat_end=45,
+        truth_substeps=2, obs_sparsity=0.5))
+    assert main(["generate", "--config", str(gen), "--out", str(root / "data")]) == 0
+    (root / "data" / "manifest.json").unlink()
+    cfg = write_json(root / "train.json", dict(TRAIN_CONFIG, max_epochs=1, window_days=30))
+    assert main(["train", "--mode", "pril", "--data", str(root / "data"),
+                 "--out", str(root / "run"), "--config", str(cfg)]) == 0
+    predictor, _ = load_checkpoint(root / "run" / "checkpoint.csv")
+    save_checkpoint(root / "checkpoint.csv", predictor=predictor,
+                    discriminator=init_discriminator(11, seed=0))
+    return root / "data", root / "checkpoint.csv", cfg
+
+
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_mutated_input_files_exit_0_2_or_3_with_one_line(fuzz_inputs, tmp_path_factory, data):
+    source_dir, source_checkpoint, cfg = fuzz_inputs
+    root = tmp_path_factory.mktemp("fuzz")
+    shutil.copytree(source_dir, root / "data")
+    checkpoint = root / "checkpoint.csv"
+    shutil.copy(source_checkpoint, checkpoint)
+    target = data.draw(st.sampled_from(
+        [root / "data" / "lake_00.csv", root / "data" / "lake_00_truth.csv", checkpoint]))
+    lines = [line.split(",") for line in target.read_bytes().decode().split("\r\n")[:-1]]
+    for _ in range(data.draw(st.integers(1, 3))):
+        cells = lines[data.draw(st.integers(0, len(lines) - 1))]
+        col = data.draw(st.integers(0, max(len(cells) - 1, 0)))
+        token = data.draw(st.sampled_from(_CELL_TOKENS))
+        if token is _EXTRA:
+            cells.append("0")
+        else:
+            cells[col:col + 1] = [] if token is _DROP else [token]
+    target.write_text("".join(",".join(cells) + "\r\n" for cells in lines), newline="")
+    # Only evaluate reads truth files and checkpoints.
+    train = target.name == "lake_00.csv" and data.draw(st.booleans())
+    args = (["train", "--mode", "pril", "--config", str(cfg)] if train
+            else ["evaluate", str(checkpoint), "--k", "2"])
+    stderr = io.StringIO()
+    with warnings.catch_warnings(record=True) as caught, contextlib.redirect_stderr(stderr):
+        warnings.simplefilter("always")
+        code = main(args + ["--data", str(root / "data"), "--out", str(root / "out")])
+    assert code in (0, 2, 3)
+    if code:
+        # A warning would reach the terminal as lines of its own.
+        assert stderr.getvalue().count("\n") == 1 and not caught, stderr.getvalue()
+        assert stderr.getvalue().startswith("error:")
+    shutil.rmtree(root)

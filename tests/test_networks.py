@@ -101,7 +101,7 @@ class TestPredictor:
         feats = np.random.default_rng(2).normal(size=(3, 12, 4))
         tape = ad.Tape()
         pvars = {k: tape.param(v) for k, v in params.to_blocks().items()}
-        out = predictor_forward_tape(tape, pvars, feats)
+        out, _ = predictor_forward_tape(tape, pvars, feats)
         assert out.shape == (12, 3, 3)
         for b in range(3):
             expected = predictor_forward(params, feats[b])
@@ -122,7 +122,7 @@ class TestPredictor:
         feats = np.random.default_rng(8).normal(size=(8, 365, 4))
         tape = ad.Tape()
         pvars = {k: tape.param(v) for k, v in params.to_blocks().items()}
-        out = predictor_forward_tape(tape, pvars, feats)
+        out, _ = predictor_forward_tape(tape, pvars, feats)
         tape.backward(ad.masked_sum(out, np.ones(out.shape, dtype=bool)))
         assert len(tape.values) < 50
 
@@ -158,13 +158,12 @@ class TestPredictor:
         def taped(ride_along):
             tape = ad.Tape()
             pvars = {k: tape.param(v) for k, v in params.to_blocks().items()}
-            res = predictor_forward_tape(tape, pvars, feats, ride_along)
-            out = res if ride_along is None else res[0]
+            out, ride_out = predictor_forward_tape(tape, pvars, feats, ride_along)
             grads = tape.backward(ad.masked_sum(out, np.ones(out.shape, dtype=bool)))
-            return res, [grads[v.idx] for v in pvars.values()], len(tape.values)
+            return (out, ride_out), [grads[v.idx] for v in pvars.values()], len(tape.values)
 
         (out, ride_out), grads, nodes = taped(ride)
-        alone, alone_grads, alone_nodes = taped(None)
+        (alone, _), alone_grads, alone_nodes = taped(None)
         assert out.value.tobytes() == alone.value.tobytes()
         assert all(a.tobytes() == b.tobytes() for a, b in zip(grads, alone_grads))
         assert nodes == alone_nodes
@@ -175,7 +174,7 @@ class TestPredictor:
         init = init_predictor(3, 20, seed=1)
 
         def program(tape, p):
-            out = predictor_forward_tape(tape, p, feats)
+            out, _ = predictor_forward_tape(tape, p, feats)
             return ad.masked_sum(out, np.ones(out.shape, dtype=bool))
 
         err = ad.gradient_check(program, init.to_blocks())

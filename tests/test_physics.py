@@ -16,7 +16,6 @@ from lakedo.physics import (
     entrainment_fluxes_substep,
     mass_balance_residual,
     multi_step_euler,
-    simulate_mixed_step,
     simulate_stratified_step,
     simulate_targets,
 )
@@ -37,22 +36,6 @@ concentrations = st.floats(-5.0, 25.0)
 fluxes = st.floats(-3.0, 3.0)
 #: Subnormal volumes whose midpoint interpolates to exactly 0.0 at even k.
 UNDERFLOW_VOLUMES = (5e-324,) * 4
-
-
-class TestMixedStep:
-    def test_worked_example(self):
-        assert simulate_mixed_step(8.0, 0.5) == 8.5
-
-    def test_zero_flux_is_identity(self):
-        assert simulate_mixed_step(7.25, 0.0) == 7.25
-
-    def test_array_input(self):
-        out = simulate_mixed_step(np.array([8.0, 1.0]), np.array([0.5, -2.0]))
-        assert np.array_equal(out, [8.5, -1.0])
-
-    def test_rejects_non_finite(self):
-        with pytest.raises(DomainError):
-            simulate_mixed_step(np.nan, 0.5)
 
 
 class TestEntrainmentDaily:
@@ -399,7 +382,6 @@ class TestScalarEntryChecks:
     CASES = (
         (multi_step_euler, (9.0, 6.0, 0.2, -0.4, 100.0, 150.0, 200.0, 150.0)),
         (entrainment_fluxes_daily, (100.0, 150.0, 200.0, 150.0, 9.0, 6.0)),
-        (simulate_mixed_step, (8.0, 0.5)),
     )
 
     @pytest.mark.parametrize("fn, base", CASES)
@@ -413,8 +395,6 @@ class TestScalarEntryChecks:
                 assert _outcome(fn, [np.array(a) for a in args]) == as_float, (pos, bad)
 
     def test_messages_name_the_argument(self):
-        assert _outcome(simulate_mixed_step, (8.0, np.nan)) == \
-            ("error", "f_exo_total must be finite")
         assert _outcome(multi_step_euler, (9.0, 6.0, 0.2, -0.4, -0.0, 150.0, 200.0, 150.0)) \
             == ("error", "v_epi_prev must be positive and finite")
         assert _outcome(multi_step_euler, (9.0, 6.0, 0.2, -0.4, 100.0, 150.0, 200.0, 151.0))[1] \

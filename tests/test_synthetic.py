@@ -14,7 +14,6 @@ from lakedo.errors import ConfigError, DomainError, SchemaError
 from lakedo.physics import (
     SubstepConfig,
     multi_step_euler,
-    simulate_mixed_step,
     simulate_stratified_step,
 )
 from lakedo.series import format_value, relative_epi_volume_change, validate_series
@@ -59,7 +58,7 @@ def per_day_truth(cfg, draft):
     sub = SubstepConfig(k=cfg.truth_substeps)
     for i in range(1, t):
         if not strat[i - 1] and not strat[i]:
-            total = simulate_mixed_step(truth[i - 1, 2], draft.f_mixed[i - 1])
+            total = truth[i - 1, 2] + draft.f_mixed[i - 1]
             clamped[i] = total < 0.0
             truth[i, 2] = max(total, 0.0)
         elif not strat[i - 1]:
@@ -193,6 +192,19 @@ class TestTruth:
         assert clamped.dtype == bool
         np.testing.assert_array_equal(clamped, want_clamped)
         assert clamped.any()
+
+    def test_overflowing_last_day_raises(self, lake):
+        # No day follows the last one to trip over its non-finite total.
+        s = lake.series
+        assert not s.stratified[-4:].any()
+        f_mixed = np.where(s.stratified, 0.0, s.f_exo_total)
+        f_mixed[-3:-1] = 1.7e308
+        draft = _Draft(dates=s.dates, stratified=s.stratified, v_total=s.v_total,
+                       v_epi=s.v_epi, f_epi=s.f_exo_epi, f_hyp=s.f_exo_hyp,
+                       f_mixed=f_mixed, scenario_tags=lake.scenario_tags)
+        with pytest.raises(DomainError, match=f"not finite on day {s.dates[-1]}$"), \
+                np.errstate(over="ignore"):
+            _integrate_truth(ONE_YEAR, draft)
 
     def test_stratified_mass_budget(self, lake):
         # Day-over-day: new mass = old mass + exogenous input, except where
