@@ -79,8 +79,7 @@ class Tape:
         return Var(self, idx)
 
     def constant(self, value) -> Var:
-        v = self._push(value, "leaf", ())
-        return v
+        return self._push(value, "leaf", ())
 
     def param(self, value) -> Var:
         v = self._push(value, "leaf", ())
@@ -399,7 +398,8 @@ def _bw_sqdiff(tape, i, g, grads):
     _accumulate(tape, grads, pb, _unbroadcast(-2.0 * g * d, sb))
 
 
-def _bw_index(tape, i, g, grads):
+def _bw_scatter(tape, i, g, grads):
+    # index and masked_sum: the gradient lands on the cells the key selects.
     p = tape.parents[i][0]
     if not tape.needs_grad[p]:
         return
@@ -473,15 +473,6 @@ def _bw_lstm_sequence(tape, i, g, grads):
     _accumulate(tape, grads, pb, d_pre.sum(axis=(0, 1)))
 
 
-def _bw_masked_sum(tape, i, g, grads):
-    p = tape.parents[i][0]
-    if not tape.needs_grad[p]:
-        return
-    gp = np.zeros_like(tape.values[p])
-    gp[tape.ctx[i]] = g
-    _accumulate(tape, grads, p, gp)
-
-
 def _bw_masked_mean(tape, i, g, grads):
     mask, count = tape.ctx[i]
     p = tape.parents[i][0]
@@ -497,8 +488,8 @@ _BACKWARD = {
     "scale": _bw_scale, "add_const": _bw_add_const, "matmul": _bw_matmul,
     "tanh": _bw_tanh, "sigmoid": _bw_sigmoid, "relu": _bw_relu,
     "abs": _bw_abs, "logsigmoid": _bw_logsigmoid, "sqdiff": _bw_sqdiff,
-    "index": _bw_index, "concat": _bw_concat, "stack": _bw_stack,
-    "lstm_sequence": _bw_lstm_sequence, "masked_sum": _bw_masked_sum,
+    "index": _bw_scatter, "concat": _bw_concat, "stack": _bw_stack,
+    "lstm_sequence": _bw_lstm_sequence, "masked_sum": _bw_scatter,
     "masked_mean": _bw_masked_mean,
 }
 

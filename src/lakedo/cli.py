@@ -26,11 +26,10 @@ from .adaptive import AprilConfig, train_april, write_labels
 from .errors import ConfigError, DomainError, TrainingDiverged
 from .evaluate import (
     REFERENCE_SUBSTEPS,
-    build_report,
-    compare_models,
     export_timeseries,
     mass_inconsistency,
     regime_masked_predictions,
+    write_comparison,
 )
 from .networks import load_checkpoint, predictor_forward_series, save_checkpoint
 from .series import LakeSeries, _write_rows, load_series, write_series
@@ -317,9 +316,8 @@ def cmd_evaluate(checkpoint: str | Path, data_dir: str | Path, out_dir: str | Pa
         rmse_tasks = np.array(pooled_rmse(lakes, preds_by_lake)[:3])
     with np.errstate(invalid="ignore"):
         pooled_inc = np.nanmean(np.stack(inconsistency), axis=0)
-    report = build_report(Path(checkpoint).stem, rmse_tasks[None, :], pooled_inc[None, :])
     comparison = out / "comparison.csv"
-    compare_models([report], path=comparison)
+    write_comparison(comparison, Path(checkpoint).stem, rmse_tasks, pooled_inc)
     outputs.append(comparison)
 
     resolved = {"checkpoint": str(checkpoint), "k_reference": k_ref,
@@ -368,7 +366,8 @@ def cmd_sweep(config_path: str | Path, data_dir: str | Path, out_dir: str | Path
         # 13-20 ms to the start-up of every other command.
         from concurrent.futures import ProcessPoolExecutor
 
-        with ProcessPoolExecutor(max_workers=threads) as pool:
+        # Under fork every worker starts at the first submit, so cap them at the grid.
+        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             results = list(pool.map(_sweep_point, jobs))
 
     sweep_path = out / "sweep.csv"
@@ -433,10 +432,15 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
-    # Non-finite numbers are caught by the program's own checks (exit 3 for a
-    # non-finite loss, DomainError from the physics kernel), so numpy's
-    # floating-point warnings would only repeat them as stderr noise.
     try:
+        # The same int64 range the config fields are held to.
+        for flag in ("seed", "k", "threads"):
+            value = getattr(args, flag, None)
+            if value is not None and not _is_int64(value):
+                raise ConfigError(f"--{flag} must be an integer in the int64 range")
+        # Non-finite numbers are caught by the program's own checks (exit 3 for a
+        # non-finite loss, DomainError from the physics kernel), so numpy's
+        # floating-point warnings would only repeat them as stderr noise.
         with np.errstate(over="ignore", invalid="ignore"):
             if args.command == "generate":
                 return cmd_generate(args.config, args.out, seed=args.seed)

@@ -1,4 +1,4 @@
-"""Evaluation metrics and exports: mass inconsistency, report tables, time series.
+"""Evaluation metrics and exports: mass inconsistency, comparison table, time series.
 
 Mass inconsistency measures how far predictions drift from the balance
 scheme re-seeded from those same predictions: the mean over days 2..T of
@@ -10,7 +10,6 @@ stratified simulation run at a configurable reference substep count
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -24,12 +23,10 @@ from .series import LakeSeries, _write_rows, format_value
 __all__ = [
     "REFERENCE_SUBSTEPS",
     "TIMESERIES_COLUMNS",
-    "EvalReport",
     "mass_inconsistency",
     "reference_rollout",
     "regime_masked_predictions",
-    "build_report",
-    "compare_models",
+    "write_comparison",
     "export_timeseries",
 ]
 
@@ -125,66 +122,20 @@ def regime_masked_predictions(preds: np.ndarray, series: LakeSeries) -> np.ndarr
     return preds
 
 
-@dataclass(frozen=True)
-class EvalReport:
-    """Per-model summary aggregated over seeds."""
+def write_comparison(path: str | Path, model: str, rmse: np.ndarray,
+                     inconsistency: np.ndarray) -> None:
+    """Write the one-model comparison table: per-task RMSE, its std, inconsistency.
 
-    model: str
-    n_seeds: int
-    rmse_mean: np.ndarray
-    rmse_std: np.ndarray
-    inconsistency: np.ndarray
-
-    def __post_init__(self) -> None:
-        if not self.model:
-            raise DomainError("model name must be nonempty")
-        if self.n_seeds < 1:
-            raise DomainError("a report covers at least one seed")
-        for name in ("rmse_mean", "rmse_std", "inconsistency"):
-            a = np.asarray(getattr(self, name), dtype=np.float64)
-            if a.shape != (3,):
-                raise DomainError(f"{name} must have one entry per task")
-            object.__setattr__(self, name, a)
-        for name in ("rmse_mean", "rmse_std"):
-            a = getattr(self, name)
-            if np.any(a[np.isfinite(a)] < 0):
-                raise DomainError(f"{name} must be non-negative")
-
-
-def build_report(model: str, rmse_per_seed: np.ndarray,
-                 inconsistency_per_seed: np.ndarray) -> EvalReport:
-    """Aggregate per-seed (n, 3) metric arrays into a report (NaN propagates)."""
-    r = np.asarray(rmse_per_seed, dtype=np.float64)
-    c = np.asarray(inconsistency_per_seed, dtype=np.float64)
-    if r.ndim != 2 or r.shape[1] != 3 or r.shape[0] < 1:
-        raise DomainError("per-seed RMSE must have shape (n_seeds, 3)")
-    if c.shape != r.shape:
-        raise DomainError("per-seed metrics must share a shape")
-    return EvalReport(model=model, n_seeds=r.shape[0],
-                      rmse_mean=r.mean(axis=0), rmse_std=r.std(axis=0),
-                      inconsistency=c.mean(axis=0))
-
-
-def compare_models(reports: Sequence[EvalReport],
-                   path: str | Path | None = None) -> list[list[str]]:
-    """Comparison table, one row per model; optionally written as CSV."""
-    if not reports:
-        raise DomainError("compare_models needs at least one report")
+    The table holds one seed, so each RMSE std is 0, or NaN (an empty cell)
+    where the RMSE is NaN.
+    """
     header = ["model"]
-    for task in TASK_NAMES:
+    row = [model]
+    for task, r, c in zip(TASK_NAMES, rmse, inconsistency):
         header += [f"{task}_rmse_mean", f"{task}_rmse_std", f"{task}_inconsistency"]
-    rows = [header]
-    for rep in reports:
-        cells = [rep.model]
-        for task in range(3):
-            cells += [format_value(rep.rmse_mean[task]),
-                      format_value(rep.rmse_std[task]),
-                      format_value(rep.inconsistency[task])]
-        rows.append(cells)
-    if path is not None:
-        with open(path, "w", newline="") as fh:
-            csv.writer(fh).writerows(rows)
-    return rows
+        row += [format_value(r), format_value(np.std([r])), format_value(c)]
+    with open(path, "w", newline="") as fh:
+        csv.writer(fh).writerows([header, row])
 
 
 def export_timeseries(path: str | Path, series: LakeSeries, preds: np.ndarray,

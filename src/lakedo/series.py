@@ -45,6 +45,10 @@ _BASE_COLUMNS = (
     "f_exo_total", "f_exo_epi", "f_exo_hyp",
     "obs_total", "obs_epi", "obs_hyp",
 )
+_FLOAT_COLUMNS = _BASE_COLUMNS[2:]
+#: Every per-day field of a LakeSeries, in field order, with its dtype.
+_DAY_FIELDS = {"dates": np.int64, "stratified": bool,
+               **dict.fromkeys(_FLOAT_COLUMNS, np.float64), "features": np.float64}
 _FEAT_RE = re.compile(r"^feat_(\d+)$")
 #: Dates are stored as int64.
 _DATE_MIN, _DATE_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
@@ -85,22 +89,15 @@ class LakeSeries:
     features: np.ndarray
 
     def __post_init__(self) -> None:
-        object.__setattr__(self, "dates", _readonly(np.asarray(self.dates, dtype=np.int64)))
-        object.__setattr__(self, "stratified", _readonly(np.asarray(self.stratified, dtype=bool)))
-        for name in ("v_total", "v_epi", "v_hyp", "f_exo_total", "f_exo_epi",
-                     "f_exo_hyp", "obs_total", "obs_epi", "obs_hyp"):
-            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=np.float64)))
-        feats = np.asarray(self.features, dtype=np.float64)
-        if feats.ndim != 2:
+        for name, dtype in _DAY_FIELDS.items():
+            object.__setattr__(self, name, _readonly(np.asarray(getattr(self, name), dtype=dtype)))
+        if self.features.ndim != 2:
             raise DomainError("features must be a 2-D array of shape (days, channels)")
-        object.__setattr__(self, "features", _readonly(feats))
         t = self.dates.shape[0]
-        for name in ("stratified", "v_total", "v_epi", "v_hyp", "f_exo_total",
-                     "f_exo_epi", "f_exo_hyp", "obs_total", "obs_epi", "obs_hyp"):
-            if getattr(self, name).shape != (t,):
+        for name in list(_DAY_FIELDS)[1:]:
+            shape = getattr(self, name).shape
+            if (shape[:1] if name == "features" else shape) != (t,):
                 raise DomainError(f"{name} must have the same length as dates")
-        if feats.shape[0] != t:
-            raise DomainError("features must have the same length as dates")
 
     @property
     def n_days(self) -> int:
@@ -114,21 +111,8 @@ class LakeSeries:
         """Contiguous positional slice [lo, hi) as a new series (dates keep their values)."""
         if not (0 <= lo < hi <= self.n_days):
             raise DomainError(f"invalid slice [{lo}, {hi}) for {self.n_days} days")
-        return LakeSeries(
-            lake_id=self.lake_id,
-            dates=self.dates[lo:hi].copy(),
-            stratified=self.stratified[lo:hi].copy(),
-            v_total=self.v_total[lo:hi].copy(),
-            v_epi=self.v_epi[lo:hi].copy(),
-            v_hyp=self.v_hyp[lo:hi].copy(),
-            f_exo_total=self.f_exo_total[lo:hi].copy(),
-            f_exo_epi=self.f_exo_epi[lo:hi].copy(),
-            f_exo_hyp=self.f_exo_hyp[lo:hi].copy(),
-            obs_total=self.obs_total[lo:hi].copy(),
-            obs_epi=self.obs_epi[lo:hi].copy(),
-            obs_hyp=self.obs_hyp[lo:hi].copy(),
-            features=self.features[lo:hi].copy(),
-        )
+        return LakeSeries(lake_id=self.lake_id,
+                          **{name: getattr(self, name)[lo:hi].copy() for name in _DAY_FIELDS})
 
 
 @dataclass(frozen=True)
@@ -155,9 +139,7 @@ def validate_series(series: LakeSeries) -> ValidationReport:
         entries.append((bad, "dates must increase with unit spacing"))
     strat = series.stratified
     mixed = ~strat
-    present = {col: np.isfinite(getattr(series, col)) for col in
-               ("v_total", "v_epi", "v_hyp", "f_exo_total", "f_exo_epi", "f_exo_hyp",
-                "obs_total", "obs_epi", "obs_hyp")}
+    present = {col: np.isfinite(getattr(series, col)) for col in _FLOAT_COLUMNS}
     vt, ve, vh = series.v_total, series.v_epi, series.v_hyp
     layered = strat & present["v_epi"] & present["v_hyp"]
     with np.errstate(invalid="ignore", over="ignore"):
@@ -311,7 +293,7 @@ def load_series(path: str | Path) -> LakeSeries:
         if not set(flags) <= {"S", "M"}:
             raise ValueError("unknown regime flag")
         strat = np.array([cell == "S" for cell in flags], dtype=bool)
-        floats = {col: _float_column(body, c) for c, col in enumerate(_BASE_COLUMNS[2:], start=2)}
+        floats = {col: _float_column(body, c) for c, col in enumerate(_FLOAT_COLUMNS, start=2)}
         feats = np.empty((t_count, n_feat))
         for j in range(n_feat):
             feats[:, j] = _float_column(body, len(_BASE_COLUMNS) + j)
@@ -329,21 +311,7 @@ def load_series(path: str | Path) -> LakeSeries:
     lake_id = path.stem
     if lake_id.startswith("lake_"):
         lake_id = lake_id[len("lake_"):]
-    series = LakeSeries(
-        lake_id=lake_id,
-        dates=dates,
-        stratified=strat,
-        v_total=floats["v_total"],
-        v_epi=floats["v_epi"],
-        v_hyp=floats["v_hyp"],
-        f_exo_total=floats["f_exo_total"],
-        f_exo_epi=floats["f_exo_epi"],
-        f_exo_hyp=floats["f_exo_hyp"],
-        obs_total=floats["obs_total"],
-        obs_epi=floats["obs_epi"],
-        obs_hyp=floats["obs_hyp"],
-        features=feats,
-    )
+    series = LakeSeries(lake_id=lake_id, dates=dates, stratified=strat, **floats, features=feats)
     report = validate_series(series)
     if not report.ok:
         day, message = report.entries[0]
@@ -379,5 +347,5 @@ def write_series(series: LakeSeries, path: str | Path) -> None:
     """Write the CSV form; round-trips through load_series exactly."""
     header = list(_BASE_COLUMNS) + [f"feat_{j}" for j in range(series.n_features)]
     lead = [series.dates.tolist(), ["S" if s else "M" for s in series.stratified.tolist()]]
-    floats = [getattr(series, col) for col in _BASE_COLUMNS[2:]] + list(series.features.T)
+    floats = [getattr(series, col) for col in _FLOAT_COLUMNS] + list(series.features.T)
     _write_rows(path, header, lead, floats)

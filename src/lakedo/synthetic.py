@@ -205,8 +205,10 @@ def _integrate_truth(cfg: GenConfig, draft: _Draft) -> tuple[np.ndarray, np.ndar
         elif not strat[i - 1]:
             epi[i] = hyp[i] = tot[i] = tot[i - 1]
         elif strat[i]:
-            e, h = multi_step_euler(epi[i - 1], hyp[i - 1], f_epi[i - 1], f_hyp[i - 1],
-                                    ve[i - 1], ve[i], vh[i - 1], vh[i], cfg=sub, clamp=True)
+            # float(): the stepper returns numpy scalars.
+            e, h = map(float, multi_step_euler(epi[i - 1], hyp[i - 1], f_epi[i - 1], f_hyp[i - 1],
+                                               ve[i - 1], ve[i], vh[i - 1], vh[i], cfg=sub,
+                                               clamp=True))
             euler_days.append(i)
             epi[i], hyp[i] = e, h
             tot[i] = (e * ve[i] + h * vh[i]) / vt[i]

@@ -559,6 +559,30 @@ class TestEvaluate:
         assert "feature columns" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("flag, command", [
+    ("seed", ["generate", "--config", "{gen}"]),
+    ("k", ["train", "--mode", "april", "--data", "{data}", "--config", "{train}"]),
+    ("k", ["evaluate", "{checkpoint}", "--data", "{data}"]),
+    ("threads", ["sweep", "--config", "{sweep}", "--data", "{data}"]),
+], ids=["generate-seed", "train-k", "evaluate-k", "sweep-threads"])
+@pytest.mark.parametrize("value", [2**63, -2**63 - 1], ids=["above", "below"])
+def test_integer_flag_beyond_int64_exit_2(flag, command, value, data_dir, train_cfg, pril_run,
+                                          sweep_cfg, tmp_path, capsys, monkeypatch):
+    # Checked before dispatch, as the config fields are. No pool may start
+    # for a huge --threads, so the pool class is taken away.
+    import concurrent.futures
+
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", None)
+    paths = {"gen": write_json(tmp_path / "gen.json", GEN_CONFIG), "data": data_dir,
+             "train": train_cfg, "checkpoint": pril_run / "checkpoint.csv", "sweep": sweep_cfg}
+    out = tmp_path / "out"
+    argv = [arg.format(**paths) for arg in command] + ["--out", str(out), f"--{flag}", str(value)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == f"error: --{flag} must be an integer in the int64 range\n"
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def sweep_cfg(tmp_path_factory):
     payload = {
@@ -612,6 +636,34 @@ class TestSweep:
                      "--threads", "2"]) == 0
         assert (serial / "sweep.csv").read_bytes() == \
             (parallel / "sweep.csv").read_bytes()
+
+    def test_workers_capped_at_grid_size(self, data_dir, sweep_cfg, tmp_path, monkeypatch):
+        # A stand-in pool: records its size and maps serially, so no process starts.
+        import concurrent.futures
+
+        sizes = []
+
+        class SerialPool:
+            def __init__(self, max_workers):
+                sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", SerialPool)
+        serial, pooled = tmp_path / "serial", tmp_path / "pooled"
+        assert main(["sweep", "--config", str(sweep_cfg), "--data", str(data_dir),
+                     "--out", str(serial)]) == 0
+        assert main(["sweep", "--config", str(sweep_cfg), "--data", str(data_dir),
+                     "--out", str(pooled), "--threads", "64"]) == 0
+        assert sizes == [2]
+        assert (serial / "sweep.csv").read_bytes() == (pooled / "sweep.csv").read_bytes()
 
     def test_process_pool_is_not_imported_with_the_cli(self):
         # Only a parallel sweep needs it; every other command would pay its

@@ -1,4 +1,4 @@
-"""Metric oracles: RMSE, mass inconsistency, reports, time-series export."""
+"""Metric oracles: RMSE, mass inconsistency, comparison table, time-series export."""
 
 import csv
 
@@ -9,13 +9,11 @@ from conftest import make_series
 from lakedo.errors import DomainError
 from lakedo.evaluate import (
     TIMESERIES_COLUMNS,
-    EvalReport,
-    build_report,
-    compare_models,
     export_timeseries,
     mass_inconsistency,
     reference_rollout,
     regime_masked_predictions,
+    write_comparison,
 )
 from lakedo.losses import stacked_observations
 from lakedo.physics import simulate_targets
@@ -128,37 +126,18 @@ class TestMassInconsistency:
         assert masked[1, 0] == 1.0 and np.isnan(masked[1, 2])
 
 
-class TestReports:
-    def test_build_report_aggregates_seeds(self):
-        r = np.array([[1.0, 2.0, 3.0], [3.0, 2.0, 1.0]])
-        c = np.array([[0.1, 0.2, 0.3], [0.3, 0.2, 0.1]])
-        rep = build_report("pril", r, c)
-        assert rep.n_seeds == 2
-        np.testing.assert_allclose(rep.rmse_mean, [2.0, 2.0, 2.0])
-        np.testing.assert_allclose(rep.rmse_std, [1.0, 0.0, 1.0])
-        np.testing.assert_allclose(rep.inconsistency, [0.2, 0.2, 0.2])
-
-    def test_report_validation(self):
-        with pytest.raises(DomainError, match="non-negative"):
-            EvalReport(model="x", n_seeds=1, rmse_mean=np.array([-1.0, 0, 0]),
-                       rmse_std=np.zeros(3), inconsistency=np.zeros(3))
-        with pytest.raises(DomainError, match="at least one seed"):
-            EvalReport(model="x", n_seeds=0, rmse_mean=np.zeros(3),
-                       rmse_std=np.zeros(3), inconsistency=np.zeros(3))
-
-    def test_compare_models_table_shape(self, tmp_path):
-        rep = build_report("base", np.ones((1, 3)), np.ones((1, 3)))
-        rows = compare_models([rep, rep], path=tmp_path / "cmp.csv")
-        assert len(rows) == 3
-        assert len(rows[0]) == 10
-        assert rows[1] == rows[2]
-        with open(tmp_path / "cmp.csv", newline="") as fh:
-            parsed = list(csv.reader(fh))
-        assert parsed == rows
-
-    def test_compare_models_needs_reports(self):
-        with pytest.raises(DomainError, match="at least one"):
-            compare_models([])
+class TestComparison:
+    def test_bytes(self, tmp_path):
+        # One seed: a finite RMSE has std 0, a NaN one leaves mean and std
+        # empty; a comma in the model name is quoted.
+        path = tmp_path / "cmp.csv"
+        write_comparison(path, "a,b", np.array([1.5, np.nan, 0.25]),
+                         np.array([0.5, 2.0, np.nan]))
+        assert path.read_bytes() == (
+            b"model,epi_rmse_mean,epi_rmse_std,epi_inconsistency,"
+            b"hyp_rmse_mean,hyp_rmse_std,hyp_inconsistency,"
+            b"total_rmse_mean,total_rmse_std,total_inconsistency\r\n"
+            b'"a,b",1.5,0,0.5,,,2,0.25,0,\r\n')
 
 
 class TestExport:

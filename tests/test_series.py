@@ -13,6 +13,8 @@ from lakedo.errors import DomainError, OrderingError, SchemaError
 from lakedo.series import (
     VOLUME_CHANGE_REL_TOL,
     VOLUME_REL_TOL,
+    _DAY_FIELDS,
+    LakeSeries,
     Regime,
     RegimeSpan,
     _write_rows,
@@ -388,3 +390,23 @@ class TestSubseries:
     def test_bad_bounds(self):
         with pytest.raises(DomainError):
             sample_series().subseries(4, 2)
+
+
+class TestDayFields:
+    def test_every_day_field_is_listed(self):
+        # __post_init__, subseries and load_series all read the list.
+        names = [f.name for f in dataclasses.fields(LakeSeries)]
+        assert names[0] == "lake_id" and names[1:] == list(_DAY_FIELDS)
+
+    @pytest.mark.parametrize("name, value", [
+        ("obs_hyp", np.zeros(5)),
+        ("v_total", np.ones((6, 1))),
+        ("features", np.zeros((5, 2))),
+    ])
+    def test_length_mismatch_names_the_field(self, name, value):
+        with pytest.raises(DomainError, match=f"^{name} must have the same length as dates$"):
+            dataclasses.replace(sample_series(), **{name: value})
+
+    def test_one_dimensional_features_rejected(self):
+        with pytest.raises(DomainError, match="2-D"):
+            dataclasses.replace(sample_series(), features=np.zeros(6))
