@@ -136,18 +136,15 @@ def _same_tape(*vs: Var) -> Tape:
 
 
 def add(a: Var, b: Var) -> Var:
-    return _same_tape(a, b)._push(a.value + b.value, "add", (a, b),
-                                  (a.value.shape, b.value.shape))
+    return _same_tape(a, b)._push(a.value + b.value, "add", (a, b))
 
 
 def sub(a: Var, b: Var) -> Var:
-    return _same_tape(a, b)._push(a.value - b.value, "sub", (a, b),
-                                  (a.value.shape, b.value.shape))
+    return _same_tape(a, b)._push(a.value - b.value, "sub", (a, b))
 
 
 def mul(a: Var, b: Var) -> Var:
-    return _same_tape(a, b)._push(a.value * b.value, "mul", (a, b),
-                                  (a.value.shape, b.value.shape))
+    return _same_tape(a, b)._push(a.value * b.value, "mul", (a, b))
 
 
 def neg(a: Var) -> Var:
@@ -194,8 +191,7 @@ def logsigmoid(a: Var) -> Var:
 
 def sqdiff(a: Var, b: Var) -> Var:
     d = a.value - b.value
-    return _same_tape(a, b)._push(d * d, "sqdiff", (a, b),
-                                  (a.value.shape, b.value.shape))
+    return _same_tape(a, b)._push(d * d, "sqdiff", (a, b))
 
 
 def index(a: Var, key) -> Var:
@@ -204,9 +200,8 @@ def index(a: Var, key) -> Var:
 
 def concat(vs: list[Var], axis: int = -1) -> Var:
     tape = _same_tape(*vs)
-    sizes = [v.value.shape[axis] for v in vs]
     return tape._push(np.concatenate([v.value for v in vs], axis=axis),
-                      "concat", tuple(vs), (axis, sizes))
+                      "concat", tuple(vs), axis)
 
 
 def stack(vs: list[Var]) -> Var:
@@ -324,23 +319,21 @@ def masked_mean(a: Var, mask: np.ndarray) -> Var:
 
 def _bw_add(tape, i, g, grads):
     pa, pb = tape.parents[i]
-    sa, sb = tape.ctx[i]
-    _accumulate(tape, grads, pa, _unbroadcast(g, sa))
-    _accumulate(tape, grads, pb, _unbroadcast(g, sb))
+    _accumulate(tape, grads, pa, _unbroadcast(g, tape.values[pa].shape))
+    _accumulate(tape, grads, pb, _unbroadcast(g, tape.values[pb].shape))
 
 
 def _bw_sub(tape, i, g, grads):
     pa, pb = tape.parents[i]
-    sa, sb = tape.ctx[i]
-    _accumulate(tape, grads, pa, _unbroadcast(g, sa))
-    _accumulate(tape, grads, pb, _unbroadcast(-g, sb))
+    _accumulate(tape, grads, pa, _unbroadcast(g, tape.values[pa].shape))
+    _accumulate(tape, grads, pb, _unbroadcast(-g, tape.values[pb].shape))
 
 
 def _bw_mul(tape, i, g, grads):
     pa, pb = tape.parents[i]
-    sa, sb = tape.ctx[i]
-    _accumulate(tape, grads, pa, _unbroadcast(g * tape.values[pb], sa))
-    _accumulate(tape, grads, pb, _unbroadcast(g * tape.values[pa], sb))
+    a, b = tape.values[pa], tape.values[pb]
+    _accumulate(tape, grads, pa, _unbroadcast(g * b, a.shape))
+    _accumulate(tape, grads, pb, _unbroadcast(g * a, b.shape))
 
 
 def _bw_neg(tape, i, g, grads):
@@ -392,10 +385,10 @@ def _bw_logsigmoid(tape, i, g, grads):
 
 def _bw_sqdiff(tape, i, g, grads):
     pa, pb = tape.parents[i]
-    sa, sb = tape.ctx[i]
-    d = tape.values[pa] - tape.values[pb]
-    _accumulate(tape, grads, pa, _unbroadcast(2.0 * g * d, sa))
-    _accumulate(tape, grads, pb, _unbroadcast(-2.0 * g * d, sb))
+    a, b = tape.values[pa], tape.values[pb]
+    d = a - b
+    _accumulate(tape, grads, pa, _unbroadcast(2.0 * g * d, a.shape))
+    _accumulate(tape, grads, pb, _unbroadcast(-2.0 * g * d, b.shape))
 
 
 def _bw_scatter(tape, i, g, grads):
@@ -409,9 +402,10 @@ def _bw_scatter(tape, i, g, grads):
 
 
 def _bw_concat(tape, i, g, grads):
-    axis, sizes = tape.ctx[i]
+    axis = tape.ctx[i]
     offset = 0
-    for p, size in zip(tape.parents[i], sizes):
+    for p in tape.parents[i]:
+        size = tape.values[p].shape[axis]
         sl = [slice(None)] * g.ndim
         sl[axis] = slice(offset, offset + size)
         _accumulate(tape, grads, p, g[tuple(sl)])

@@ -4,7 +4,9 @@ Every command resolves its config (JSON file plus flag overrides), runs,
 and writes a manifest.json recording the command, a platform-stable hash
 of the resolved config, the seed, input and output paths, the package
 version, and the wall-clock duration. Exit codes: 0 success, 2 for
-usage/config/data problems, 3 for numerical failure.
+usage/config/data problems, 3 for numerical failure. The output directory
+is created only once the inputs have passed their checks (for generate,
+train and sweep, once the work has run), so a failed run leaves it as it was.
 """
 
 from __future__ import annotations
@@ -205,9 +207,10 @@ def cmd_generate(config_path: str | Path | None, out_dir: str | Path,
     cfg = load_generate_config(config_path)
     if seed is not None:
         cfg = replace(cfg, seed=seed)
+    lakes = generate(cfg)
     out = _prepare_out(out_dir)
     outputs = []
-    for lake in generate(cfg):
+    for lake in lakes:
         series_path = out / f"lake_{lake.series.lake_id}.csv"
         truth_path = out / f"lake_{lake.series.lake_id}_truth.csv"
         write_series(lake.series, series_path)
@@ -236,25 +239,22 @@ def cmd_train(mode: str, data_dir: str | Path, out_dir: str | Path,
         config = replace(config, lambda_epi=0.0, lambda_hyp=0.0, lambda_total=0.0)
 
     files, lakes = _load_lakes(data_dir)
-    out = _prepare_out(out_dir)
-    outputs = []
     if mode == "april":
         result = train_april(lakes, config, april)
-        save_checkpoint(out / "checkpoint.csv", predictor=result.params,
-                        discriminator=result.discriminator)
-        for lake_id, labels in sorted(result.labels.items()):
-            label_path = out / f"labels_{lake_id}.csv"
-            write_labels(label_path, labels)
-            outputs.append(label_path)
-        history = result.history
+        history, discriminator, labels = result.history, result.discriminator, result.labels
         # The returned parameters come from the last stage that ran.
         last = result.stage3 or result.stage1
         epoch_offset = len(result.stage1.history.rows) if result.stage3_ran else 0
     else:
         last = train_pril(lakes, config)
-        save_checkpoint(out / "checkpoint.csv", predictor=last.params)
-        history = last.history
-        epoch_offset = 0
+        history, discriminator, labels, epoch_offset = last.history, None, {}, 0
+    out = _prepare_out(out_dir)
+    save_checkpoint(out / "checkpoint.csv", predictor=last.params, discriminator=discriminator)
+    outputs = []
+    for lake_id, day_labels in sorted(labels.items()):
+        label_path = out / f"labels_{lake_id}.csv"
+        write_labels(label_path, day_labels)
+        outputs.append(label_path)
     history_path = out / "history.csv"
     write_history(history_path, history)
     outputs += [out / "checkpoint.csv", history_path]
@@ -349,13 +349,10 @@ def _sweep_point(args) -> tuple[float, float, tuple[float, float, float] | str]:
 def cmd_sweep(config_path: str | Path, data_dir: str | Path, out_dir: str | Path,
               seed: int | None = None, threads: int = 1) -> int:
     started = time.monotonic()
-    if threads < 1:
-        raise ConfigError("--threads must be >= 1")
     grid_epi, grid_hyp, base = load_sweep_config(config_path)
     if seed is not None:
         base = replace(base, seed=seed)
     files, lakes = _load_lakes(data_dir)
-    out = _prepare_out(out_dir)
 
     jobs = [(lakes, replace(base, lambda_epi=le, lambda_hyp=lh))
             for le in grid_epi for lh in grid_hyp]
@@ -370,6 +367,7 @@ def cmd_sweep(config_path: str | Path, data_dir: str | Path, out_dir: str | Path
         with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
             results = list(pool.map(_sweep_point, jobs))
 
+    out = _prepare_out(out_dir)
     sweep_path = out / "sweep.csv"
     failures = [{"lambda_epi": le, "lambda_hyp": lh, "error": outcome}
                 for le, lh, outcome in results if isinstance(outcome, str)]
@@ -438,6 +436,8 @@ def main(argv: Sequence[str] | None = None) -> int:
             value = getattr(args, flag, None)
             if value is not None and not _is_int64(value):
                 raise ConfigError(f"--{flag} must be an integer in the int64 range")
+            if flag != "seed" and value is not None and value < 1:
+                raise ConfigError(f"--{flag} must be >= 1")
         # Non-finite numbers are caught by the program's own checks (exit 3 for a
         # non-finite loss, DomainError from the physics kernel), so numpy's
         # floating-point warnings would only repeat them as stderr noise.

@@ -140,30 +140,26 @@ class WindowBatch:
     """Equal-length training windows stacked for one taped forward pass.
 
     Day-major layouts match the taped forward output (days, windows, ...).
-    obs is NaN-filled with zeros; obs_mask marks the real cells. A, c,
-    defined are absent when the batch was built without physics.
+    obs is NaN-filled with zeros; obs_mask marks the real cells.
     """
 
     features: np.ndarray          # (windows, days, n_features)
     obs: np.ndarray               # (days, windows, 3), zeros where unobserved
     obs_mask: np.ndarray          # (days, windows, 3) bool
-    a: np.ndarray | None          # (days, windows, 3, 3)
-    c: np.ndarray | None          # (days, windows, 3)
-    defined: np.ndarray | None    # (days, windows, 3) bool
+    a: np.ndarray                 # (days, windows, 3, 3)
+    c: np.ndarray                 # (days, windows, 3)
+    defined: np.ndarray           # (days, windows, 3) bool
 
     @property
     def n_days(self) -> int:
         return self.features.shape[1]
 
 
-def window_cache(series: LakeSeries, k_per_day=None,
-                 with_physics: bool = True) -> WindowBatch:
+def window_cache(series: LakeSeries, k_per_day=None) -> WindowBatch:
     """One window as a one-window batch, physics coefficients precomputed once."""
     obs_raw = stacked_observations(series)
     obs_mask = np.isfinite(obs_raw)
-    a = c = defined = None
-    if with_physics:
-        a, c, defined = (x[:, None] for x in affine_day_coefficients(series, k_per_day))
+    a, c, defined = (x[:, None] for x in affine_day_coefficients(series, k_per_day))
     return WindowBatch(features=series.features[None],
                        obs=np.where(obs_mask, obs_raw, 0.0)[:, None],
                        obs_mask=obs_mask[:, None], a=a, c=c, defined=defined)
@@ -177,23 +173,17 @@ def stack_windows(caches: Sequence[WindowBatch]) -> WindowBatch:
     for w in caches:
         if w.features.shape[1:] != shape:
             raise DomainError("all windows must share length and feature width")
-    with_physics = caches[0].a is not None
-    if any((w.a is not None) != with_physics for w in caches):
-        raise DomainError("cannot mix physics and physics-free windows")
     features = np.concatenate([w.features for w in caches])
     obs = np.concatenate([w.obs for w in caches], axis=1)
     obs_mask = np.concatenate([w.obs_mask for w in caches], axis=1)
-    a = c = defined = None
-    if with_physics:
-        a = np.concatenate([w.a for w in caches], axis=1)
-        c = np.concatenate([w.c for w in caches], axis=1)
-        defined = np.concatenate([w.defined for w in caches], axis=1)
+    a = np.concatenate([w.a for w in caches], axis=1)
+    c = np.concatenate([w.c for w in caches], axis=1)
+    defined = np.concatenate([w.defined for w in caches], axis=1)
     return WindowBatch(features=features, obs=obs, obs_mask=obs_mask,
                        a=a, c=c, defined=defined)
 
 
-def build_window_batch(windows: Sequence[LakeSeries], k_per_day=None,
-                       with_physics: bool = True) -> WindowBatch:
+def build_window_batch(windows: Sequence[LakeSeries], k_per_day=None) -> WindowBatch:
     """Stack same-length windows; k_per_day is one array per window (or None)."""
     if not windows:
         raise DomainError("need at least one window")
@@ -201,8 +191,7 @@ def build_window_batch(windows: Sequence[LakeSeries], k_per_day=None,
         k_per_day = [None] * len(windows)
     if len(k_per_day) != len(windows):
         raise DomainError("k_per_day must have one entry per window")
-    return stack_windows([window_cache(w, k_per_day=k, with_physics=with_physics)
-                          for w, k in zip(windows, k_per_day)])
+    return stack_windows([window_cache(w, k_per_day=k) for w, k in zip(windows, k_per_day)])
 
 
 def taped_window_loss(tape: ad.Tape, pvars: dict[str, ad.Var], batch: WindowBatch,
@@ -225,8 +214,6 @@ def taped_window_loss(tape: ad.Tape, pvars: dict[str, ad.Var], batch: WindowBatc
     loss = ml
     parts["ml"] = ml
     if any(lams):
-        if batch.a is None:
-            raise DomainError("batch was built without physics coefficients")
         t_count = batch.n_days
         prev = out[0 : t_count - 1]
         cur = out[1:t_count]

@@ -59,6 +59,8 @@ class PredictorParams:
     def __post_init__(self) -> None:
         for name in ("w_cell", "b_cell", "w_head", "b_head"):
             object.__setattr__(self, name, _frozen(getattr(self, name)))
+            if not np.isfinite(getattr(self, name)).all():
+                raise DomainError(f"{name} must be finite")
         if self.w_cell.ndim != 2 or self.w_cell.shape[1] % 4:
             raise DomainError("w_cell must have shape (n_features + hidden, 4 * hidden)")
         hidden = self.w_cell.shape[1] // 4

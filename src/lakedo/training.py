@@ -183,7 +183,6 @@ def _prepare_windows(lakes: Sequence[LakeSeries], config: TrainConfig,
     """Per-lake window split into cached train windows and raw validation windows."""
     if not lakes:
         raise DomainError("need at least one lake")
-    with_physics = any(config.lambdas)
     train_caches: list = []
     val_windows: list[LakeSeries] = []
     for lake in lakes:
@@ -199,8 +198,7 @@ def _prepare_windows(lakes: Sequence[LakeSeries], config: TrainConfig,
                 raise DomainError(f"lake {lake.lake_id}: k policy must cover every day")
         for start, window in train:
             k_slice = None if k_full is None else k_full[start : start + config.window_days]
-            train_caches.append(window_cache(window, k_per_day=k_slice,
-                                             with_physics=with_physics))
+            train_caches.append(window_cache(window, k_per_day=k_slice))
         val_windows.extend(val)
     if not any(np.isfinite(stacked_observations(w)).any() for w in val_windows):
         raise DomainError("validation windows contain no observations")

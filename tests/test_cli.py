@@ -185,6 +185,14 @@ class TestGenerate:
         assert peak < 2**20
         assert not (tmp_path / "d").exists()
 
+    def test_failed_generate_leaves_no_out(self, tmp_path, capsys):
+        cfg = write_json(tmp_path / "gen.json", dict(GEN_CONFIG, n_lakes=1, n_years=1,
+                                                     scenario_a_count=500))
+        out = tmp_path / "data"
+        assert main(["generate", "--config", str(cfg), "--out", str(out)]) == 2
+        assert "not enough stratified days" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_wrong_schema_rejected(self, tmp_path, capsys):
         cfg = write_json(tmp_path / "gen.json",
                          dict(GEN_CONFIG, schema="lakedo-train-v1"))
@@ -296,6 +304,15 @@ class TestTrain:
         assert code == 3
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error:") and "epoch" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_no_validation_window_leaves_no_out(self, data_dir, tmp_path, capsys):
+        cfg = write_json(tmp_path / "t.json", dict(TRAIN_CONFIG, train_years=2))
+        out = tmp_path / "o"
+        assert main(["train", "--mode", "pril", "--data", str(data_dir),
+                     "--out", str(out), "--config", str(cfg)]) == 2
+        assert "need more than 2 windows of 365 days, got 2" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_out_of_range_date_exit_2(self, data_dir, train_cfg, tmp_path, capsys):
         data = tmp_path / "data"
@@ -524,6 +541,20 @@ class TestEvaluate:
                      "--out", str(tmp_path / "o")]) == 2
         assert "checkpoint" in capsys.readouterr().err
 
+    def test_non_finite_predictor_value_exit_2_naming_the_file(self, data_dir, pril_run,
+                                                                tmp_path, capsys):
+        lines = (pril_run / "checkpoint.csv").read_bytes().split(b"\r\n")
+        row = next(i for i, line in enumerate(lines) if line.startswith(b"predictor,w_head,"))
+        lines[row] = lines[row].rsplit(b",", 1)[0] + b",nan"
+        checkpoint = tmp_path / "nan.csv"
+        checkpoint.write_bytes(b"\r\n".join(lines))
+        out = tmp_path / "o"
+        assert main(["evaluate", str(checkpoint), "--data", str(data_dir),
+                     "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {checkpoint}: ") and "w_head must be finite" in err
+        assert not out.exists()
+
     @pytest.mark.parametrize("command, target", [
         ("evaluate", "lake_00.csv"), ("train", "lake_00.csv"),
         ("evaluate", "lake_00_truth.csv"), ("evaluate", "checkpoint.csv"),
@@ -580,6 +611,20 @@ def test_integer_flag_beyond_int64_exit_2(flag, command, value, data_dir, train_
     assert main(argv) == 2
     err = capsys.readouterr().err
     assert err == f"error: --{flag} must be an integer in the int64 range\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--mode", "april", "--data", "{data}", "--config", "{train}"],
+    ["evaluate", "{checkpoint}", "--data", "{data}"],
+], ids=["train", "evaluate"])
+def test_zero_substeps_flag_exit_2_before_any_output(command, data_dir, train_cfg, pril_run,
+                                                     tmp_path, capsys):
+    paths = {"data": data_dir, "train": train_cfg, "checkpoint": pril_run / "checkpoint.csv"}
+    out = tmp_path / "out"
+    argv = [arg.format(**paths) for arg in command] + ["--out", str(out), "--k", "0"]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == "error: --k must be >= 1\n"
     assert not out.exists()
 
 
@@ -683,6 +728,7 @@ class TestSweep:
                      "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error:") and "windows" in err
+        assert not (tmp_path / "o").exists()
 
     def test_every_point_diverged_exit_3(self, tmp_path, capsys):
         # test_divergence_exit_3's series: every grid point overflows.
@@ -700,6 +746,9 @@ class TestSweep:
         assert len(lines) == 3
         assert all("failed: TrainingDiverged" in line for line in lines[:2])
         assert lines[2].startswith("error:")
+        # The table and manifest still record every failed point.
+        assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["manifest.json",
+                                                                       "sweep.csv"]
 
     @pytest.mark.parametrize("case", ["weights", "diverged"])
     def test_sweep_csv_matches_per_row_writer(self, tmp_path, case):
@@ -890,4 +939,5 @@ def test_mutated_input_files_exit_0_2_or_3_with_one_line(fuzz_inputs, tmp_path_f
         # A warning would reach the terminal as lines of its own.
         assert stderr.getvalue().count("\n") == 1 and not caught, stderr.getvalue()
         assert stderr.getvalue().startswith("error:")
+        assert not (root / "out").exists()
     shutil.rmtree(root)

@@ -166,10 +166,6 @@ class TestWindowBatch:
         with pytest.raises(DomainError, match="at least one"):
             build_window_batch([])
 
-    def test_physics_free_batch(self):
-        batch = build_window_batch([series_with_obs()], with_physics=False)
-        assert batch.a is None and batch.c is None and batch.defined is None
-
 
 class TestTapedWindowLoss:
     def test_matches_value_level_single_window(self):
@@ -191,7 +187,7 @@ class TestTapedWindowLoss:
     def test_multi_window_pools_across_batch(self):
         wins = [series_with_obs(seed=10), series_with_obs(seed=11)]
         params = init_predictor(2, 20, seed=12)
-        batch = build_window_batch(wins, with_physics=False)
+        batch = build_window_batch(wins)
         tape = ad.Tape()
         pvars = {k: tape.param(v) for k, v in params.to_blocks().items()}
         parts = taped_window_loss(tape, pvars, batch, (0.0, 0.0, 0.0), 0.0)
@@ -206,7 +202,7 @@ class TestTapedWindowLoss:
     def test_zero_weights_build_identical_tape_to_pure_ml(self):
         series = series_with_obs(seed=13)
         params = init_predictor(2, 20, seed=14)
-        batch = build_window_batch([series], with_physics=False)
+        batch = build_window_batch([series])
 
         tape1 = ad.Tape()
         p1 = {k: tape1.param(v) for k, v in params.to_blocks().items()}
@@ -223,14 +219,6 @@ class TestTapedWindowLoss:
         g2 = tape2.backward(loss2)
         for k in params.to_blocks():
             np.testing.assert_array_equal(g1[p1[k].idx], g2[p2[k].idx])
-
-    def test_missing_physics_with_nonzero_weight_rejected(self):
-        batch = build_window_batch([series_with_obs()], with_physics=False)
-        tape = ad.Tape()
-        pvars = {k: tape.param(v)
-                 for k, v in init_predictor(2, 20, seed=0).to_blocks().items()}
-        with pytest.raises(DomainError, match="physics"):
-            taped_window_loss(tape, pvars, batch, (1.0, 0.0, 0.0), 0.05)
 
     def test_full_loss_gradient_check(self):
         series = series_with_obs(seed=15)
