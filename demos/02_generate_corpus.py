@@ -11,7 +11,7 @@ from pathlib import Path
 
 import numpy as np
 
-from lakedo.series import segment_regimes, write_series
+from lakedo.series import write_series
 from lakedo.synthetic import GenConfig, generate, write_truth
 
 cfg = GenConfig(n_lakes=2, n_years=2, seed=7)
@@ -21,8 +21,12 @@ for lake in lakes:
     s = lake.series
     print(f"\nlake {s.lake_id}: {s.n_days} days, "
           f"{int(s.stratified.sum())} stratified")
-    for span in segment_regimes(s)[:6]:
-        print(f"  {span.regime.name.lower():>10s}  dates {span.start}..{span.end}")
+    # Regime runs: one starts on day 0 and wherever the regime flips.
+    starts = np.r_[0, np.flatnonzero(np.diff(s.stratified)) + 1]
+    ends = np.append(starts[1:], s.n_days) - 1
+    for start, end in list(zip(starts, ends))[:6]:
+        regime = "stratified" if s.stratified[start] else "mixed"
+        print(f"  {regime:>10s}  dates {s.dates[start]}..{s.dates[end]}")
 
     obs_cells = int(np.isfinite(s.obs_epi).sum() + np.isfinite(s.obs_hyp).sum()
                     + np.isfinite(s.obs_total).sum())

@@ -21,7 +21,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .autodiff import sigmoid_values
-from .errors import ConfigError, DomainError
+from .errors import ConfigError, DomainError, require_finite_floats
 from .losses import stacked_observations
 from .networks import (
     DiscriminatorParams,
@@ -76,10 +76,11 @@ class AprilConfig:
     finetune_epochs: int = 50
 
     def __post_init__(self) -> None:
-        if not np.isfinite(self.gamma_factor) or self.gamma_factor <= 0:
-            raise ConfigError("gamma_factor must be finite and > 0")
-        if not np.isfinite(self.volume_change_threshold) or self.volume_change_threshold <= 0:
-            raise ConfigError("volume_change_threshold must be finite and > 0")
+        require_finite_floats(self)
+        if self.gamma_factor <= 0:
+            raise ConfigError("gamma_factor must be > 0")
+        if self.volume_change_threshold <= 0:
+            raise ConfigError("volume_change_threshold must be > 0")
         if self.k_drastic < 1:
             raise ConfigError("k_drastic must be >= 1")
         if not 0 < self.mild_probability_threshold < 1:
@@ -150,20 +151,13 @@ def label_drastic_days(series: LakeSeries, preds: np.ndarray, gamma: float,
     """
     if gamma < 0 or volume_threshold <= 0:
         raise DomainError("gamma must be >= 0 and volume_threshold > 0")
-    labels: dict[int, _RuleLabel] = {}
-    rel = relative_epi_volume_change(series)
-    for t in np.flatnonzero(series.stratified):
-        residuals = []
-        if np.isfinite(series.obs_epi[t]):
-            residuals.append(abs(preds[t, 0] - series.obs_epi[t]))
-        if np.isfinite(series.obs_hyp[t]):
-            residuals.append(abs(preds[t, 1] - series.obs_hyp[t]))
-        if abs(rel[t]) > volume_threshold:
-            labels[int(t)] = _RuleLabel(mild=False, provenance=VOLUME_RULE)
-        elif residuals:
-            labels[int(t)] = _RuleLabel(mild=bool(max(residuals) <= gamma),
-                                        provenance=ERROR_RULE)
-    return labels
+    layers = stacked_observations(series)[:, :2]
+    worst = np.fmax.reduce(np.abs(preds[:, :2] - layers), axis=1)
+    volume = np.abs(relative_epi_volume_change(series)) > volume_threshold
+    judged = series.stratified & (volume | np.isfinite(layers).any(axis=1))
+    return {int(t): _RuleLabel(mild=False, provenance=VOLUME_RULE) if volume[t]
+            else _RuleLabel(mild=bool(worst[t] <= gamma), provenance=ERROR_RULE)
+            for t in np.flatnonzero(judged)}
 
 
 def train_discriminator(inputs: np.ndarray, is_mild: np.ndarray, april: AprilConfig,

@@ -107,15 +107,10 @@ class Tape:
 
 
 def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    # Only leading broadcast axes are summed; any other mismatch fails in reshape.
     if g.shape == shape:
         return g
-    extra = g.ndim - len(shape)
-    if extra > 0:
-        g = g.sum(axis=tuple(range(extra)))
-    axes = tuple(i for i, s in enumerate(shape) if s == 1 and g.shape[i] != 1)
-    if axes:
-        g = g.sum(axis=axes, keepdims=True)
-    return g.reshape(shape)
+    return g.sum(axis=tuple(range(g.ndim - len(shape)))).reshape(shape)
 
 
 def _accumulate(tape: Tape, grads: list, idx: int, g: np.ndarray) -> None:
@@ -269,26 +264,25 @@ def lstm_sequence_values(w_cell: np.ndarray, b_cell: np.ndarray, features: np.nd
 
 
 def lstm_sequence(w_cell: Var, b_cell: Var, features: np.ndarray,
-                  ride_along: np.ndarray | None = None) -> tuple[Var, np.ndarray | None]:
+                  ride_along: np.ndarray | None = None) -> tuple[Var, np.ndarray]:
     """Fused LSTM over features (B, T, m): hidden states (T, B, H) as one tape node.
 
     Returns (node, ride). The backward pass is hand-written backpropagation
     through time. ride_along (V, T, m) rows join the same time loop without
     entering the tape: the node holds and differentiates the B feature rows
-    only, and ride is the ride-along hidden states (T, V, H), or None when
-    nothing rides along. Both groups' values equal separate calls bit for
-    bit, and the taped rows' cache is copied out, so the node holds exactly
-    what a B-row call holds. The copies are C-contiguous (BPTT's tensordots
-    take another BLAS path on strided views, which changes the gradient's
-    rounding), and each joint array is released as soon as its taped rows
-    are copied, so the copies add at most one array to the joint forward's
-    memory.
+    only, and ride is the ride-along hidden states (T, V, H); None means
+    zero ride-along rows, giving an empty ride. Both groups' values equal
+    separate calls bit for bit, and the taped rows' cache is copied out, so
+    the node holds exactly what a B-row call holds. The copies are
+    C-contiguous (BPTT's tensordots take another BLAS path on strided views,
+    which changes the gradient's rounding), and each joint array is released
+    as soon as its taped rows are copied, so the copies add at most one
+    array to the joint forward's memory.
     """
     tape = _same_tape(w_cell, b_cell)
     features = np.asarray(features, dtype=np.float64)
     if ride_along is None:
-        hs, cache = lstm_sequence_values(w_cell.value, b_cell.value, features)
-        return tape._push(hs, "lstm_sequence", (w_cell, b_cell), cache), None
+        ride_along = features[:0]
     n = features.shape[0]
     joint = list(lstm_sequence_values(w_cell.value, b_cell.value,
                                       np.concatenate([features, ride_along]), split=n)[1][1:])
@@ -352,10 +346,8 @@ def _bw_matmul(tape, i, g, grads):
     pa, pb = tape.parents[i]
     a, b = tape.values[pa], tape.values[pb]
     _accumulate(tape, grads, pa, g @ b.T)
-    if a.ndim == 2:
-        _accumulate(tape, grads, pb, a.T @ g)
-    else:
-        _accumulate(tape, grads, pb, np.tensordot(a, g, axes=([0, 1], [0, 1])))
+    lead = list(range(a.ndim - 1))
+    _accumulate(tape, grads, pb, np.tensordot(a, g, axes=(lead, lead)))
 
 
 def _bw_tanh(tape, i, g, grads):
@@ -394,8 +386,6 @@ def _bw_sqdiff(tape, i, g, grads):
 def _bw_scatter(tape, i, g, grads):
     # index and masked_sum: the gradient lands on the cells the key selects.
     p = tape.parents[i][0]
-    if not tape.needs_grad[p]:
-        return
     gp = np.zeros_like(tape.values[p])
     gp[tape.ctx[i]] = g
     _accumulate(tape, grads, p, gp)
@@ -470,7 +460,7 @@ def _bw_lstm_sequence(tape, i, g, grads):
 def _bw_masked_mean(tape, i, g, grads):
     mask, count = tape.ctx[i]
     p = tape.parents[i][0]
-    if not count or not tape.needs_grad[p]:
+    if not count:
         return
     gp = np.zeros_like(tape.values[p])
     gp[mask] = g / count

@@ -320,19 +320,11 @@ def cmd_evaluate(checkpoint: str | Path, data_dir: str | Path, out_dir: str | Pa
     write_comparison(comparison, Path(checkpoint).stem, rmse_tasks, pooled_inc)
     outputs.append(comparison)
 
-    resolved = {"checkpoint": str(checkpoint), "k_reference": k_ref,
-                "train": asdict(config) if config else None}
+    resolved = {"k_reference": k_ref, "train": asdict(config) if config else None}
     seed = config.seed if config else 0
     inputs = [checkpoint] + list(files) + ([config_path] if config_path else [])
     _write_manifest(out, "evaluate", resolved, seed, inputs, outputs, started)
     return 0
-
-
-def _best_epoch_rmse(result) -> tuple[float, float, float]:
-    for row in result.history.rows:
-        if row.epoch == result.best_epoch:
-            return row.val_rmse_epi, row.val_rmse_hyp, row.val_rmse_total
-    raise DomainError("best epoch missing from history")
 
 
 def _sweep_point(args) -> tuple[float, float, tuple[float, float, float] | str]:
@@ -343,7 +335,10 @@ def _sweep_point(args) -> tuple[float, float, tuple[float, float, float] | str]:
             result = train_pril(lakes, config)
     except TrainingDiverged as exc:
         return config.lambda_epi, config.lambda_hyp, f"{type(exc).__name__}: {exc}"
-    return config.lambda_epi, config.lambda_hyp, _best_epoch_rmse(result)
+    # train_pril numbers its epochs 1..n, so the best epoch's row is at best_epoch - 1.
+    best = result.history.rows[result.best_epoch - 1]
+    return config.lambda_epi, config.lambda_hyp, (best.val_rmse_epi, best.val_rmse_hyp,
+                                                  best.val_rmse_total)
 
 
 def cmd_sweep(config_path: str | Path, data_dir: str | Path, out_dir: str | Path,

@@ -1,4 +1,7 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the config check they share."""
+
+import dataclasses
+import math
 
 
 class SchemaError(ValueError):
@@ -19,3 +22,11 @@ class ConfigError(ValueError):
 
 class TrainingDiverged(RuntimeError):
     """A training loss or parameter became non-finite."""
+
+
+def require_finite_floats(config) -> None:
+    """Raise ConfigError naming the first float field of a config dataclass that is not finite."""
+    for field in dataclasses.fields(config):
+        value = getattr(config, field.name)
+        if field.type in ("float", float) and not math.isfinite(value):
+            raise ConfigError(f"{field.name} must be finite, got {value!r}")

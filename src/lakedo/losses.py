@@ -203,12 +203,12 @@ def taped_window_loss(tape: ad.Tape, pvars: dict[str, ad.Var], batch: WindowBatc
     stay None), which keeps an all-zero weighting bit-identical to a purely
     supervised program. ride_along (V, days, n_features) windows run in the
     same forward off the tape; their head outputs come back as
-    parts["ride_along"], (V, days, 3), which is None when nothing rides along.
+    parts["ride_along"], (V, days, 3), which is (0, days, 3) when nothing rides along.
     """
     lams = _check_weights(lambdas, tau)
     parts: dict = {"ml": None, "mc_epi": None, "mc_hyp": None, "mc_total": None}
     # out is (days, windows, 3).
-    out, parts["ride_along"] = predictor_forward_tape(tape, pvars, batch.features, ride_along)
+    out, parts["ride_along"] = predictor_forward_tape(pvars, batch.features, ride_along)
     obs = tape.constant(batch.obs)
     ml = ad.masked_mean(ad.sqdiff(out, obs), batch.obs_mask)
     loss = ml

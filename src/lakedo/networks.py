@@ -149,20 +149,17 @@ def predictor_forward_series(params: PredictorParams,
     return [series[:n] for series, n in zip(out, lengths)]
 
 
-def predictor_forward_tape(tape: ad.Tape, p: dict[str, ad.Var], features: np.ndarray,
-                           ride_along: np.ndarray | None = None
-                           ) -> tuple[ad.Var, np.ndarray | None]:
+def predictor_forward_tape(p: dict[str, ad.Var], features: np.ndarray,
+                           ride_along: np.ndarray | None = None) -> tuple[ad.Var, np.ndarray]:
     """Differentiable batched forward: features (B, T, m) -> (head outputs (T, B, 3), ride).
 
     ride_along (V, T, m) windows share the LSTM time loop without entering
     the tape; ride is their outputs as a (V, T, 3) array laid out like
-    predictor_forward's, or None when nothing rides along.
+    predictor_forward's, empty (0, T, 3) when nothing rides along.
     """
     hs, ride_hs = ad.lstm_sequence(p["w_cell"], p["b_cell"], features, ride_along)
     out = ad.add(ad.matmul(hs, p["w_head"]), p["b_head"])
-    if ride_hs is not None:
-        ride_hs = _head(ride_hs, p["w_head"].value, p["b_head"].value)
-    return out, ride_hs
+    return out, _head(ride_hs, p["w_head"].value, p["b_head"].value)
 
 
 @dataclass(frozen=True)

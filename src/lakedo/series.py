@@ -10,27 +10,22 @@ empty cells on disk.
 from __future__ import annotations
 
 import csv
-import enum
 import math
 import re
 from dataclasses import dataclass
 from operator import itemgetter
 from pathlib import Path
-from typing import NamedTuple
 
 import numpy as np
 
 from .errors import DomainError, OrderingError, SchemaError
 
 __all__ = [
-    "Regime",
-    "RegimeSpan",
     "LakeSeries",
     "ValidationReport",
     "load_series",
     "write_series",
     "validate_series",
-    "segment_regimes",
     "relative_epi_volume_change",
 ]
 
@@ -52,17 +47,6 @@ _DAY_FIELDS = {"dates": np.int64, "stratified": bool,
 _FEAT_RE = re.compile(r"^feat_(\d+)$")
 #: Dates are stored as int64.
 _DATE_MIN, _DATE_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
-
-
-class Regime(enum.Enum):
-    STRATIFIED = "S"
-    MIXED = "M"
-
-
-class RegimeSpan(NamedTuple):
-    start: int
-    end: int
-    regime: Regime
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -191,22 +175,6 @@ def relative_epi_volume_change(series: LakeSeries) -> np.ndarray:
     idx = np.flatnonzero(both)
     out[idx] = (series.v_epi[idx] - series.v_epi[idx - 1]) / series.v_epi[idx - 1]
     return out
-
-
-def segment_regimes(series: LakeSeries) -> list[RegimeSpan]:
-    """Maximal runs of constant regime, as (start_date, end_date, regime)."""
-    spans: list[RegimeSpan] = []
-    if series.n_days == 0:
-        return spans
-    strat = series.stratified
-    dates = series.dates
-    run_start = 0
-    for t in range(1, series.n_days + 1):
-        if t == series.n_days or strat[t] != strat[run_start]:
-            regime = Regime.STRATIFIED if strat[run_start] else Regime.MIXED
-            spans.append(RegimeSpan(int(dates[run_start]), int(dates[t - 1]), regime))
-            run_start = t
-    return spans
 
 
 def _parse_float(cell: str, day: int, col: str) -> float:

@@ -19,7 +19,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SchemaError
+from .errors import ConfigError, DomainError, SchemaError, require_finite_floats
 from .physics import SubstepConfig, multi_step_euler
 from .series import (LakeSeries, _parse_date, _read_csv, _write_rows,
                      relative_epi_volume_change, validate_series)
@@ -71,6 +71,7 @@ class GenConfig:
     truth_substeps: int = 192
 
     def __post_init__(self) -> None:
+        require_finite_floats(self)
         if self.n_lakes < 1 or self.n_years < 1:
             raise ConfigError("n_lakes and n_years must be >= 1")
         if self.seed < 0:
@@ -263,20 +264,13 @@ def _combined_total_flux(draft: _Draft) -> np.ndarray:
                     draft.f_mixed)
 
 
-def _observations(cfg: GenConfig, obs_days: np.ndarray, noise: np.ndarray,
-                  stratified: np.ndarray, truth: np.ndarray
-                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    t = stratified.size
-    obs_epi = np.full(t, np.nan)
-    obs_hyp = np.full(t, np.nan)
-    obs_total = np.full(t, np.nan)
-    for i in np.flatnonzero(obs_days):
-        if stratified[i]:
-            obs_epi[i] = max(truth[i, 0] + noise[i, 0], 0.0)
-            obs_hyp[i] = max(truth[i, 1] + noise[i, 1], 0.0)
-        else:
-            obs_total[i] = max(truth[i, 2] + noise[i, 0], 0.0)
-    return obs_epi, obs_hyp, obs_total
+def _observations(obs_days: np.ndarray, noise: np.ndarray, stratified: np.ndarray,
+                  truth: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Noisy observations, clipped at 0: layers on stratified visit days, total on mixed ones."""
+    layers, total = obs_days & stratified, obs_days & ~stratified
+    return (np.where(layers, np.maximum(truth[:, 0] + noise[:, 0], 0.0), np.nan),
+            np.where(layers, np.maximum(truth[:, 1] + noise[:, 1], 0.0), np.nan),
+            np.where(total, np.maximum(truth[:, 2] + noise[:, 0], 0.0), np.nan))
 
 
 def _apply_scenario(cfg: GenConfig, draft: _Draft, day: int, kind: str) -> None:
@@ -358,7 +352,7 @@ def generate_lake(cfg: GenConfig, index: int) -> GeneratedLake:
     noise = noise_rng.normal(0.0, cfg.obs_noise_sd, (t, 2))
     truth, clamped = _integrate_truth(cfg, draft)
     f_total = _combined_total_flux(draft)
-    obs_epi, obs_hyp, obs_total = _observations(cfg, obs_days, noise, stratified, truth)
+    obs_epi, obs_hyp, obs_total = _observations(obs_days, noise, stratified, truth)
     series = LakeSeries(
         # Bare two-digit id: series files are written as lake_{id}.csv, and the
         # loader drops that prefix, so this survives a write/load round trip.

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, DomainError, TrainingDiverged
+from .errors import ConfigError, DomainError, TrainingDiverged, require_finite_floats
 from .losses import stacked_observations, stack_windows, taped_window_loss, window_cache
 from .networks import (
     MAX_HIDDEN,
@@ -66,12 +66,10 @@ class TrainConfig:
     train_years: int = 2
 
     def __post_init__(self) -> None:
-        for name in ("lambda_epi", "lambda_hyp", "lambda_total"):
-            lam = getattr(self, name)
-            if not np.isfinite(lam) or lam < 0:
-                raise ConfigError(f"{name} must be finite and >= 0")
-        if not np.isfinite(self.tau_mc) or self.tau_mc < 0:
-            raise ConfigError("tau_mc must be finite and >= 0")
+        require_finite_floats(self)
+        for name in ("lambda_epi", "lambda_hyp", "lambda_total", "tau_mc"):
+            if getattr(self, name) < 0:
+                raise ConfigError(f"{name} must be >= 0")
         lo, hi = LEARNING_RATE_RANGE
         if not lo <= self.learning_rate <= hi:
             raise ConfigError(f"learning_rate must lie in [{lo}, {hi}]")

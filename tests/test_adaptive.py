@@ -1,6 +1,7 @@
 """Labeling rules, discriminator training, and the adaptive pipeline paths."""
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -350,6 +351,13 @@ class TestAprilPipeline:
         for k, v in r1.params.to_blocks().items():
             np.testing.assert_array_equal(r2.params.to_blocks()[k], v)
         assert r1.labels == r2.labels
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["disc_learning_rate", "gamma_factor",
+                                      "mild_probability_threshold"])
+    def test_non_finite_float_rejected_naming_the_field(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be finite, got"):
+            AprilConfig(**{name: value})
 
     def test_config_validation(self):
         with pytest.raises(ConfigError, match="gamma_factor"):

@@ -432,6 +432,22 @@ class TestEvaluate:
         assert err.count("\n") == 1 and "unknown keys ['bogus']" in err
         assert not out.exists()
 
+    def test_config_hash_does_not_depend_on_checkpoint_location(self, data_dir, pril_run,
+                                                                tmp_path):
+        manifests = []
+        for where in ("a", "b"):
+            checkpoint = tmp_path / where / "ckpt.csv"
+            checkpoint.parent.mkdir()
+            shutil.copyfile(pril_run / "checkpoint.csv", checkpoint)
+            out = tmp_path / where / "eval"
+            assert main(["evaluate", str(checkpoint), "--data", str(data_dir),
+                         "--out", str(out), "--k", "2"]) == 0
+            manifests.append(json.loads((out / "manifest.json").read_text()))
+            assert str(checkpoint) in manifests[-1]["inputs"]
+        assert manifests[0]["config_sha256"] == manifests[1]["config_sha256"]
+        assert (tmp_path / "a" / "eval" / "comparison.csv").read_bytes() == \
+            (tmp_path / "b" / "eval" / "comparison.csv").read_bytes()
+
     def test_one_predictor_forward_serves_every_lake(self, data_dir, pril_run, tmp_path,
                                                      monkeypatch):
         from lakedo import networks
@@ -625,6 +641,40 @@ def test_zero_substeps_flag_exit_2_before_any_output(command, data_dir, train_cf
     argv = [arg.format(**paths) for arg in command] + ["--out", str(out), "--k", "0"]
     assert main(argv) == 2
     assert capsys.readouterr().err == "error: --k must be >= 1\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("case, message", [
+    ("config not JSON", "not valid JSON"),
+    ("config a JSON array", "config must be a JSON object"),
+    ("no lake CSV", "no lake CSV files in"),
+    ("discriminator-only checkpoint", "no predictor section in checkpoint"),
+    ("empty lake CSV", "empty file"),
+    ("unknown sweep key", "unknown keys ['bogus']"),
+])
+def test_input_error_exit_2_with_one_line_and_no_out(case, message, data_dir, train_cfg,
+                                                     tmp_path, capsys):
+    (tmp_path / "not.json").write_text("{")
+    (tmp_path / "array.json").write_text(json.dumps([TRAIN_CONFIG]))
+    (tmp_path / "no_lakes").mkdir()
+    (tmp_path / "empty").mkdir()
+    (tmp_path / "empty" / "lake_00.csv").write_text("")
+    save_checkpoint(tmp_path / "disc.csv", discriminator=init_discriminator(4, hidden=(2,)))
+    write_json(tmp_path / "sweep.json", {"schema": "lakedo-sweep-v1", "lambda_epi": [0.0],
+                                         "lambda_hyp": [0.0], "bogus": 1})
+    data, pril = ["--data", str(data_dir)], ["train", "--mode", "pril"]
+    argv = {
+        "config not JSON": ["generate", "--config", str(tmp_path / "not.json")],
+        "config a JSON array": [*pril, "--config", str(tmp_path / "array.json"), *data],
+        "no lake CSV": [*pril, "--data", str(tmp_path / "no_lakes")],
+        "discriminator-only checkpoint": ["evaluate", str(tmp_path / "disc.csv"), *data],
+        "empty lake CSV": [*pril, "--data", str(tmp_path / "empty")],
+        "unknown sweep key": ["sweep", "--config", str(tmp_path / "sweep.json"), *data],
+    }[case]
+    out = tmp_path / "out"
+    assert main(argv + ["--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and err.count("\n") == 1 and message in err
     assert not out.exists()
 
 

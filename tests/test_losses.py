@@ -210,7 +210,7 @@ class TestTapedWindowLoss:
 
         tape2 = ad.Tape()
         p2 = {k: tape2.param(v) for k, v in params.to_blocks().items()}
-        out, _ = predictor_forward_tape(tape2, p2, batch.features)
+        out, _ = predictor_forward_tape(p2, batch.features)
         loss2 = ad.masked_mean(ad.sqdiff(out, tape2.constant(batch.obs)), batch.obs_mask)
 
         assert len(tape1.values) == len(tape2.values)

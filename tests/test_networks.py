@@ -101,7 +101,7 @@ class TestPredictor:
         feats = np.random.default_rng(2).normal(size=(3, 12, 4))
         tape = ad.Tape()
         pvars = {k: tape.param(v) for k, v in params.to_blocks().items()}
-        out, _ = predictor_forward_tape(tape, pvars, feats)
+        out, _ = predictor_forward_tape(pvars, feats)
         assert out.shape == (12, 3, 3)
         for b in range(3):
             expected = predictor_forward(params, feats[b])
@@ -122,7 +122,7 @@ class TestPredictor:
         feats = np.random.default_rng(8).normal(size=(8, 365, 4))
         tape = ad.Tape()
         pvars = {k: tape.param(v) for k, v in params.to_blocks().items()}
-        out, _ = predictor_forward_tape(tape, pvars, feats)
+        out, _ = predictor_forward_tape(pvars, feats)
         tape.backward(ad.masked_sum(out, np.ones(out.shape, dtype=bool)))
         assert len(tape.values) < 50
 
@@ -158,7 +158,7 @@ class TestPredictor:
         def taped(ride_along):
             tape = ad.Tape()
             pvars = {k: tape.param(v) for k, v in params.to_blocks().items()}
-            out, ride_out = predictor_forward_tape(tape, pvars, feats, ride_along)
+            out, ride_out = predictor_forward_tape(pvars, feats, ride_along)
             grads = tape.backward(ad.masked_sum(out, np.ones(out.shape, dtype=bool)))
             return (out, ride_out), [grads[v.idx] for v in pvars.values()], len(tape.values)
 
@@ -174,7 +174,7 @@ class TestPredictor:
         init = init_predictor(3, 20, seed=1)
 
         def program(tape, p):
-            out, _ = predictor_forward_tape(tape, p, feats)
+            out, _ = predictor_forward_tape(p, feats)
             return ad.masked_sum(out, np.ones(out.shape, dtype=bool))
 
         err = ad.gradient_check(program, init.to_blocks())

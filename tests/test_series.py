@@ -1,4 +1,4 @@
-"""Lake series CSV round-trips, validation, and regime segmentation."""
+"""Lake series CSV round-trips and validation."""
 
 from __future__ import annotations
 
@@ -15,12 +15,9 @@ from lakedo.series import (
     VOLUME_REL_TOL,
     _DAY_FIELDS,
     LakeSeries,
-    Regime,
-    RegimeSpan,
     _write_rows,
     format_value,
     load_series,
-    segment_regimes,
     validate_series,
     write_series,
 )
@@ -348,35 +345,6 @@ class TestValidation:
     def test_matches_per_day_validator_on_mixed_corruption(self, edits):
         bad = corrupted(sample_series(), edits)
         assert validate_series(bad).entries == per_day_validate(bad)
-
-
-class TestSegmentation:
-    def test_worked_example(self):
-        s = sample_series()
-        spans = segment_regimes(s)
-        assert spans == [
-            RegimeSpan(1, 2, Regime.MIXED),
-            RegimeSpan(3, 5, Regime.STRATIFIED),
-            RegimeSpan(6, 6, Regime.MIXED),
-        ]
-
-    def test_single_regime(self):
-        spans = segment_regimes(make_series("SSS", v_epi=[100.0, 101.0, 102.0]))
-        assert spans == [RegimeSpan(1, 3, Regime.STRATIFIED)]
-
-    @settings(max_examples=100, deadline=None)
-    @given(st.lists(st.booleans(), min_size=1, max_size=40))
-    def test_spans_partition_the_series(self, flags):
-        regimes = "".join("S" if f else "M" for f in flags)
-        s = make_series(regimes, v_epi=[100.0 + t for t in range(len(flags))])
-        spans = segment_regimes(s)
-        days = [d for span in spans for d in range(span.start, span.end + 1)]
-        assert days == list(range(1, len(flags) + 1))
-        for span in spans:
-            run = s.stratified[span.start - 1:span.end]
-            assert np.all(run == (span.regime is Regime.STRATIFIED))
-        for a, b in zip(spans, spans[1:]):
-            assert a.regime is not b.regime
 
 
 class TestSubseries:

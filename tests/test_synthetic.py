@@ -5,6 +5,7 @@ recompute day-over-day mass from the published series alone.
 """
 
 import csv
+import math
 
 import numpy as np
 import pytest
@@ -122,6 +123,12 @@ class TestGenerate:
         assert np.abs(f.mean(axis=0)).max() < 1e-9
         stds = f.std(axis=0)
         assert np.all((np.abs(stds - 1.0) < 1e-9) | (stds == 0.0))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["obs_noise_sd", "v_total", "scenario_flux"])
+    def test_non_finite_float_rejected_naming_the_field(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be finite, got"):
+            GenConfig(**{name: value})
 
     def test_config_validation(self):
         with pytest.raises(ConfigError):

@@ -1,5 +1,6 @@
 """Optimizer oracle, window splitting, and the training loop contract."""
 
+import math
 import weakref
 
 import numpy as np
@@ -97,6 +98,12 @@ class TestConfigValidation:
             quick_config(lambda_epi=-1.0)
         with pytest.raises(ConfigError, match="tau"):
             quick_config(tau_mc=float("nan"))
+
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    @pytest.mark.parametrize("name", ["lambda_hyp", "tau_mc", "learning_rate"])
+    def test_non_finite_float_rejected_naming_the_field(self, name, value):
+        with pytest.raises(ConfigError, match=f"^{name} must be finite, got"):
+            TrainConfig(**{name: value})
 
     def test_lambdas_property(self):
         cfg = quick_config(lambda_epi=1.0, lambda_hyp=2.0, lambda_total=3.0)
