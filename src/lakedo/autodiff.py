@@ -204,9 +204,9 @@ def stack(vs: list[Var]) -> Var:
     return tape._push(np.stack([v.value for v in vs], axis=0), "stack", tuple(vs))
 
 
-def lstm_sequence_values(w_cell: np.ndarray, b_cell: np.ndarray, features: np.ndarray,
-                         split: int | None = None) -> tuple[np.ndarray, tuple]:
-    """LSTM hidden states for features (B, T, m) as (T, B, H), plus the BPTT cache.
+def lstm_sequence_values(w_cell: np.ndarray, b_cell: np.ndarray,
+                         groups: list[np.ndarray]) -> tuple[np.ndarray, tuple]:
+    """LSTM hidden states (T, B, H) for row groups (B_i, T, m), plus the BPTT cache.
 
     w_cell stacks the recurrent rows above the input rows, (H + m, 4H), with
     gate columns in the order input, forget, output, candidate; the state
@@ -217,32 +217,32 @@ def lstm_sequence_values(w_cell: np.ndarray, b_cell: np.ndarray, features: np.nd
     view taken by zip over the (T, ...) arrays, and every per-day result is
     written into a preallocated buffer.
 
-    With split, rows before and from split get separate matrix products, so
-    each group's rows equal a call on that group alone bit for bit, whatever
-    row blocking the BLAS uses; the elementwise work is shared.
+    The groups are stacked along B, each with its own matrix products read
+    from its own array, so each group's rows equal a call on it alone bit for
+    bit, whatever row blocking the BLAS uses. The cache is (gates, h, c, tanh_c).
     """
-    b, t_count, _ = features.shape
+    bounds = np.cumsum([0] + [len(x) for x in groups]).tolist()
+    rows = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
+    b, t_count = bounds[-1], groups[0].shape[1]
     hidden = w_cell.shape[1] // 4
     n_sig = 3 * hidden
-    groups = (slice(None),) if split is None else (slice(None, split), slice(split, None))
     w_h = w_cell[:hidden]
-    x = features.transpose(1, 0, 2)                     # (T, B, m)
     gates = np.empty((t_count, b, 4 * hidden))          # (T, B, 4H) pre-activations
-    for rows in groups:
-        np.matmul(x[:, rows], w_cell[hidden:], out=gates[:, rows])
+    for x, r in zip(groups, rows):
+        np.matmul(x.transpose(1, 0, 2), w_cell[hidden:], out=gates[:, r])
     gates += b_cell
     h = np.zeros((t_count + 1, b, hidden))              # h[t] is the state before day t
     c = np.zeros((t_count + 1, b, hidden))
     tanh_c = np.empty((t_count, b, hidden))
     rec = np.empty((b, 4 * hidden))
-    rec_groups = [rec[rows] for rows in groups]
+    rec_groups = [rec[r] for r in rows]
     e = np.empty((b, n_sig))
     den = np.empty((b, n_sig))
     nonneg = np.empty((b, n_sig), dtype=bool)
     iu = np.empty((b, hidden))
     days = zip(gates, gates[..., :n_sig], gates[..., :hidden],
                gates[..., hidden:2 * hidden], gates[..., 2 * hidden:n_sig],
-               gates[..., n_sig:], zip(*(h[:, rows] for rows in groups)),
+               gates[..., n_sig:], zip(*(h[:, r] for r in rows)),
                h[1:], c, c[1:], tanh_c)
     for g, sig, i, f, o, u, h_prev_groups, h_next, c_prev, c_next, tc in days:
         for h_prev, r in zip(h_prev_groups, rec_groups):
@@ -260,7 +260,7 @@ def lstm_sequence_values(w_cell: np.ndarray, b_cell: np.ndarray, features: np.nd
         c_next += iu
         np.tanh(c_next, out=tc)
         np.multiply(o, tc, out=h_next)
-    return h[1:], (x, gates, h, c, tanh_c)
+    return h[1:], (gates, h, c, tanh_c)
 
 
 def lstm_sequence(w_cell: Var, b_cell: Var, features: np.ndarray,
@@ -281,11 +281,9 @@ def lstm_sequence(w_cell: Var, b_cell: Var, features: np.ndarray,
     """
     tape = _same_tape(w_cell, b_cell)
     features = np.asarray(features, dtype=np.float64)
-    if ride_along is None:
-        ride_along = features[:0]
     n = features.shape[0]
-    joint = list(lstm_sequence_values(w_cell.value, b_cell.value,
-                                      np.concatenate([features, ride_along]), split=n)[1][1:])
+    groups = [features] if ride_along is None else [features, ride_along]
+    joint = list(lstm_sequence_values(w_cell.value, b_cell.value, groups)[1])
     ride_hs = np.ascontiguousarray(joint[1][1:, n:])    # joint: gates, h, c, tanh_c
     cache = [features.transpose(1, 0, 2)]
     while joint:

@@ -162,27 +162,27 @@ def load_sweep_config(path: str | Path) -> tuple[list[float], list[float], Train
     return grids["lambda_epi"], grids["lambda_hyp"], base
 
 
-def _write_manifest(out_dir: Path, command: str, resolved_config, seed: int,
+def _write_manifest(args: argparse.Namespace, resolved_config, seed: int,
                     inputs: Sequence[str | Path], outputs: Sequence[str | Path],
-                    started: float, counters: dict | None = None) -> Path:
+                    started: float, counters: dict | None = None) -> None:
+    """Write --out/manifest.json; the --config file, if any, joins the inputs."""
     # Platform-stable hash of the resolved config(s): canonical JSON, sha256.
     canonical = json.dumps(resolved_config, sort_keys=True, separators=(",", ":"))
     payload = {
-        "command": command,
+        "command": args.command,
         "config_sha256": hashlib.sha256(canonical.encode()).hexdigest(),
         "seed": seed,
-        "inputs": sorted(str(p) for p in inputs),
+        "inputs": sorted(map(str, [*inputs, args.config] if args.config else inputs)),
         "outputs": sorted(str(p) for p in outputs),
         "version": f"lakedo-{__version__}",
         "duration_seconds": round(time.monotonic() - started, 3),
     }
     if counters is not None:
         payload["counters"] = counters
-    path = out_dir / "manifest.json"
-    tmp = out_dir / "manifest.json.tmp"
+    path = Path(args.out) / "manifest.json"
+    tmp = path.with_name("manifest.json.tmp")
     tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
     atomic_replace(tmp, path)
-    return path
 
 
 def _prepare_out(out_dir: str | Path) -> Path:
@@ -198,17 +198,23 @@ def _load_lakes(data_dir: str | Path) -> tuple[list[Path], list[LakeSeries]]:
     files = sorted(p for p in data.glob("*.csv") if not p.stem.endswith("_truth"))
     if not files:
         raise DomainError(f"no lake CSV files in {data}")
-    return files, [load_series(p) for p in files]
+    lakes = [load_series(p) for p in files]
+    first: dict[str, Path] = {}
+    for path, lake in zip(files, lakes):
+        other = first.setdefault(lake.lake_id, path)
+        if other != path:
+            raise DomainError(f"{other} and {path} both hold lake id {lake.lake_id!r} "
+                              "(the file stem without 'lake_')")
+    return files, lakes
 
 
-def cmd_generate(config_path: str | Path | None, out_dir: str | Path,
-                 seed: int | None = None) -> int:
+def cmd_generate(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    cfg = load_generate_config(config_path)
-    if seed is not None:
-        cfg = replace(cfg, seed=seed)
+    cfg = load_generate_config(args.config)
+    if args.seed is not None:
+        cfg = replace(cfg, seed=args.seed)
     lakes = generate(cfg)
-    out = _prepare_out(out_dir)
+    out = _prepare_out(args.out)
     outputs = []
     for lake in lakes:
         series_path = out / f"lake_{lake.series.lake_id}.csv"
@@ -216,30 +222,25 @@ def cmd_generate(config_path: str | Path | None, out_dir: str | Path,
         write_series(lake.series, series_path)
         write_truth(truth_path, lake)
         outputs += [series_path, truth_path]
-    inputs = [config_path] if config_path else []
-    _write_manifest(out, "generate", asdict(cfg), cfg.seed, inputs, outputs, started)
+    _write_manifest(args, asdict(cfg), cfg.seed, [], outputs, started)
     return 0
 
 
-def cmd_train(mode: str, data_dir: str | Path, out_dir: str | Path,
-              config_path: str | Path | None = None, seed: int | None = None,
-              k: int | None = None) -> int:
+def cmd_train(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    if mode not in MODES:
-        raise ConfigError(f"mode must be one of {MODES}, got {mode!r}")
-    config, april = load_train_config(config_path)
-    if seed is not None:
-        config = replace(config, seed=seed)
-    if k is not None:
-        if mode != "april":
+    config, april = load_train_config(args.config)
+    if args.seed is not None:
+        config = replace(config, seed=args.seed)
+    if args.k is not None:
+        if args.mode != "april":
             raise ConfigError("--k sets the drastic-day substep count and "
                               "only applies to mode=april")
-        april = replace(april, k_drastic=k)
-    if mode == "baseline":
+        april = replace(april, k_drastic=args.k)
+    if args.mode == "baseline":
         config = replace(config, lambda_epi=0.0, lambda_hyp=0.0, lambda_total=0.0)
 
-    files, lakes = _load_lakes(data_dir)
-    if mode == "april":
+    files, lakes = _load_lakes(args.data)
+    if args.mode == "april":
         result = train_april(lakes, config, april)
         history, discriminator, labels = result.history, result.discriminator, result.labels
         # The returned parameters come from the last stage that ran.
@@ -248,7 +249,7 @@ def cmd_train(mode: str, data_dir: str | Path, out_dir: str | Path,
     else:
         last = train_pril(lakes, config)
         history, discriminator, labels, epoch_offset = last.history, None, {}, 0
-    out = _prepare_out(out_dir)
+    out = _prepare_out(args.out)
     save_checkpoint(out / "checkpoint.csv", predictor=last.params, discriminator=discriminator)
     outputs = []
     for lake_id, day_labels in sorted(labels.items()):
@@ -259,30 +260,27 @@ def cmd_train(mode: str, data_dir: str | Path, out_dir: str | Path,
     write_history(history_path, history)
     outputs += [out / "checkpoint.csv", history_path]
 
-    resolved = {"mode": mode, "train": asdict(config), "april": asdict(april)}
-    inputs = list(files) + ([config_path] if config_path else [])
+    resolved = {"mode": args.mode, "train": asdict(config), "april": asdict(april)}
     counters = {"epochs": len(history.rows), "best_epoch": epoch_offset + last.best_epoch,
                 "tape_nodes": last.tape_nodes, "backward_visits": last.backward_visits}
-    _write_manifest(out, "train", resolved, config.seed, inputs, outputs, started,
-                    counters=counters)
+    _write_manifest(args, resolved, config.seed, files, outputs, started, counters=counters)
     return 0
 
 
-def cmd_evaluate(checkpoint: str | Path, data_dir: str | Path, out_dir: str | Path,
-                 config_path: str | Path | None = None,
-                 k_reference: int | None = None) -> int:
+def cmd_evaluate(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    k_ref = REFERENCE_SUBSTEPS if k_reference is None else int(k_reference)
-    predictor, _ = load_checkpoint(checkpoint)
+    predictor, _ = load_checkpoint(args.checkpoint)
     if predictor is None:
-        raise DomainError(f"{checkpoint}: no predictor section in checkpoint")
-    files, lakes = _load_lakes(data_dir)
+        raise DomainError(f"{args.checkpoint}: no predictor section in checkpoint")
+    files, lakes = _load_lakes(args.data)
     truths = []
     for path, lake in zip(files, lakes):
         if lake.n_features != predictor.n_features:
             raise DomainError(
                 f"{path}: {lake.n_features} feature columns, but the "
                 f"checkpoint expects {predictor.n_features}")
+        if lake.n_days < 2:
+            raise DomainError(f"{path}: evaluation needs at least two days, got {lake.n_days}")
         truth = None
         truth_path = path.with_name(f"{path.stem}_truth.csv")
         if truth_path.exists():
@@ -291,13 +289,13 @@ def cmd_evaluate(checkpoint: str | Path, data_dir: str | Path, out_dir: str | Pa
                 raise DomainError(f"{truth_path}: {len(truth_dates)} rows, but its dates "
                                   f"must equal the {lake.n_days} days of {path.name}")
         truths.append(truth)
-    config = None if config_path is None else load_train_config(config_path)[0]
+    config = None if args.config is None else load_train_config(args.config)[0]
     if config is not None:
         # The trainer's split and pooling; a lake too short to validate adds nothing.
         val_windows = [w for lake in lakes for w in _split_windows(lake, config)[1]]
         if not val_windows:
             raise DomainError("no validation windows under this config")
-    out = _prepare_out(out_dir)
+    out = _prepare_out(args.out)
 
     outputs = []
     inconsistency = []
@@ -305,7 +303,7 @@ def cmd_evaluate(checkpoint: str | Path, data_dir: str | Path, out_dir: str | Pa
     for lake, preds, truth in zip(lakes, preds_by_lake, truths):
         ts_path = out / f"timeseries_{lake.lake_id}.csv"
         simulated = export_timeseries(ts_path, lake, regime_masked_predictions(preds, lake),
-                                      truth=truth, k_reference=k_ref)
+                                      truth=truth, k_reference=args.k)
         outputs.append(ts_path)
         inconsistency.append(mass_inconsistency(preds, lake, targets=simulated))
 
@@ -317,13 +315,12 @@ def cmd_evaluate(checkpoint: str | Path, data_dir: str | Path, out_dir: str | Pa
     with np.errstate(invalid="ignore"):
         pooled_inc = np.nanmean(np.stack(inconsistency), axis=0)
     comparison = out / "comparison.csv"
-    write_comparison(comparison, Path(checkpoint).stem, rmse_tasks, pooled_inc)
+    write_comparison(comparison, Path(args.checkpoint).stem, rmse_tasks, pooled_inc)
     outputs.append(comparison)
 
-    resolved = {"k_reference": k_ref, "train": asdict(config) if config else None}
+    resolved = {"k_reference": args.k, "train": asdict(config) if config else None}
     seed = config.seed if config else 0
-    inputs = [checkpoint] + list(files) + ([config_path] if config_path else [])
-    _write_manifest(out, "evaluate", resolved, seed, inputs, outputs, started)
+    _write_manifest(args, resolved, seed, [args.checkpoint, *files], outputs, started)
     return 0
 
 
@@ -341,17 +338,16 @@ def _sweep_point(args) -> tuple[float, float, tuple[float, float, float] | str]:
                                                   best.val_rmse_total)
 
 
-def cmd_sweep(config_path: str | Path, data_dir: str | Path, out_dir: str | Path,
-              seed: int | None = None, threads: int = 1) -> int:
+def cmd_sweep(args: argparse.Namespace) -> int:
     started = time.monotonic()
-    grid_epi, grid_hyp, base = load_sweep_config(config_path)
-    if seed is not None:
-        base = replace(base, seed=seed)
-    files, lakes = _load_lakes(data_dir)
+    grid_epi, grid_hyp, base = load_sweep_config(args.config)
+    if args.seed is not None:
+        base = replace(base, seed=args.seed)
+    files, lakes = _load_lakes(args.data)
 
     jobs = [(lakes, replace(base, lambda_epi=le, lambda_hyp=lh))
             for le in grid_epi for lh in grid_hyp]
-    if threads == 1:
+    if args.threads == 1:
         results = [_sweep_point(j) for j in jobs]
     else:
         # Imported here: only a parallel sweep needs it, and its import adds
@@ -359,11 +355,10 @@ def cmd_sweep(config_path: str | Path, data_dir: str | Path, out_dir: str | Path
         from concurrent.futures import ProcessPoolExecutor
 
         # Under fork every worker starts at the first submit, so cap them at the grid.
-        with ProcessPoolExecutor(max_workers=min(threads, len(jobs))) as pool:
+        with ProcessPoolExecutor(max_workers=min(args.threads, len(jobs))) as pool:
             results = list(pool.map(_sweep_point, jobs))
 
-    out = _prepare_out(out_dir)
-    sweep_path = out / "sweep.csv"
+    sweep_path = _prepare_out(args.out) / "sweep.csv"
     failures = [{"lambda_epi": le, "lambda_hyp": lh, "error": outcome}
                 for le, lh, outcome in results if isinstance(outcome, str)]
     # A diverged point keeps its row, with empty RMSE cells.
@@ -376,8 +371,7 @@ def cmd_sweep(config_path: str | Path, data_dir: str | Path, out_dir: str | Path
 
     resolved = {"lambda_epi": grid_epi, "lambda_hyp": grid_hyp,
                 "train": asdict(base), "failures": failures}
-    inputs = [config_path] + list(files)
-    _write_manifest(out, "sweep", resolved, base.seed, inputs, [sweep_path], started)
+    _write_manifest(args, resolved, base.seed, files, [sweep_path], started)
     if len(failures) == len(results):
         raise TrainingDiverged(f"all {len(results)} sweep points diverged")
     return 0
@@ -394,6 +388,7 @@ def _parser() -> argparse.ArgumentParser:
     g.add_argument("--config", help="generate config JSON (defaults otherwise)")
     g.add_argument("--out", required=True, help="output directory")
     g.add_argument("--seed", type=int, help="override the config seed")
+    g.set_defaults(run=cmd_generate)
 
     t = sub.add_parser("train", help="train a model on a dataset")
     t.add_argument("--mode", required=True, choices=MODES)
@@ -403,6 +398,7 @@ def _parser() -> argparse.ArgumentParser:
     t.add_argument("--seed", type=int, help="override the config seed")
     t.add_argument("--k", type=int,
                    help="drastic-day substep count (mode=april only)")
+    t.set_defaults(run=cmd_train)
 
     e = sub.add_parser("evaluate", help="evaluate a checkpoint on a dataset")
     e.add_argument("checkpoint", help="checkpoint CSV from train")
@@ -410,8 +406,9 @@ def _parser() -> argparse.ArgumentParser:
     e.add_argument("--out", required=True, help="output directory")
     e.add_argument("--config", help="train config JSON: report RMSE on its "
                                     "validation split instead of all days")
-    e.add_argument("--k", type=int,
+    e.add_argument("--k", type=int, default=REFERENCE_SUBSTEPS,
                    help=f"reference substep count (default {REFERENCE_SUBSTEPS})")
+    e.set_defaults(run=cmd_evaluate)
 
     s = sub.add_parser("sweep", help="train across a conservation-weight grid")
     s.add_argument("--config", required=True, help="sweep grid config JSON")
@@ -420,6 +417,7 @@ def _parser() -> argparse.ArgumentParser:
     s.add_argument("--seed", type=int, help="override the config seed")
     s.add_argument("--threads", type=int, default=1,
                    help="parallel sweep points (each point stays single-threaded)")
+    s.set_defaults(run=cmd_sweep)
     return parser
 
 
@@ -437,16 +435,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # non-finite loss, DomainError from the physics kernel), so numpy's
         # floating-point warnings would only repeat them as stderr noise.
         with np.errstate(over="ignore", invalid="ignore"):
-            if args.command == "generate":
-                return cmd_generate(args.config, args.out, seed=args.seed)
-            if args.command == "train":
-                return cmd_train(args.mode, args.data, args.out,
-                                 config_path=args.config, seed=args.seed, k=args.k)
-            if args.command == "evaluate":
-                return cmd_evaluate(args.checkpoint, args.data, args.out,
-                                    config_path=args.config, k_reference=args.k)
-            return cmd_sweep(args.config, args.data, args.out,
-                             seed=args.seed, threads=args.threads)
+            return args.run(args)
     except TrainingDiverged as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3

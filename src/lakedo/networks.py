@@ -124,7 +124,7 @@ def predictor_forward(params: PredictorParams, features: np.ndarray) -> np.ndarr
     if features.ndim not in (2, 3) or features.shape[-1] != params.n_features:
         raise DomainError(f"features must have shape ([windows,] days, {params.n_features})")
     batch = features if features.ndim == 3 else features[None]
-    hs, _ = ad.lstm_sequence_values(params.w_cell, params.b_cell, batch)
+    hs, _ = ad.lstm_sequence_values(params.w_cell, params.b_cell, [batch])
     out = _head(hs, params.w_head, params.b_head)
     return out if features.ndim == 3 else out[0]
 

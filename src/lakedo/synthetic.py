@@ -328,14 +328,10 @@ def generate_lake(cfg: GenConfig, index: int) -> GeneratedLake:
                    f_epi=f_epi, f_hyp=f_hyp, f_mixed=f_mixed,
                    scenario_tags=np.full(t, "", dtype="<U1"))
 
-    taken: list[int] = []
     plan: list[tuple[int, str]] = []
-    for day in _pick_scenario_days(scen_rng, stratified, cfg.scenario_a_count, taken):
-        plan.append((day, "A"))
-        taken.append(day)
-    for day in _pick_scenario_days(scen_rng, stratified, cfg.scenario_b_count, taken):
-        plan.append((day, "B"))
-        taken.append(day)
+    for kind, count in (("A", cfg.scenario_a_count), ("B", cfg.scenario_b_count)):
+        days = _pick_scenario_days(scen_rng, stratified, count, [d for d, _ in plan])
+        plan += [(day, kind) for day in days]
     # Ascending order: each tail rewrite reads the already-shifted draft, so
     # an earlier scenario's day-over-day jump survives a later one in the
     # same stratified span.

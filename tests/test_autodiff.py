@@ -282,6 +282,19 @@ class TestLstmSequence:
         assert grads[w.idx] is None
         assert grads[b.idx].shape == params["b_cell"].shape
 
+    @pytest.mark.parametrize("ride_rows", [5, 0])
+    def test_row_groups_equal_separate_calls_bit_for_bit(self, ride_rows):
+        params, features, _ = lstm_case(8, days=30)
+        ride = np.random.default_rng(5).normal(size=(ride_rows, 30, 3))
+        w, b = params["w_cell"], params["b_cell"]
+        joint_hs, joint_cache = ad.lstm_sequence_values(w, b, [features, ride])
+        assert joint_hs.shape == (30, 8 + ride_rows, 6)
+        for rows, group in ((slice(None, 8), features), (slice(8, None), ride)):
+            alone_hs, alone_cache = ad.lstm_sequence_values(w, b, [group])
+            assert joint_hs[:, rows].tobytes() == alone_hs.tobytes()
+            for joint, alone in zip(joint_cache, alone_cache):
+                assert joint[:, rows].tobytes() == alone.tobytes()
+
     def test_ride_along_node_caches_contiguous_copies(self):
         # BPTT's tensordots take another BLAS path on strided views, which
         # changes the gradient's rounding: the taped cache must be

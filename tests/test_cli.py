@@ -651,14 +651,20 @@ def test_zero_substeps_flag_exit_2_before_any_output(command, data_dir, train_cf
     ("discriminator-only checkpoint", "no predictor section in checkpoint"),
     ("empty lake CSV", "empty file"),
     ("unknown sweep key", "unknown keys ['bogus']"),
+    ("header-only lake CSV", "lake_00.csv: evaluation needs at least two days, got 0"),
+    ("one-day lake CSV", "lake_00.csv: evaluation needs at least two days, got 1"),
 ])
 def test_input_error_exit_2_with_one_line_and_no_out(case, message, data_dir, train_cfg,
-                                                     tmp_path, capsys):
+                                                     pril_run, tmp_path, capsys):
     (tmp_path / "not.json").write_text("{")
     (tmp_path / "array.json").write_text(json.dumps([TRAIN_CONFIG]))
     (tmp_path / "no_lakes").mkdir()
     (tmp_path / "empty").mkdir()
     (tmp_path / "empty" / "lake_00.csv").write_text("")
+    lines = (data_dir / "lake_00.csv").read_text().splitlines(keepends=True)
+    for days in (0, 1):
+        (tmp_path / f"days_{days}").mkdir()
+        (tmp_path / f"days_{days}" / "lake_00.csv").write_text("".join(lines[:1 + days]))
     save_checkpoint(tmp_path / "disc.csv", discriminator=init_discriminator(4, hidden=(2,)))
     write_json(tmp_path / "sweep.json", {"schema": "lakedo-sweep-v1", "lambda_epi": [0.0],
                                          "lambda_hyp": [0.0], "bogus": 1})
@@ -670,11 +676,35 @@ def test_input_error_exit_2_with_one_line_and_no_out(case, message, data_dir, tr
         "discriminator-only checkpoint": ["evaluate", str(tmp_path / "disc.csv"), *data],
         "empty lake CSV": [*pril, "--data", str(tmp_path / "empty")],
         "unknown sweep key": ["sweep", "--config", str(tmp_path / "sweep.json"), *data],
+        "header-only lake CSV": ["evaluate", str(pril_run / "checkpoint.csv"),
+                                 "--data", str(tmp_path / "days_0")],
+        "one-day lake CSV": ["evaluate", str(pril_run / "checkpoint.csv"),
+                             "--data", str(tmp_path / "days_1")],
     }[case]
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert err.startswith("error: ") and err.count("\n") == 1 and message in err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", [
+    ["train", "--mode", "april", "--config", "{train}"],
+    ["evaluate", "{checkpoint}"],
+    ["sweep", "--config", "{sweep}"],
+], ids=["train", "evaluate", "sweep"])
+def test_duplicate_lake_id_exit_2_naming_both_files(command, data_dir, train_cfg, pril_run,
+                                                    sweep_cfg, tmp_path, capsys):
+    # Both file stems give lake id 00 once a leading 'lake_' is dropped.
+    data = shutil.copytree(data_dir, tmp_path / "data")
+    shutil.copy(data / "lake_00.csv", data / "00.csv")
+    paths = {"train": train_cfg, "checkpoint": pril_run / "checkpoint.csv", "sweep": sweep_cfg}
+    out = tmp_path / "out"
+    argv = [arg.format(**paths) for arg in command] + ["--data", str(data), "--out", str(out)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err == (f"error: {data / '00.csv'} and {data / 'lake_00.csv'} both hold "
+                   "lake id '00' (the file stem without 'lake_')\n")
     assert not out.exists()
 
 
