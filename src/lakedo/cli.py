@@ -34,6 +34,7 @@ from .evaluate import (
     write_comparison,
 )
 from .networks import load_checkpoint, predictor_forward_series, save_checkpoint
+from .physics import simulate_targets
 from .series import LakeSeries, _write_rows, load_series, write_series
 from .synthetic import GenConfig, generate, load_truth, write_truth
 from .training import (
@@ -295,18 +296,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         val_windows = [w for lake in lakes for w in _split_windows(lake, config)[1]]
         if not val_windows:
             raise DomainError("no validation windows under this config")
-    out = _prepare_out(args.out)
-
-    outputs = []
-    inconsistency = []
     preds_by_lake = predictor_forward_series(predictor, [lake.features for lake in lakes])
-    for lake, preds, truth in zip(lakes, preds_by_lake, truths):
-        ts_path = out / f"timeseries_{lake.lake_id}.csv"
-        simulated = export_timeseries(ts_path, lake, regime_masked_predictions(preds, lake),
-                                      truth=truth, k_reference=args.k)
-        outputs.append(ts_path)
-        inconsistency.append(mass_inconsistency(preds, lake, targets=simulated))
-
+    masked = [regime_masked_predictions(preds, lake) for lake, preds in zip(lakes, preds_by_lake)]
+    # Every simulation and metric runs before --out exists, so a failure (a
+    # --k too large for memory, say) leaves nothing behind.
+    simulated = [simulate_targets(lake, preds, k_per_day=np.full(lake.n_days, args.k, np.int64))
+                 for lake, preds in zip(lakes, masked)]
+    inconsistency = [mass_inconsistency(preds, lake, targets=targets)
+                     for lake, preds, targets in zip(lakes, preds_by_lake, simulated)]
     if config is not None:
         rmse_tasks = np.array(validation_rmse(predictor, val_windows)[:3])
     else:
@@ -314,6 +311,13 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         rmse_tasks = np.array(pooled_rmse(lakes, preds_by_lake)[:3])
     with np.errstate(invalid="ignore"):
         pooled_inc = np.nanmean(np.stack(inconsistency), axis=0)
+
+    out = _prepare_out(args.out)
+    outputs = []
+    for lake, preds, targets, truth in zip(lakes, masked, simulated, truths):
+        ts_path = out / f"timeseries_{lake.lake_id}.csv"
+        export_timeseries(ts_path, lake, preds, truth=truth, targets=targets)
+        outputs.append(ts_path)
     comparison = out / "comparison.csv"
     write_comparison(comparison, Path(args.checkpoint).stem, rmse_tasks, pooled_inc)
     outputs.append(comparison)

@@ -48,6 +48,15 @@ def _check_pred_shape(preds, n_days: int) -> np.ndarray:
     return preds
 
 
+def _reference_targets(series: LakeSeries, preds: np.ndarray, k_reference: int,
+                       targets: np.ndarray | None) -> np.ndarray:
+    """The caller's targets, shape-checked, or the simulation at k_reference."""
+    if targets is not None:
+        return _check_pred_shape(targets, series.n_days)
+    k_per_day = np.full(series.n_days, int(k_reference), dtype=np.int64)
+    return simulate_targets(series, preds, k_per_day=k_per_day)
+
+
 def mass_inconsistency(preds: np.ndarray, series: LakeSeries,
                        k_reference: int = REFERENCE_SUBSTEPS,
                        days: np.ndarray | None = None,
@@ -68,11 +77,7 @@ def mass_inconsistency(preds: np.ndarray, series: LakeSeries,
     if t < 2:
         raise DomainError("mass inconsistency needs at least two days")
     preds = _check_pred_shape(preds, t)
-    if targets is None:
-        k_per_day = np.full(t, int(k_reference), dtype=np.int64)
-        targets = simulate_targets(series, preds, k_per_day=k_per_day)
-    else:
-        targets = _check_pred_shape(targets, t)
+    targets = _reference_targets(series, preds, k_reference, targets)
     include = np.isfinite(targets)
     if days is not None:
         days = np.asarray(days, dtype=bool)
@@ -140,17 +145,18 @@ def write_comparison(path: str | Path, model: str, rmse: np.ndarray,
 
 def export_timeseries(path: str | Path, series: LakeSeries, preds: np.ndarray,
                       truth: np.ndarray | None = None,
-                      k_reference: int = REFERENCE_SUBSTEPS) -> np.ndarray:
+                      k_reference: int = REFERENCE_SUBSTEPS,
+                      targets: np.ndarray | None = None) -> np.ndarray:
     """Plot-ready per-day CSV of predictions, simulation, observations, truth.
 
     Absent values (undefined regime cells, missing observations, no truth)
     render as empty fields. The simulation is the reference targets seeded
-    from the predictions. Returns the simulation written.
+    from the predictions; `targets` takes it when the caller already ran it
+    at k_reference, as in mass_inconsistency. Returns the simulation written.
     """
     t = series.n_days
     preds = _check_pred_shape(preds, t)
-    simulated = simulate_targets(
-        series, preds, k_per_day=np.full(t, int(k_reference), dtype=np.int64))
+    simulated = _reference_targets(series, preds, k_reference, targets)
     if truth is None:
         truth = np.full((t, 3), np.nan)
     else:

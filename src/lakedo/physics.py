@@ -165,22 +165,13 @@ def _interpolate(v_prev, v_cur, k: int) -> np.ndarray:
 
 @lru_cache(maxsize=64)
 def _interpolation_weights(k: int) -> tuple[tuple[float, float], ...]:
-    """The (1 - t, t) pairs _interpolate weighs the volumes with, as floats."""
-    return tuple((1.0 - t, t) for t in (np.arange(k + 1, dtype=np.float64) / k).tolist())
+    """The (1 - t, t) pairs _interpolate weighs the volumes with at the end of
+    each substep (t = 1/k, ..., 1), as floats."""
+    return tuple((1.0 - t, t) for t in (np.arange(1, k + 1, dtype=np.float64) / k).tolist())
 
 
 def _substep_entrainment(dv_epi, y_src, v_epi_next, v_hyp_next):
     return dv_epi * y_src / v_epi_next, -dv_epi * y_src / v_hyp_next
-
-
-def _select_float(cond: bool, a: float, b: float) -> float:
-    return a if cond else b
-
-
-def _maximum_float(a: float, b: float) -> float:
-    # np.maximum's rule, not the builtin max's: a only when a > b or a is NaN,
-    # so (-0.0, 0.0) gives 0.0 and a NaN survives to the exit check.
-    return a if a > b or a != a else b
 
 
 def entrainment_fluxes_substep(dv_epi, y_src, v_epi_next, v_hyp_next) -> EntrainmentFluxes:
@@ -200,13 +191,23 @@ def multi_step_euler(y_epi_prev, y_hyp_prev, f_exo_epi, f_exo_hyp,
     Volumes are interpolated linearly across the day; each substep moves the
     exogenous mass f_exo * dt_sub * v_prev (rates are relative to the
     start-of-day volume), rescales by the interpolated volumes, then applies
-    entrainment sourced from the running substep concentration. The clamp
-    flag floors both layers at zero after every substep; it exists for the
-    synthetic generator's ground-truth integration only. Inputs are checked
-    once on entry and the day's result once on exit (an overflow raises).
-    A single day (every input 0-d) runs the same loop on Python floats,
-    which do the same IEEE-754 arithmetic without numpy's per-call cost, and
-    comes back as np.float64 values.
+    entrainment sourced from the running substep concentration. Inputs are
+    checked once on entry and the day's result once on exit (an overflow
+    raises).
+
+    The clamp flag exists for the synthetic generator's ground-truth
+    integration only. It floors both layers at zero after every substep (as
+    np.maximum does: -0.0 becomes 0.0, a NaN survives to the exit check) and
+    returns a third value, `floored`: True where some substep ended at or
+    below zero, or at NaN, in either layer. Where it is False no floor
+    changed a bit, so the clamp=False call from the same start state ends in
+    the same bits.
+
+    A single day (every input 0-d) runs the loop on Python floats, which do
+    the same IEEE-754 arithmetic without numpy's per-call cost. The loop
+    interpolates each substep's volumes from cached weights and calls no
+    function per substep. The day comes back as np.float64 values (and a
+    bool `floored`).
     """
     _require_finite(y_epi_prev=y_epi_prev, y_hyp_prev=y_hyp_prev,
                     f_exo_epi=f_exo_epi, f_exo_hyp=f_exo_hyp)
@@ -216,35 +217,48 @@ def multi_step_euler(y_epi_prev, y_hyp_prev, f_exo_epi, f_exo_hyp,
     inputs = (y_epi_prev, y_hyp_prev, f_exo_epi, f_exo_hyp, v_epi_prev, v_epi_cur, v_hyp_prev, v_hyp_cur)
     k = cfg.k
     dt_sub = 1.0 / k
-    # Python raises on division by zero where numpy gives inf or NaN, so a day whose
-    # interpolated volumes underflow to 0 takes the numpy path and fails the exit check.
     on_floats = all(isinstance(v, (float, int)) or getattr(v, "ndim", 1) == 0 for v in inputs)
-    if on_floats:
-        y_e, y_h, f_e, f_h, ve_p, ve_c, vh_p, vh_c = map(float, inputs)
-        ve = [ve_p * a + ve_c * b for a, b in _interpolation_weights(k)]
-        vh = [vh_p * a + vh_c * b for a, b in _interpolation_weights(k)]
-        on_floats = min(ve) > 0 and min(vh) > 0
-        select, maximum = _select_float, _maximum_float
-    if not on_floats:
-        y_e, y_h, f_e, f_h, ve_p, ve_c, vh_p = (np.asarray(v, dtype=np.float64) for v in inputs[:7])
-        ve = _interpolate(ve_p, ve_c, k)
-        vh = _interpolate(vh_p, v_hyp_cur, k)
-        select, maximum = np.where, np.maximum
+    y_e, y_h, f_e, f_h, ve_p, ve_c, vh_p, vh_c = (
+        map(float, inputs) if on_floats else (np.asarray(v, dtype=np.float64) for v in inputs))
     exo_e = f_e * dt_sub * ve_p
     exo_h = f_h * dt_sub * vh_p
     dv_epi = (ve_c - ve_p) / k
     grow = ve_c >= ve_p
+    if on_floats:
+        e, h, ve_0, vh_0, floored = y_e, y_h, ve_p, vh_p, False
+        try:
+            for a, b in _interpolation_weights(k):
+                ve_1 = ve_p * a + ve_c * b
+                vh_1 = vh_p * a + vh_c * b
+                moved = dv_epi * (h if grow else e)
+                e = (e * ve_0 + exo_e) / ve_1 + moved / ve_1
+                h = (h * vh_0 + exo_h) / vh_1 - moved / vh_1
+                if clamp and not (e > 0.0 and h > 0.0):
+                    floored = True
+                    e = e if e > 0.0 or e != e else 0.0
+                    h = h if h > 0.0 or h != h else 0.0
+                ve_0, vh_0 = ve_1, vh_1
+        except ZeroDivisionError:
+            # Interpolated volumes that underflow to 0: numpy's division gives
+            # inf or NaN there, so the day runs again in the loop below.
+            pass
+        else:
+            _require_finite(y_epi_new=e, y_hyp_new=h)
+            day = (np.float64(e), np.float64(h))
+            return (*day, floored) if clamp else day
+    ve = _interpolate(ve_p, ve_c, k)
+    vh = _interpolate(vh_p, vh_c, k)
+    floored = False
     for ve_0, ve_1, vh_0, vh_1 in zip(ve, ve[1:], vh, vh[1:]):
-        ent_e, ent_h = _substep_entrainment(dv_epi, select(grow, y_h, y_e), ve_1, vh_1)
+        ent_e, ent_h = _substep_entrainment(dv_epi, np.where(grow, y_h, y_e), ve_1, vh_1)
         y_e = (y_e * ve_0 + exo_e) / ve_1 + ent_e
         y_h = (y_h * vh_0 + exo_h) / vh_1 + ent_h
         if clamp:
-            y_e = maximum(y_e, 0.0)
-            y_h = maximum(y_h, 0.0)
+            floored = floored | ~((y_e > 0.0) & (y_h > 0.0))
+            y_e = np.maximum(y_e, 0.0)
+            y_h = np.maximum(y_h, 0.0)
     _require_finite(y_epi_new=y_e, y_hyp_new=y_h)
-    if on_floats:
-        return np.float64(y_e), np.float64(y_h)
-    return y_e, y_h
+    return (y_e, y_h, floored) if clamp else (y_e, y_h)
 
 
 def mass_balance_residual(y_epi_prev, y_hyp_prev, y_epi_new, y_hyp_new,

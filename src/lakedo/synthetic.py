@@ -3,8 +3,9 @@
 Each lake gets a fixed total volume, a summer stratified span with a
 drifting, noisy, occasionally shocked thermocline, gentle seasonal
 exogenous fluxes, and a dissolved-oxygen truth trajectory integrated at
-truth_substeps sub-daily Euler steps (clamped at zero; clamped days are
-recorded because their mass budget intentionally does not close).
+truth_substeps sub-daily Euler steps, clamped at zero. A day is recorded as
+clamped when the unclamped step from the same start state ends elsewhere;
+its mass budget intentionally does not close.
 Observations are sparse daily visits with additive noise. Two stress
 scenarios can be injected on stratified days: A collapses the hypolimnion
 volume with an oxygen-demand kick the day before, B collapses the
@@ -36,9 +37,6 @@ __all__ = [
 TRUTH_COLUMNS = ("date", "true_epi", "true_hyp", "true_total", "scenario_tag")
 
 FEATURE_COUNT = 10
-
-#: Stratified days per array call of the unclamped pass in _integrate_truth.
-CLAMP_CHECK_BLOCK_DAYS = 64
 
 
 @dataclass(frozen=True)
@@ -113,7 +111,8 @@ class GeneratedLake:
     series: LakeSeries
     truth: np.ndarray          # (days, 3) epi/hyp/total, NaN where undefined
     scenario_tags: np.ndarray  # (days,) '', 'A', or 'B'
-    clamped: np.ndarray        # (days,) True where the truth integrator clamped
+    clamped: np.ndarray        # (days,) True where the unclamped step from the
+                               # same start state ends elsewhere
     obs_days: np.ndarray       # (days,) sampling visits
 
 
@@ -190,14 +189,13 @@ def _integrate_truth(cfg: GenConfig, draft: _Draft) -> tuple[np.ndarray, np.ndar
     if strat[0]:
         raise DomainError("lake must start on a mixed day")
     # Python floats: numpy scalars' arithmetic without their per-operation cost.
-    v_epi, v_hyp, v_tot = draft.v_epi, draft.v_hyp, draft.v_total
     ve, vh, vt, f_epi, f_hyp, f_mixed = (a.tolist() for a in (
-        v_epi, v_hyp, v_tot, draft.f_epi, draft.f_hyp, draft.f_mixed))
+        draft.v_epi, draft.v_hyp, draft.v_total, draft.f_epi, draft.f_hyp, draft.f_mixed))
     epi, hyp, tot = [np.nan] * t, [np.nan] * t, [np.nan] * t
     tot[0] = float(cfg.initial_do)
     clamped = np.zeros(t, dtype=bool)
     sub = SubstepConfig(k=cfg.truth_substeps)
-    euler_days = []
+    floored_days = []
     for i in range(1, t):
         if not strat[i - 1] and not strat[i]:
             total = tot[i - 1] + f_mixed[i - 1]
@@ -206,11 +204,13 @@ def _integrate_truth(cfg: GenConfig, draft: _Draft) -> tuple[np.ndarray, np.ndar
         elif not strat[i - 1]:
             epi[i] = hyp[i] = tot[i] = tot[i - 1]
         elif strat[i]:
+            e, h, floored = multi_step_euler(epi[i - 1], hyp[i - 1], f_epi[i - 1], f_hyp[i - 1],
+                                             ve[i - 1], ve[i], vh[i - 1], vh[i], cfg=sub,
+                                             clamp=True)
+            if floored:
+                floored_days.append(i)
             # float(): the stepper returns numpy scalars.
-            e, h = map(float, multi_step_euler(epi[i - 1], hyp[i - 1], f_epi[i - 1], f_hyp[i - 1],
-                                               ve[i - 1], ve[i], vh[i - 1], vh[i], cfg=sub,
-                                               clamp=True))
-            euler_days.append(i)
+            e, h = float(e), float(h)
             epi[i], hyp[i] = e, h
             tot[i] = (e * ve[i] + h * vh[i]) / vt[i]
         else:
@@ -220,17 +220,12 @@ def _integrate_truth(cfg: GenConfig, draft: _Draft) -> tuple[np.ndarray, np.ndar
     if bad.size:
         raise DomainError(f"truth total is not finite on day {draft.dates[bad[0]]}")
     # A day is clamped when the unclamped step from the same start state ends
-    # elsewhere. Those steps are independent, so they run as array calls over
-    # fixed-size blocks of days (elementwise, so bit-identical to one call per
-    # day, with memory bounded by the block size rather than the lake length).
-    euler_days = np.asarray(euler_days, dtype=np.int64)
-    for lo in range(0, euler_days.size, CLAMP_CHECK_BLOCK_DAYS):
-        i = euler_days[lo : lo + CLAMP_CHECK_BLOCK_DAYS]
-        e, h = multi_step_euler(truth[i - 1, 0], truth[i - 1, 1],
-                                draft.f_epi[i - 1], draft.f_hyp[i - 1],
-                                v_epi[i - 1], v_epi[i], v_hyp[i - 1], v_hyp[i],
-                                cfg=sub, clamp=False)
-        clamped[i] = (e != truth[i, 0]) | (h != truth[i, 1])
+    # elsewhere. A day on which no floor changed a bit ends in the same bits
+    # unclamped, so only the floored days take the unclamped step again.
+    for i in floored_days:
+        e, h = multi_step_euler(epi[i - 1], hyp[i - 1], f_epi[i - 1], f_hyp[i - 1],
+                                ve[i - 1], ve[i], vh[i - 1], vh[i], cfg=sub)
+        clamped[i] = e != epi[i] or h != hyp[i]
     return truth, clamped
 
 

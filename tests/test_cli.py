@@ -644,6 +644,23 @@ def test_zero_substeps_flag_exit_2_before_any_output(command, data_dir, train_cf
     assert not out.exists()
 
 
+@pytest.mark.parametrize("k, message", [
+    (2**62, "error: array is too big"),
+    (10**12, "error: out of memory"),
+], ids=["unsizable", "unallocatable"])
+def test_evaluate_k_beyond_memory_exit_2_before_any_output(k, message, data_dir, pril_run,
+                                                           tmp_path, capsys):
+    # The reference simulation's (k + 1)-point substep grid: 2**62 points
+    # numpy cannot size, 10**12 (8 TB) it is refused, so nothing is allocated.
+    out = tmp_path / "out"
+    argv = ["evaluate", str(pril_run / "checkpoint.csv"), "--data", str(data_dir),
+            "--out", str(out), "--k", str(k)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(message) and err.count("\n") == 1
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("case, message", [
     ("config not JSON", "not valid JSON"),
     ("config a JSON array", "config must be a JSON object"),

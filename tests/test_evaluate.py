@@ -177,8 +177,14 @@ class TestExport:
         np.testing.assert_array_equal(simulated, simulate_targets(series, preds, k_per_day=k))
         shared = mass_inconsistency(preds, series, targets=simulated)
         np.testing.assert_array_equal(shared, mass_inconsistency(preds, series, k_reference=12))
+        # Handed back, the same simulation writes the same file.
+        export_timeseries(tmp_path / "again.csv", series, regime_masked_predictions(preds, series),
+                          targets=simulated)
+        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "ts.csv").read_bytes()
         with pytest.raises(DomainError, match="shape"):
             mass_inconsistency(preds, series, targets=simulated[1:])
+        with pytest.raises(DomainError, match="shape"):
+            export_timeseries(tmp_path / "x.csv", series, preds, targets=simulated[1:])
 
     def test_truth_column_written(self, tmp_path):
         series = make_series("MM")

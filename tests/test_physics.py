@@ -36,6 +36,15 @@ concentrations = st.floats(-5.0, 25.0)
 fluxes = st.floats(-3.0, 3.0)
 #: Subnormal volumes whose midpoint interpolates to exactly 0.0 at even k.
 UNDERFLOW_VOLUMES = (5e-324,) * 4
+#: One day's draws: volumes (underflowing ones included), signed-zero and
+#: just-below-zero starts, signed-zero fluxes, and substep counts.
+SINGLE_DAY = (
+    st.one_of(volume_pair(), st.floats(10.0, 2e4).map(lambda v: (v, v, 2 * v, 2 * v)),
+              st.just(UNDERFLOW_VOLUMES)),
+    *[st.one_of(st.sampled_from([-0.0, 0.0, -1e-12]), concentrations)] * 2,
+    *[st.one_of(st.sampled_from([-0.0, 0.0]), fluxes)] * 2,
+    st.sampled_from([1, 2, 3, 12, 192]),
+)
 
 
 class TestEntrainmentDaily:
@@ -261,8 +270,8 @@ class TestMultiStepEuler:
 
     def test_clamp_floors_both_layers(self):
         args = (9.0, 6.0, 0.2, -2.0, 100.0, 280.0, 200.0, 20.0)
-        e, h = multi_step_euler(*args, cfg=SubstepConfig(k=1), clamp=True)
-        assert h == 0.0 and e >= 0.0
+        e, h, floored = multi_step_euler(*args, cfg=SubstepConfig(k=1), clamp=True)
+        assert h == 0.0 and e >= 0.0 and floored is True
 
     def test_vectorized_matches_scalar_loop(self):
         rng = np.random.default_rng(7)
@@ -308,12 +317,7 @@ class TestMultiStepEuler:
                                  cfg=SubstepConfig(k=k))
 
     @settings(max_examples=150, deadline=None)
-    @given(st.one_of(volume_pair(), st.floats(10.0, 2e4).map(lambda v: (v, v, 2 * v, 2 * v)),
-                     st.just(UNDERFLOW_VOLUMES)),
-           *[st.one_of(st.sampled_from([-0.0, 0.0, -1e-12]), concentrations)] * 2,
-           *[st.one_of(st.sampled_from([-0.0, 0.0]), fluxes)] * 2,
-           st.sampled_from([1, 2, 3, 12, 192]), st.booleans(),
-           st.sampled_from([float, np.float64, np.array]))
+    @given(*SINGLE_DAY, st.booleans(), st.sampled_from([float, np.float64, np.array]))
     @example(UNDERFLOW_VOLUMES, 1.0, 1.0, 0.0, 0.0, 2, False, float)
     def test_single_day_matches_array_path_bitwise(self, vols, y_e, y_h, f_e, f_h, k, clamp,
                                                    kind):
@@ -331,9 +335,34 @@ class TestMultiStepEuler:
                     multi_step_euler(*map(kind, args), cfg=cfg, clamp=clamp)
                 return
         scalar = multi_step_euler(*map(kind, args), cfg=cfg, clamp=clamp)
-        for got, ref in zip(scalar, array):
+        assert len(scalar) == len(array) == (3 if clamp else 2)
+        for got, ref in zip(scalar[:2], array[:2]):
             assert type(got) is np.float64
             assert np.array([got]).tobytes() == ref.tobytes()
+        if clamp:
+            assert type(scalar[2]) is bool and array[2].shape == (1,)
+            assert scalar[2] == array[2][0]
+
+    @settings(max_examples=150, deadline=None)
+    @given(*SINGLE_DAY, st.sampled_from([float, lambda a: np.array([a])]))
+    @example((100.0, 150.0, 200.0, 150.0), 9.0, 6.0, 0.2, -0.4, 12, float)
+    def test_unfloored_clamped_day_equals_unclamped_step_bitwise(self, vols, y_e, y_h, f_e, f_h,
+                                                                 k, kind):
+        # The truth integrator takes the unclamped step again only on days
+        # whose clamped step reports a floor; on any other day the clamped
+        # step must already be the unclamped one, to the bit.
+        args = [kind(a) for a in (y_e, y_h, f_e, f_h, *vols)]
+        cfg = SubstepConfig(k=k)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            try:
+                e, h, floored = multi_step_euler(*args, cfg=cfg, clamp=True)
+            except DomainError:
+                return
+            if floored:
+                return
+            free_e, free_h = multi_step_euler(*args, cfg=cfg)
+        assert np.asarray(e).tobytes() == np.asarray(free_e).tobytes()
+        assert np.asarray(h).tobytes() == np.asarray(free_h).tobytes()
 
     def test_clamp_floors_negative_zero_like_numpy(self):
         # A -0.0 state with -0.0 fluxes and no volume change ends a single
@@ -341,8 +370,10 @@ class TestMultiStepEuler:
         args = (-0.0, -0.0, -0.0, -0.0, 100.0, 100.0, 200.0, 200.0)
         cfg = SubstepConfig(k=1)
         assert np.signbit(multi_step_euler(*args, cfg=cfg)[0])
-        e, h = multi_step_euler(*args, cfg=cfg, clamp=True)
+        e, h, floored = multi_step_euler(*args, cfg=cfg, clamp=True)
         assert not np.signbit(e) and not np.signbit(h)
+        # The floor changed a bit, so the day reports it.
+        assert floored is True
 
     @pytest.mark.parametrize("clamp", [False, True])
     def test_underflowed_volumes_raise_domain_error(self, clamp):
@@ -354,9 +385,9 @@ class TestMultiStepEuler:
                                  cfg=SubstepConfig(k=2), clamp=clamp)
 
     def test_scalar_input_returns_float64(self):
-        e, h = multi_step_euler(9.0, 6.0, 0.2, -0.4, 100.0, 150.0, 200.0, 150.0,
-                                cfg=SubstepConfig(k=12), clamp=True)
-        assert type(e) is np.float64 and type(h) is np.float64
+        e, h, floored = multi_step_euler(9.0, 6.0, 0.2, -0.4, 100.0, 150.0, 200.0, 150.0,
+                                         cfg=SubstepConfig(k=12), clamp=True)
+        assert type(e) is np.float64 and type(h) is np.float64 and floored is False
 
     def test_rejects_bad_substep_config(self):
         with pytest.raises(DomainError):

@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 from dataclasses import replace
 
+import lakedo.synthetic
 from lakedo.errors import ConfigError, DomainError, SchemaError
 from lakedo.physics import (
     SubstepConfig,
@@ -31,6 +32,9 @@ from lakedo.synthetic import (
 )
 
 ONE_YEAR = GenConfig(n_lakes=1, n_years=1)
+INTEGRATOR_CONFIGS = pytest.mark.parametrize(
+    "cfg", [ONE_YEAR, replace(ONE_YEAR, seed=4, truth_substeps=2, initial_do=3)],
+    ids=["default", "k2-int-start"])
 
 
 @pytest.fixture(scope="module")
@@ -68,7 +72,7 @@ def per_day_truth(cfg, draft):
             args = [np.array([a]) for a in (truth[i - 1, 0], truth[i - 1, 1],
                                             draft.f_epi[i - 1], draft.f_hyp[i - 1],
                                             v_epi[i - 1], v_epi[i], v_hyp[i - 1], v_hyp[i])]
-            (e,), (h,) = multi_step_euler(*args, cfg=sub, clamp=True)
+            (e,), (h,), _ = multi_step_euler(*args, cfg=sub, clamp=True)
             (free_e,), (free_h,) = multi_step_euler(*args, cfg=sub, clamp=False)
             truth[i, :2] = e, h
             truth[i, 2] = (e * v_epi[i] + h * v_hyp[i]) / v_tot[i]
@@ -181,9 +185,7 @@ class TestTruth:
         np.testing.assert_array_equal(lake.clamped[pair], expected)
         assert 0 < sum(expected) < len(expected)
 
-    @pytest.mark.parametrize("cfg", [ONE_YEAR, replace(ONE_YEAR, seed=4, truth_substeps=2,
-                                                       initial_do=3)],
-                             ids=["default", "k2-int-start"])
+    @INTEGRATOR_CONFIGS
     def test_float_day_loop_matches_per_day_array_reference(self, cfg):
         lake = generate_lake(cfg, 0)
         s = lake.series
@@ -199,6 +201,30 @@ class TestTruth:
         assert clamped.dtype == bool
         np.testing.assert_array_equal(clamped, want_clamped)
         assert clamped.any()
+
+    @INTEGRATOR_CONFIGS
+    def test_one_clamped_call_per_stratified_day_through_the_module_binding(self, cfg,
+                                                                           monkeypatch):
+        # bench/tracer.py counts the stepper's calls through this binding, and
+        # its traced gen-truth gate fails a lake with fewer calls at
+        # truth_substeps than stratified truth days.
+        calls = []
+
+        def counting(*args, **kwargs):
+            calls.append((kwargs["cfg"].k, kwargs.get("clamp", False), args[4]))
+            return multi_step_euler(*args, **kwargs)
+
+        monkeypatch.setattr(lakedo.synthetic, "multi_step_euler", counting)
+        lake = generate_lake(cfg, 0)
+        s = lake.series
+        days = np.flatnonzero(s.stratified[1:] & s.stratified[:-1]) + 1
+        assert {k for k, _, _ in calls} == {cfg.truth_substeps}
+        # One clamped step per stratified day, in day order, from that day's
+        # start volume; the unclamped step runs again only on floored days,
+        # which include every clamped one.
+        assert [v for _, clamp, v in calls if clamp] == s.v_epi[days - 1].tolist()
+        reruns = sum(1 for _, clamp, _ in calls if not clamp)
+        assert 0 < lake.clamped.sum() <= reruns < days.size
 
     def test_overflowing_last_day_raises(self, lake):
         # No day follows the last one to trip over its non-finite total.
