@@ -316,7 +316,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     outputs = []
     for lake, preds, targets, truth in zip(lakes, masked, simulated, truths):
         ts_path = out / f"timeseries_{lake.lake_id}.csv"
-        export_timeseries(ts_path, lake, preds, truth=truth, targets=targets)
+        export_timeseries(ts_path, lake, preds, targets, truth=truth)
         outputs.append(ts_path)
     comparison = out / "comparison.csv"
     write_comparison(comparison, Path(args.checkpoint).stem, rmse_tasks, pooled_inc)

@@ -48,15 +48,6 @@ def _check_pred_shape(preds, n_days: int) -> np.ndarray:
     return preds
 
 
-def _reference_targets(series: LakeSeries, preds: np.ndarray, k_reference: int,
-                       targets: np.ndarray | None) -> np.ndarray:
-    """The caller's targets, shape-checked, or the simulation at k_reference."""
-    if targets is not None:
-        return _check_pred_shape(targets, series.n_days)
-    k_per_day = np.full(series.n_days, int(k_reference), dtype=np.int64)
-    return simulate_targets(series, preds, k_per_day=k_per_day)
-
-
 def mass_inconsistency(preds: np.ndarray, series: LakeSeries,
                        k_reference: int = REFERENCE_SUBSTEPS,
                        days: np.ndarray | None = None,
@@ -68,16 +59,19 @@ def mass_inconsistency(preds: np.ndarray, series: LakeSeries,
     predictions already follow the scheme. `days` optionally restricts the
     mean to a boolean day subset (scenario-flagged days, say); a task with
     no defined day in the subset comes back NaN. `targets` takes that
-    simulation when the caller already ran it at k_reference (the one
-    export_timeseries returns, for instance); the simulation reads only
-    regime-defined prediction cells, so masked or raw predictions give the
-    same targets.
+    simulation when the caller already ran it at k_reference; the
+    simulation reads only regime-defined prediction cells, so masked or raw
+    predictions give the same targets.
     """
     t = series.n_days
     if t < 2:
         raise DomainError("mass inconsistency needs at least two days")
     preds = _check_pred_shape(preds, t)
-    targets = _reference_targets(series, preds, k_reference, targets)
+    if targets is None:
+        k_per_day = np.full(t, int(k_reference), dtype=np.int64)
+        targets = simulate_targets(series, preds, k_per_day=k_per_day)
+    else:
+        targets = _check_pred_shape(targets, t)
     include = np.isfinite(targets)
     if days is not None:
         days = np.asarray(days, dtype=bool)
@@ -144,23 +138,20 @@ def write_comparison(path: str | Path, model: str, rmse: np.ndarray,
 
 
 def export_timeseries(path: str | Path, series: LakeSeries, preds: np.ndarray,
-                      truth: np.ndarray | None = None,
-                      k_reference: int = REFERENCE_SUBSTEPS,
-                      targets: np.ndarray | None = None) -> np.ndarray:
+                      simulated: np.ndarray, truth: np.ndarray | None = None) -> None:
     """Plot-ready per-day CSV of predictions, simulation, observations, truth.
 
-    Absent values (undefined regime cells, missing observations, no truth)
-    render as empty fields. The simulation is the reference targets seeded
-    from the predictions; `targets` takes it when the caller already ran it
-    at k_reference, as in mass_inconsistency. Returns the simulation written.
+    `simulated` is the reference simulation seeded from the predictions
+    (simulate_targets at the reference k), the one mass_inconsistency takes
+    as `targets`. Absent values (undefined regime cells, missing
+    observations, no truth) render as empty fields.
     """
     t = series.n_days
     preds = _check_pred_shape(preds, t)
-    simulated = _reference_targets(series, preds, k_reference, targets)
+    simulated = _check_pred_shape(simulated, t)
     if truth is None:
         truth = np.full((t, 3), np.nan)
     else:
         truth = _check_pred_shape(truth, t)
     blocks = np.hstack([preds, simulated, stacked_observations(series), truth])
     _write_rows(path, TIMESERIES_COLUMNS, [series.dates.tolist()], blocks.T)
-    return simulated

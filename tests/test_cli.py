@@ -646,12 +646,13 @@ def test_zero_substeps_flag_exit_2_before_any_output(command, data_dir, train_cf
 
 @pytest.mark.parametrize("k, message", [
     (2**62, "error: array is too big"),
-    (10**12, "error: out of memory"),
+    (10**14, "error: out of memory"),
 ], ids=["unsizable", "unallocatable"])
 def test_evaluate_k_beyond_memory_exit_2_before_any_output(k, message, data_dir, pril_run,
                                                            tmp_path, capsys):
     # The reference simulation's (k + 1)-point substep grid: 2**62 points
-    # numpy cannot size, 10**12 (8 TB) it is refused, so nothing is allocated.
+    # numpy cannot size; 10**14 points (800 TB) exceed the 128 TB user
+    # address space, so the allocation fails under any overcommit policy.
     out = tmp_path / "out"
     argv = ["evaluate", str(pril_run / "checkpoint.csv"), "--data", str(data_dir),
             "--out", str(out), "--k", str(k)]

@@ -147,8 +147,9 @@ class TestExport:
         rng = np.random.default_rng(9)
         preds = rng.normal(8.0, 1.0, (5, 3))
         path = tmp_path / "ts.csv"
-        export_timeseries(path, series, regime_masked_predictions(preds, series),
-                          k_reference=2)
+        masked = regime_masked_predictions(preds, series)
+        targets = simulate_targets(series, masked, k_per_day=np.full(5, 2, dtype=np.int64))
+        export_timeseries(path, series, masked, targets)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert len(rows) == 6
@@ -160,38 +161,29 @@ class TestExport:
         assert float(rows[1][9]) == 4.0
         assert rows[2][9] == "" and rows[1][10] == ""
         # Simulation column matches the reference targets bit for bit.
-        k = np.full(5, 2, dtype=np.int64)
-        targets = simulate_targets(series, regime_masked_predictions(preds, series),
-                                   k_per_day=k)
         assert float(rows[2][4]) == targets[1, 0]
 
-    def test_returned_simulation_serves_mass_inconsistency(self, tmp_path):
+    def test_masked_simulation_serves_mass_inconsistency(self, tmp_path):
         # The simulation reads only regime-defined cells, so the one run on
         # masked predictions is the one mass_inconsistency runs on raw ones.
         series = make_series("MMSSSSMM", obs={1: (None, None, 4.0)})
         preds = np.random.default_rng(5).normal(8.0, 1.0, (8, 3))
-        simulated = export_timeseries(tmp_path / "ts.csv", series,
-                                      regime_masked_predictions(preds, series),
-                                      k_reference=12)
         k = np.full(8, 12, dtype=np.int64)
+        simulated = simulate_targets(series, regime_masked_predictions(preds, series), k_per_day=k)
         np.testing.assert_array_equal(simulated, simulate_targets(series, preds, k_per_day=k))
         shared = mass_inconsistency(preds, series, targets=simulated)
         np.testing.assert_array_equal(shared, mass_inconsistency(preds, series, k_reference=12))
-        # Handed back, the same simulation writes the same file.
-        export_timeseries(tmp_path / "again.csv", series, regime_masked_predictions(preds, series),
-                          targets=simulated)
-        assert (tmp_path / "again.csv").read_bytes() == (tmp_path / "ts.csv").read_bytes()
         with pytest.raises(DomainError, match="shape"):
             mass_inconsistency(preds, series, targets=simulated[1:])
         with pytest.raises(DomainError, match="shape"):
-            export_timeseries(tmp_path / "x.csv", series, preds, targets=simulated[1:])
+            export_timeseries(tmp_path / "x.csv", series, preds, simulated[1:])
 
     def test_truth_column_written(self, tmp_path):
         series = make_series("MM")
         preds = np.zeros((2, 3))
         truth = np.array([[np.nan, np.nan, 7.0], [np.nan, np.nan, 7.5]])
         path = tmp_path / "ts.csv"
-        export_timeseries(path, series, preds, truth=truth)
+        export_timeseries(path, series, preds, np.zeros((2, 3)), truth=truth)
         with open(path, newline="") as fh:
             rows = list(csv.reader(fh))
         assert float(rows[1][12]) == 7.0
@@ -204,8 +196,8 @@ class TestExport:
         preds[1, 0] = -0.0
         truth = np.array([[np.nan, np.nan, 7.0], [1.0, 2.0, np.inf], [5e-324, -np.inf, 3.0],
                           [0.1 + 0.2, 1.0 / 3.0, 1e308], [np.nan, np.nan, -7.0]])
-        simulated = export_timeseries(tmp_path / "got.csv", series, preds, truth=truth,
-                                      k_reference=3)
+        simulated = simulate_targets(series, preds, k_per_day=np.full(5, 3, dtype=np.int64))
+        export_timeseries(tmp_path / "got.csv", series, preds, simulated, truth=truth)
         cells = np.hstack([preds, simulated, stacked_observations(series), truth])
         with open(tmp_path / "want.csv", "w", newline="") as fh:
             writer = csv.writer(fh)
@@ -217,4 +209,4 @@ class TestExport:
     def test_length_mismatch_rejected(self, tmp_path):
         series = make_series("MM")
         with pytest.raises(DomainError, match="shape"):
-            export_timeseries(tmp_path / "x.csv", series, np.zeros((3, 3)))
+            export_timeseries(tmp_path / "x.csv", series, np.zeros((3, 3)), np.zeros((2, 3)))
