@@ -185,23 +185,16 @@ def train_discriminator(inputs: np.ndarray, is_mild: np.ndarray, april: AprilCon
     n_layers = len(params) // 2
     # d loss / d logit is -w_mild / denom * sigmoid(-z) on mild rows and
     # w_drastic / denom * sigmoid(z) on drastic rows; the layers are then
-    # backpropagated by hand with the tape's arithmetic. The (rows, width)
-    # arrays live in buffers allocated once, not once per epoch.
+    # backpropagated by hand with the tape's arithmetic.
     mild_col = is_mild[:, None]
     scale = -1.0 / denom
     coef = np.where(mild_col, scale * w_mild, -(scale * w_drastic))
     sign = np.where(mild_col, -1.0, 1.0)
-    widths = [params[f"layer{li}_w"].shape[1] for li in range(n_layers)]
-    acts = [inputs] + [np.empty((inputs.shape[0], w)) for w in widths]
-    grad_h = [None] + [np.empty_like(a) for a in acts[1:-1]]
-    tanh_slope = [None] + [np.empty_like(a) for a in acts[1:-1]]
     for _ in range(april.disc_epochs):
+        acts = [inputs]
         for li in range(n_layers):
-            out = acts[li + 1]
-            np.matmul(acts[li], params[f"layer{li}_w"], out=out)
-            out += params[f"layer{li}_b"]
-            if li < n_layers - 1:
-                np.tanh(out, out=out)
+            z = acts[-1] @ params[f"layer{li}_w"] + params[f"layer{li}_b"]
+            acts.append(np.tanh(z) if li < n_layers - 1 else z)
         g = coef * sigmoid_values(sign * acts[-1])
         grads = {}
         for li in range(n_layers - 1, -1, -1):
@@ -209,11 +202,7 @@ def train_discriminator(inputs: np.ndarray, is_mild: np.ndarray, april: AprilCon
             grads[f"layer{li}_w"] = h.T @ g
             grads[f"layer{li}_b"] = g.sum(axis=0)
             if li:
-                slope = tanh_slope[li]
-                np.multiply(h, h, out=slope)
-                np.subtract(1.0, slope, out=slope)
-                g = np.matmul(g, params[f"layer{li}_w"].T, out=grad_h[li])
-                g *= slope
+                g = (g @ params[f"layer{li}_w"].T) * (1.0 - h * h)
         params, opt = adam_update(params, grads, opt, april.disc_learning_rate)
     return DiscriminatorParams.from_blocks(params)
 

@@ -67,20 +67,18 @@ SWEEP_COLUMNS = ("lambda_epi", "lambda_hyp", "rmse_epi", "rmse_hyp", "rmse_total
 MODES = ("baseline", "pril", "april")
 
 
-def _read_json(path: str | Path) -> dict:
+def _read_config(path: str | Path, schema: str) -> dict:
+    """The JSON object at path, with its "schema" key checked and removed."""
     try:
         data = json.loads(Path(path).read_text())
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict):
         raise ConfigError(f"{path}: config must be a JSON object")
+    found = data.pop("schema", None)
+    if found != schema:
+        raise ConfigError(f"{path}: schema must be {schema!r}, got {found!r}")
     return data
-
-
-def _pop_schema(data: dict, expected: str, path) -> None:
-    schema = data.pop("schema", None)
-    if schema != expected:
-        raise ConfigError(f"{path}: schema must be {expected!r}, got {schema!r}")
 
 
 def _is_num(value, types) -> bool:
@@ -127,16 +125,14 @@ def _build(cls, data: dict, context: str):
 def load_generate_config(path: str | Path | None) -> GenConfig:
     if path is None:
         return GenConfig()
-    data = _read_json(path)
-    _pop_schema(data, GENERATE_SCHEMA, path)
+    data = _read_config(path, GENERATE_SCHEMA)
     return _build(GenConfig, data, str(path))
 
 
 def load_train_config(path: str | Path | None) -> tuple[TrainConfig, AprilConfig]:
     if path is None:
         return TrainConfig(), AprilConfig()
-    data = _read_json(path)
-    _pop_schema(data, TRAIN_SCHEMA, path)
+    data = _read_config(path, TRAIN_SCHEMA)
     april_data = data.pop("april", {})
     if not isinstance(april_data, dict):
         raise ConfigError(f"{path}: 'april' must be a JSON object")
@@ -145,8 +141,7 @@ def load_train_config(path: str | Path | None) -> tuple[TrainConfig, AprilConfig
 
 
 def load_sweep_config(path: str | Path) -> tuple[list[float], list[float], TrainConfig]:
-    data = _read_json(path)
-    _pop_schema(data, SWEEP_SCHEMA, path)
+    data = _read_config(path, SWEEP_SCHEMA)
     grids = {}
     _, finite = _FIELD_CHECKS["float"]
     for key in ("lambda_epi", "lambda_hyp"):

@@ -95,23 +95,20 @@ def entrainment_fluxes_daily(v_epi_prev, v_epi_cur, v_hyp_prev, v_hyp_cur,
 
     The moving water carries the concentration of the layer it leaves: the
     hypolimnion's when the epilimnion grows (thermocline deepens), the
-    epilimnion's when it shrinks. Each layer's flux is its own signed volume
-    change times that source concentration, divided by the layer's
-    current-day volume, so the transported mass cancels exactly:
-    f_epi * v_epi_cur + f_hyp * v_hyp_cur = 0.
+    epilimnion's when it shrinks. The mass moved is the epilimnion's signed
+    volume change times that source concentration; the epilimnion gains it
+    and the hypolimnion loses it, each divided by its current-day volume, so
+    the transported mass cancels to rounding, f_epi * v_epi_cur + f_hyp *
+    v_hyp_cur = 0, even where the layers' volume changes cancel only within
+    the consistency tolerance.
     """
     _require_positive(v_epi_prev=v_epi_prev, v_epi_cur=v_epi_cur,
                       v_hyp_prev=v_hyp_prev, v_hyp_cur=v_hyp_cur)
     _require_finite(y_epi_prev=y_epi_prev, y_hyp_prev=y_hyp_prev)
     _check_volume_consistency(v_epi_prev, v_epi_cur, v_hyp_prev, v_hyp_cur)
     v_epi_prev = np.asarray(v_epi_prev, dtype=np.float64)
-    v_hyp_prev = np.asarray(v_hyp_prev, dtype=np.float64)
-    d_epi = v_epi_cur - v_epi_prev
-    d_hyp = v_hyp_cur - v_hyp_prev
-    y_src = np.where(v_epi_cur >= v_epi_prev, y_hyp_prev, y_epi_prev)
-    f_epi = d_epi * y_src / v_epi_cur
-    f_hyp = d_hyp * y_src / v_hyp_cur
-    return EntrainmentFluxes(f_epi=f_epi, f_hyp=f_hyp)
+    moved = (v_epi_cur - v_epi_prev) * np.where(v_epi_cur >= v_epi_prev, y_hyp_prev, y_epi_prev)
+    return EntrainmentFluxes(f_epi=moved / v_epi_cur, f_hyp=-moved / v_hyp_cur)
 
 
 def simulate_stratified_step(y_epi_prev, y_hyp_prev, f_exo_epi, f_exo_hyp,
@@ -170,17 +167,12 @@ def _interpolation_weights(k: int) -> tuple[tuple[float, float], ...]:
     return tuple((1.0 - t, t) for t in (np.arange(1, k + 1, dtype=np.float64) / k).tolist())
 
 
-def _substep_entrainment(dv_epi, y_src, v_epi_next, v_hyp_next):
-    return dv_epi * y_src / v_epi_next, -dv_epi * y_src / v_hyp_next
-
-
 def entrainment_fluxes_substep(dv_epi, y_src, v_epi_next, v_hyp_next) -> EntrainmentFluxes:
     """Per-substep thermocline transport for an epilimnion volume increment dv_epi."""
     _require_positive(v_epi_next=v_epi_next, v_hyp_next=v_hyp_next)
     _require_finite(dv_epi=dv_epi, y_src=y_src)
-    f_epi, f_hyp = _substep_entrainment(np.asarray(dv_epi, dtype=np.float64), y_src,
-                                        v_epi_next, v_hyp_next)
-    return EntrainmentFluxes(f_epi=f_epi, f_hyp=f_hyp)
+    moved = np.asarray(dv_epi, dtype=np.float64) * y_src
+    return EntrainmentFluxes(f_epi=moved / v_epi_next, f_hyp=-moved / v_hyp_next)
 
 
 def multi_step_euler(y_epi_prev, y_hyp_prev, f_exo_epi, f_exo_hyp,
@@ -250,9 +242,9 @@ def multi_step_euler(y_epi_prev, y_hyp_prev, f_exo_epi, f_exo_hyp,
     vh = _interpolate(vh_p, vh_c, k)
     floored = False
     for ve_0, ve_1, vh_0, vh_1 in zip(ve, ve[1:], vh, vh[1:]):
-        ent_e, ent_h = _substep_entrainment(dv_epi, np.where(grow, y_h, y_e), ve_1, vh_1)
-        y_e = (y_e * ve_0 + exo_e) / ve_1 + ent_e
-        y_h = (y_h * vh_0 + exo_h) / vh_1 + ent_h
+        moved = dv_epi * np.where(grow, y_h, y_e)
+        y_e = (y_e * ve_0 + exo_e) / ve_1 + moved / ve_1
+        y_h = (y_h * vh_0 + exo_h) / vh_1 - moved / vh_1
         if clamp:
             floored = floored | ~((y_e > 0.0) & (y_h > 0.0))
             y_e = np.maximum(y_e, 0.0)

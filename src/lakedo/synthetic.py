@@ -4,8 +4,9 @@ Each lake gets a fixed total volume, a summer stratified span with a
 drifting, noisy, occasionally shocked thermocline, gentle seasonal
 exogenous fluxes, and a dissolved-oxygen truth trajectory integrated at
 truth_substeps sub-daily Euler steps, clamped at zero. A day is recorded as
-clamped when the unclamped step from the same start state ends elsewhere;
-its mass budget intentionally does not close.
+clamped when the zero floor acted on it: a mixed day whose total fell below
+zero, or a stratified day whose clamped step reports `floored`. Its mass
+budget intentionally does not close.
 Observations are sparse daily visits with additive noise. Two stress
 scenarios can be injected on stratified days: A collapses the hypolimnion
 volume with an oxygen-demand kick the day before, B collapses the
@@ -111,8 +112,9 @@ class GeneratedLake:
     series: LakeSeries
     truth: np.ndarray          # (days, 3) epi/hyp/total, NaN where undefined
     scenario_tags: np.ndarray  # (days,) '', 'A', or 'B'
-    clamped: np.ndarray        # (days,) True where the unclamped step from the
-                               # same start state ends elsewhere
+    clamped: np.ndarray        # (days,) True where the zero floor acted: a mixed
+                               # total fell below zero, or a stratified step
+                               # reports `floored`
     obs_days: np.ndarray       # (days,) sampling visits
 
 
@@ -134,23 +136,22 @@ class _Draft:
         return np.where(self.stratified, self.v_total - self.v_epi, np.nan)
 
 
-def _regime_calendar(cfg: GenConfig) -> tuple[np.ndarray, np.ndarray]:
+def _regime_calendar(cfg: GenConfig) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+    """Dates, day of year, the stratified mask, and progress through the stratified span."""
     t = cfg.n_years * cfg.year_days
     dates = np.arange(1, t + 1, dtype=np.int64)
     doy = (dates - 1) % cfg.year_days
     stratified = (doy >= cfg.strat_start) & (doy < cfg.strat_end)
-    return dates, stratified
+    span = cfg.strat_end - cfg.strat_start
+    progress = np.clip((doy - cfg.strat_start) / max(span - 1, 1), 0.0, 1.0)
+    return dates, doy, stratified, progress
 
 
 def _volumes(cfg: GenConfig, rng: np.random.Generator,
-             stratified: np.ndarray, dates: np.ndarray) -> np.ndarray:
+             stratified: np.ndarray, progress: np.ndarray) -> np.ndarray:
     """Per-day epilimnion volume: seasonal ramp + AR(1) wiggle + rare shocks."""
-    t = dates.size
-    doy = (dates - 1) % cfg.year_days
-    span = cfg.strat_end - cfg.strat_start
-    progress = np.clip((doy - cfg.strat_start) / max(span - 1, 1), 0.0, 1.0)
     ramp = cfg.epi_frac_start + (cfg.epi_frac_end - cfg.epi_frac_start) * progress
-    frac = [np.nan] * t
+    frac = [np.nan] * progress.size
     state = 0.0
     for i, (strat, r) in enumerate(zip(stratified.tolist(), ramp.tolist())):
         if not strat:
@@ -164,11 +165,8 @@ def _volumes(cfg: GenConfig, rng: np.random.Generator,
 
 
 def _fluxes(cfg: GenConfig, rng: np.random.Generator, stratified: np.ndarray,
-            dates: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    t = dates.size
-    doy = (dates - 1) % cfg.year_days
-    span = cfg.strat_end - cfg.strat_start
-    progress = np.clip((doy - cfg.strat_start) / max(span - 1, 1), 0.0, 1.0)
+            doy: np.ndarray, progress: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    t = doy.size
     season = np.sin(np.pi * progress)            # peaks mid-span
     f_epi = np.where(stratified,
                      cfg.epi_flux_peak * season + rng.normal(0, cfg.flux_noise, t),
@@ -195,7 +193,6 @@ def _integrate_truth(cfg: GenConfig, draft: _Draft) -> tuple[np.ndarray, np.ndar
     tot[0] = float(cfg.initial_do)
     clamped = np.zeros(t, dtype=bool)
     sub = SubstepConfig(k=cfg.truth_substeps)
-    floored_days = []
     for i in range(1, t):
         if not strat[i - 1] and not strat[i]:
             total = tot[i - 1] + f_mixed[i - 1]
@@ -204,11 +201,9 @@ def _integrate_truth(cfg: GenConfig, draft: _Draft) -> tuple[np.ndarray, np.ndar
         elif not strat[i - 1]:
             epi[i] = hyp[i] = tot[i] = tot[i - 1]
         elif strat[i]:
-            e, h, floored = multi_step_euler(epi[i - 1], hyp[i - 1], f_epi[i - 1], f_hyp[i - 1],
-                                             ve[i - 1], ve[i], vh[i - 1], vh[i], cfg=sub,
-                                             clamp=True)
-            if floored:
-                floored_days.append(i)
+            e, h, clamped[i] = multi_step_euler(epi[i - 1], hyp[i - 1], f_epi[i - 1],
+                                                f_hyp[i - 1], ve[i - 1], ve[i], vh[i - 1],
+                                                vh[i], cfg=sub, clamp=True)
             # float(): the stepper returns numpy scalars.
             e, h = float(e), float(h)
             epi[i], hyp[i] = e, h
@@ -219,19 +214,11 @@ def _integrate_truth(cfg: GenConfig, draft: _Draft) -> tuple[np.ndarray, np.ndar
     bad = np.flatnonzero(~np.isfinite(truth[:, 2]))
     if bad.size:
         raise DomainError(f"truth total is not finite on day {draft.dates[bad[0]]}")
-    # A day is clamped when the unclamped step from the same start state ends
-    # elsewhere. A day on which no floor changed a bit ends in the same bits
-    # unclamped, so only the floored days take the unclamped step again.
-    for i in floored_days:
-        e, h = multi_step_euler(epi[i - 1], hyp[i - 1], f_epi[i - 1], f_hyp[i - 1],
-                                ve[i - 1], ve[i], vh[i - 1], vh[i], cfg=sub)
-        clamped[i] = e != epi[i] or h != hyp[i]
     return truth, clamped
 
 
-def _features(cfg: GenConfig, draft: _Draft, weather: np.ndarray,
+def _features(cfg: GenConfig, draft: _Draft, doy: np.ndarray, weather: np.ndarray,
               f_total: np.ndarray) -> np.ndarray:
-    doy = (draft.dates - 1) % cfg.year_days
     strat = draft.stratified
     raw = np.column_stack([
         np.sin(2 * np.pi * doy / cfg.year_days),
@@ -314,10 +301,10 @@ def generate_lake(cfg: GenConfig, index: int) -> GeneratedLake:
     vol_rng, flux_rng, weather_rng, visit_rng, noise_rng, scen_rng = \
         (np.random.default_rng(s) for s in streams)
 
-    dates, stratified = _regime_calendar(cfg)
+    dates, doy, stratified, progress = _regime_calendar(cfg)
     t = dates.size
-    v_epi = _volumes(cfg, vol_rng, stratified, dates)
-    f_epi, f_hyp, f_mixed = _fluxes(cfg, flux_rng, stratified, dates)
+    v_epi = _volumes(cfg, vol_rng, stratified, progress)
+    f_epi, f_hyp, f_mixed = _fluxes(cfg, flux_rng, stratified, doy, progress)
     draft = _Draft(dates=dates, stratified=stratified,
                    v_total=np.full(t, cfg.v_total), v_epi=v_epi,
                    f_epi=f_epi, f_hyp=f_hyp, f_mixed=f_mixed,
@@ -359,7 +346,7 @@ def generate_lake(cfg: GenConfig, index: int) -> GeneratedLake:
         obs_total=obs_total,
         obs_epi=obs_epi,
         obs_hyp=obs_hyp,
-        features=_features(cfg, draft, weather, f_total),
+        features=_features(cfg, draft, doy, weather, f_total),
     )
     report = validate_series(series)
     if not report.ok:

@@ -211,20 +211,22 @@ class TestTruth:
         calls = []
 
         def counting(*args, **kwargs):
-            calls.append((kwargs["cfg"].k, kwargs.get("clamp", False), args[4]))
-            return multi_step_euler(*args, **kwargs)
+            result = multi_step_euler(*args, **kwargs)
+            calls.append((kwargs["cfg"].k, kwargs.get("clamp", False), args[4], result[-1]))
+            return result
 
         monkeypatch.setattr(lakedo.synthetic, "multi_step_euler", counting)
         lake = generate_lake(cfg, 0)
         s = lake.series
         days = np.flatnonzero(s.stratified[1:] & s.stratified[:-1]) + 1
-        assert {k for k, _, _ in calls} == {cfg.truth_substeps}
-        # One clamped step per stratified day, in day order, from that day's
-        # start volume; the unclamped step runs again only on floored days,
-        # which include every clamped one.
-        assert [v for _, clamp, v in calls if clamp] == s.v_epi[days - 1].tolist()
-        reruns = sum(1 for _, clamp, _ in calls if not clamp)
-        assert 0 < lake.clamped.sum() <= reruns < days.size
+        # Exactly one clamped step per stratified day at truth_substeps, in day
+        # order from that day's start volume, and no unclamped step at all.
+        assert [(k, clamp) for k, clamp, _, _ in calls] == \
+            [(cfg.truth_substeps, True)] * days.size
+        assert [v for _, _, v, _ in calls] == s.v_epi[days - 1].tolist()
+        # A stratified day is clamped exactly where its step reported `floored`.
+        assert lake.clamped[days].tolist() == [bool(floored) for *_, floored in calls]
+        assert 0 < lake.clamped[days].sum() <= lake.clamped.sum() < days.size
 
     def test_overflowing_last_day_raises(self, lake):
         # No day follows the last one to trip over its non-finite total.
