@@ -304,8 +304,10 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
     else:
         # A whole lake is a valid window: pool every observed day.
         rmse_tasks = np.array(pooled_rmse(lakes, preds_by_lake)[:3])
-    with np.errstate(invalid="ignore"):
-        pooled_inc = np.nanmean(np.stack(inconsistency), axis=0)
+    # nanmean's arithmetic, without its warning for a task no lake defines
+    # (0 / 0 is NaN under the errstate main() sets).
+    stacked = np.stack(inconsistency)
+    pooled_inc = np.nansum(stacked, axis=0) / np.sum(~np.isnan(stacked), axis=0)
 
     out = _prepare_out(args.out)
     outputs = []

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import csv
 from pathlib import Path
-from typing import Sequence
 
 import numpy as np
 
@@ -24,7 +23,6 @@ __all__ = [
     "REFERENCE_SUBSTEPS",
     "TIMESERIES_COLUMNS",
     "mass_inconsistency",
-    "reference_rollout",
     "regime_masked_predictions",
     "write_comparison",
     "export_timeseries",
@@ -83,32 +81,6 @@ def mass_inconsistency(preds: np.ndarray, series: LakeSeries,
         m = include[:, task]
         if m.any():
             out[task] = float(np.mean(np.abs(preds[m, task] - targets[m, task])))
-    return out
-
-
-def reference_rollout(series: LakeSeries, initial: Sequence[float],
-                      k_reference: int = REFERENCE_SUBSTEPS) -> np.ndarray:
-    """Trajectory obtained by rolling the balance scheme forward from day 1.
-
-    `initial` is the (epi, hyp, total) state on the first day; entries for
-    tasks undefined under that day's regime are ignored. Undefined cells
-    stay NaN throughout. The result has zero mass inconsistency by
-    construction, which makes it the anchor for metric tests.
-    """
-    t = series.n_days
-    out = np.full((t, 3), np.nan)
-    first = np.asarray(initial, dtype=np.float64)
-    if first.shape != (3,):
-        raise DomainError("initial state must have three entries")
-    if series.stratified[0]:
-        out[0, :2] = first[:2]
-    else:
-        out[0, 2] = first[2]
-    k_pair = np.full(2, int(k_reference), dtype=np.int64)
-    for day in range(1, t):
-        window = series.subseries(day - 1, day + 1)
-        step = simulate_targets(window, out[day - 1:day + 1], k_per_day=k_pair)
-        out[day] = step[1]
     return out
 
 

@@ -152,18 +152,10 @@ def closed_form_epi_shrink(y_epi_prev, f_exo_epi, v_epi_prev, v_epi_cur):
     return np.asarray(y_epi_prev, np.float64) + np.asarray(f_exo_epi, np.float64) * (np.asarray(v_epi_prev, np.float64) / v_epi_cur)
 
 
-def _interpolate(v_prev, v_cur, k: int) -> np.ndarray:
-    v_prev = np.asarray(v_prev, np.float64)
-    v_cur = np.asarray(v_cur, np.float64)
-    t = np.arange(k + 1, dtype=np.float64) / k
-    t = t.reshape(t.shape + (1,) * max(v_prev.ndim, v_cur.ndim))
-    return v_prev * (1.0 - t) + v_cur * t
-
-
 @lru_cache(maxsize=64)
 def _interpolation_weights(k: int) -> tuple[tuple[float, float], ...]:
-    """The (1 - t, t) pairs _interpolate weighs the volumes with at the end of
-    each substep (t = 1/k, ..., 1), as floats."""
+    """The (1 - t, t) pairs that weigh the day's start and end volumes at the
+    end of each substep (t = 1/k, ..., 1), as floats."""
     return tuple((1.0 - t, t) for t in (np.arange(1, k + 1, dtype=np.float64) / k).tolist())
 
 
@@ -195,11 +187,11 @@ def multi_step_euler(y_epi_prev, y_hyp_prev, f_exo_epi, f_exo_hyp,
     changed a bit, so the clamp=False call from the same start state ends in
     the same bits.
 
-    A single day (every input 0-d) runs the loop on Python floats, which do
-    the same IEEE-754 arithmetic without numpy's per-call cost. The loop
-    interpolates each substep's volumes from cached weights and calls no
-    function per substep. The day comes back as np.float64 values (and a
-    bool `floored`).
+    Both loops interpolate each substep's volumes from the same cached
+    (1 - t, t) weights. A single day (every input 0-d) runs the loop on
+    Python floats, which do the same IEEE-754 arithmetic without numpy's
+    per-call cost and call no function per substep. The day comes back as
+    np.float64 values (and a bool `floored`).
     """
     _require_finite(y_epi_prev=y_epi_prev, y_hyp_prev=y_hyp_prev,
                     f_exo_epi=f_exo_epi, f_exo_hyp=f_exo_hyp)
@@ -232,16 +224,17 @@ def multi_step_euler(y_epi_prev, y_hyp_prev, f_exo_epi, f_exo_hyp,
                 ve_0, vh_0 = ve_1, vh_1
         except ZeroDivisionError:
             # Interpolated volumes that underflow to 0: numpy's division gives
-            # inf or NaN there, so the day runs again in the loop below.
-            pass
+            # inf or NaN there, so the day runs again in the loop below, on
+            # np.float64 volumes (Python float division would raise again).
+            ve_p, ve_c, vh_p, vh_c = map(np.float64, (ve_p, ve_c, vh_p, vh_c))
         else:
             _require_finite(y_epi_new=e, y_hyp_new=h)
             day = (np.float64(e), np.float64(h))
             return (*day, floored) if clamp else day
-    ve = _interpolate(ve_p, ve_c, k)
-    vh = _interpolate(vh_p, vh_c, k)
-    floored = False
-    for ve_0, ve_1, vh_0, vh_1 in zip(ve, ve[1:], vh, vh[1:]):
+    ve_0, vh_0, floored = ve_p, vh_p, False
+    for a, b in _interpolation_weights(k):
+        ve_1 = ve_p * a + ve_c * b
+        vh_1 = vh_p * a + vh_c * b
         moved = dv_epi * np.where(grow, y_h, y_e)
         y_e = (y_e * ve_0 + exo_e) / ve_1 + moved / ve_1
         y_h = (y_h * vh_0 + exo_h) / vh_1 - moved / vh_1
@@ -249,6 +242,7 @@ def multi_step_euler(y_epi_prev, y_hyp_prev, f_exo_epi, f_exo_hyp,
             floored = floored | ~((y_e > 0.0) & (y_h > 0.0))
             y_e = np.maximum(y_e, 0.0)
             y_h = np.maximum(y_h, 0.0)
+        ve_0, vh_0 = ve_1, vh_1
     _require_finite(y_epi_new=y_e, y_hyp_new=y_h)
     return (y_e, y_h, floored) if clamp else (y_e, y_h)
 
@@ -300,35 +294,31 @@ def simulate_targets(series: LakeSeries, preds, k_per_day=None) -> np.ndarray:
 
     # Mixed pair: plain exogenous step on the total.
     sel = day[~prev_strat & ~cur_strat]
-    if sel.size:
-        sim_total[sel] = pred_total[sel - 1] + series.f_exo_total[sel - 1]
+    sim_total[sel] = pred_total[sel - 1] + series.f_exo_total[sel - 1]
 
     # Spring onset: both layers inherit the previous day's total prediction.
     sel = day[~prev_strat & cur_strat]
-    if sel.size:
-        sim_epi[sel] = pred_total[sel - 1]
-        sim_hyp[sel] = pred_total[sel - 1]
+    sim_epi[sel] = pred_total[sel - 1]
+    sim_hyp[sel] = pred_total[sel - 1]
 
     # Fall turnover: volume-weighted mixture of the previous day's layers.
     sel = day[prev_strat & ~cur_strat]
-    if sel.size:
-        sim_total[sel] = (pred_epi[sel - 1] * v_epi[sel - 1]
-                          + pred_hyp[sel - 1] * v_hyp[sel - 1]) / series.v_total[sel - 1]
+    sim_total[sel] = (pred_epi[sel - 1] * v_epi[sel - 1]
+                      + pred_hyp[sel - 1] * v_hyp[sel - 1]) / series.v_total[sel - 1]
 
     # Stratified pair: the two-layer scheme, grouped by substep count.
     strat_days = day[prev_strat & cur_strat]
-    if strat_days.size:
-        ks = np.asarray(k_per_day, dtype=np.int64)[strat_days]
-        # Not np.unique: it imports numpy.ma on first use (about 12 ms a process).
-        for kval in sorted(set(ks.tolist())):
-            sel = strat_days[ks == kval]
-            y_e, y_h = multi_step_euler(
-                pred_epi[sel - 1], pred_hyp[sel - 1],
-                series.f_exo_epi[sel - 1], series.f_exo_hyp[sel - 1],
-                v_epi[sel - 1], v_epi[sel], v_hyp[sel - 1], v_hyp[sel],
-                cfg=SubstepConfig(k=int(kval)),
-            )
-            sim_epi[sel] = y_e
-            sim_hyp[sel] = y_h
+    ks = np.asarray(k_per_day, dtype=np.int64)[strat_days]
+    # Not np.unique: it imports numpy.ma on first use (about 12 ms a process).
+    for kval in sorted(set(ks.tolist())):
+        sel = strat_days[ks == kval]
+        y_e, y_h = multi_step_euler(
+            pred_epi[sel - 1], pred_hyp[sel - 1],
+            series.f_exo_epi[sel - 1], series.f_exo_hyp[sel - 1],
+            v_epi[sel - 1], v_epi[sel], v_hyp[sel - 1], v_hyp[sel],
+            cfg=SubstepConfig(k=int(kval)),
+        )
+        sim_epi[sel] = y_e
+        sim_hyp[sel] = y_h
     return np.stack([sim_epi, sim_hyp, sim_total], axis=1)
 

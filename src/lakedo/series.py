@@ -177,18 +177,25 @@ def relative_epi_volume_change(series: LakeSeries) -> np.ndarray:
     return out
 
 
-def _parse_float(cell: str, day: int, col: str) -> float:
+def _parse_float(cell: str, path: Path, day: int, col: str) -> float:
+    """A float cell; empty or "nan" is absent, and an infinite value is an error."""
     if cell == "":
         return np.nan
     try:
-        return float(cell)
+        value = float(cell)
     except ValueError as exc:
-        raise DomainError(f"day {day}: column {col} is not a number: {cell!r}") from exc
+        raise DomainError(f"{path}: day {day}: column {col} is not a number: {cell!r}") from exc
+    if math.isinf(value):
+        raise DomainError(f"{path}: day {day}: column {col} is not a finite number: {cell!r}")
+    return value
 
 
 def _float_column(body: list[list[str]], c: int) -> np.ndarray:
-    return np.array([float(cell) if cell else np.nan for cell in map(itemgetter(c), body)],
-                    dtype=np.float64)
+    column = np.array([float(cell) if cell else np.nan for cell in map(itemgetter(c), body)],
+                      dtype=np.float64)
+    if np.isinf(column).any():
+        raise ValueError("infinite cell")     # the row scan names it
+    return column
 
 
 def _parse_date(cell: str, path: Path, r: int) -> int:
@@ -211,7 +218,7 @@ def _raise_first_bad_row(path: Path, header: list[str], body: list[list[str]]) -
         if row[1] not in ("S", "M"):
             raise DomainError(f"{path}: row {r}: regime must be 'S' or 'M', got {row[1]!r}")
         for col, cell in zip(header[2:], row[2:]):
-            _parse_float(cell, day, col)
+            _parse_float(cell, path, day, col)
 
 
 def _read_csv(path: str | Path) -> list[list[str]]:

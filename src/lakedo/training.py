@@ -41,9 +41,6 @@ __all__ = [
     "train_pril",
 ]
 
-HISTORY_COLUMNS = ("epoch", "loss_ml", "loss_mc_epi", "loss_mc_hyp", "loss_mc_total",
-                   "val_rmse_epi", "val_rmse_hyp", "val_rmse_total")
-
 LEARNING_RATE_RANGE = (0.001, 0.05)
 BATCH_SIZE_RANGE = (8, 32)
 #: Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
@@ -129,6 +126,9 @@ class HistoryRow(NamedTuple):
     val_rmse_epi: float
     val_rmse_hyp: float
     val_rmse_total: float
+
+
+HISTORY_COLUMNS = HistoryRow._fields
 
 
 @dataclass

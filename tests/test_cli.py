@@ -504,6 +504,45 @@ class TestEvaluate:
             row = list(csv.reader(fh))[1]
         assert [row[1 + 3 * task] == "" for task in range(3)] == expected_nan
 
+    def test_all_mixed_lake_pools_empty_layer_inconsistency_without_a_warning(self, tmp_path,
+                                                                              capsys):
+        # No lake defines a layer task, so its pooled inconsistency is 0 / 0.
+        data = tmp_path / "data"
+        data.mkdir()
+        series = make_series("MMMM", obs={0: (None, None, 4.0)})
+        write_series(series, data / "lake_t0.csv")
+        checkpoint = tmp_path / "ckpt.csv"
+        save_checkpoint(checkpoint, predictor=init_predictor(series.n_features, 20, seed=0))
+        out = tmp_path / "eval"
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert main(["evaluate", str(checkpoint), "--data", str(data),
+                         "--out", str(out)]) == 0
+        assert not caught and capsys.readouterr().err == ""
+        with open(out / "comparison.csv", newline="") as fh:
+            row = list(csv.reader(fh))[1]
+        assert [row[3 + 3 * task] == "" for task in range(3)] == [True, True, False]
+
+    @pytest.mark.parametrize("column, value", [("obs_epi", "inf"), ("feat_0", "1e400")])
+    def test_infinite_lake_cell_exit_2_naming_file_and_day(self, data_dir, pril_run, tmp_path,
+                                                           capsys, column, value):
+        data = tmp_path / "data"
+        data.mkdir()
+        lines = (data_dir / "lake_00.csv").read_text().splitlines()
+        c = lines[0].split(",").index(column)
+        row = next(i for i in range(1, len(lines)) if lines[i].split(",")[1] == "S")
+        cells = lines[row].split(",")
+        cells[c] = value
+        lines[row] = ",".join(cells)
+        (data / "lake_00.csv").write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
+        assert main(["evaluate", str(pril_run / "checkpoint.csv"), "--data", str(data),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == (f"error: {data / 'lake_00.csv'}: day {cells[0]}: "
+                                           f"column {column} is not a finite number: "
+                                           f"{value!r}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("column, value", [
         (0, "99999999999999999999"), (0, "abc"), (2, "x"),
     ])
@@ -650,9 +689,9 @@ def test_zero_substeps_flag_exit_2_before_any_output(command, data_dir, train_cf
 ], ids=["unsizable", "unallocatable"])
 def test_evaluate_k_beyond_memory_exit_2_before_any_output(k, message, data_dir, pril_run,
                                                            tmp_path, capsys):
-    # The reference simulation's (k + 1)-point substep grid: 2**62 points
-    # numpy cannot size; 10**14 points (800 TB) exceed the 128 TB user
-    # address space, so the allocation fails under any overcommit policy.
+    # The reference simulation's k substep weights (np.arange(1, k + 1)):
+    # 2**62 values numpy cannot size; 10**14 values (800 TB) exceed the 128 TB
+    # user address space, so the allocation fails under any overcommit policy.
     out = tmp_path / "out"
     argv = ["evaluate", str(pril_run / "checkpoint.csv"), "--data", str(data_dir),
             "--out", str(out), "--k", str(k)]

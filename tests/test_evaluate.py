@@ -11,14 +11,19 @@ from lakedo.evaluate import (
     TIMESERIES_COLUMNS,
     export_timeseries,
     mass_inconsistency,
-    reference_rollout,
     regime_masked_predictions,
     write_comparison,
 )
 from lakedo.losses import stacked_observations
 from lakedo.physics import simulate_targets
 from lakedo.series import format_value
+from lakedo.synthetic import GenConfig, generate_lake
 from lakedo.training import pooled_rmse
+
+#: A year of truth at k = 12 with no hypolimnetic demand: no floor acts, so
+#: the truth is the balance scheme's own trajectory, cell for cell.
+UNFLOORED_TRUTH = GenConfig(n_lakes=1, n_years=1, truth_substeps=12,
+                            hyp_demand_base=0.0, hyp_demand_ramp=0.0)
 
 
 def epi_rmse(preds, obs) -> float:
@@ -61,12 +66,17 @@ class TestRmse:
         assert pooled == np.sqrt(2.5)
 
 
+@pytest.fixture(scope="module")
+def unfloored_lake():
+    lake = generate_lake(UNFLOORED_TRUTH, 0)
+    assert not lake.clamped.any()
+    return lake
+
+
 class TestMassInconsistency:
-    def test_reference_rollout_scores_zero(self):
-        series = make_series("MSSSSM")
-        rolled = reference_rollout(series, (np.nan, np.nan, 8.0), k_reference=12)
-        metric = mass_inconsistency(rolled, series, k_reference=12)
-        assert np.nanmax(metric) <= 1e-9
+    def test_unfloored_truth_scores_zero(self, unfloored_lake):
+        metric = mass_inconsistency(unfloored_lake.truth, unfloored_lake.series, k_reference=12)
+        assert metric.tolist() == [0.0, 0.0, 0.0]
 
     def test_constant_predictions_on_mixed_series(self):
         # Targets are prev + flux, so the gap each day is exactly |flux|.
@@ -76,20 +86,19 @@ class TestMassInconsistency:
         assert np.isnan(metric[0]) and np.isnan(metric[1])
         assert metric[2] == pytest.approx(abs(series.f_exo_total[0]), rel=1e-12)
 
-    def test_moving_toward_rollout_shrinks_metric_linearly(self):
-        series = make_series("MSSSSM")
-        rolled = reference_rollout(series, (np.nan, np.nan, 8.0), k_reference=12)
+    def test_moving_toward_unfloored_truth_shrinks_metric_linearly(self, unfloored_lake):
+        series, truth = unfloored_lake.series, unfloored_lake.truth
         rng = np.random.default_rng(11)
-        preds = np.where(np.isfinite(rolled), rolled + rng.normal(size=(6, 3)), 0.0)
+        preds = np.where(np.isfinite(truth), truth + rng.normal(size=truth.shape), 0.0)
         values = []
         for alpha in (0.0, 0.5, 1.0):
-            mixed = np.where(np.isfinite(rolled),
-                             (1 - alpha) * preds + alpha * rolled, preds)
+            mixed = np.where(np.isfinite(truth),
+                             (1 - alpha) * preds + alpha * truth, preds)
             m = mass_inconsistency(mixed, series, k_reference=12)
             values.append(np.nansum(m))
         assert values[0] > values[1] > values[2]
         assert values[1] == pytest.approx(0.5 * values[0], rel=1e-9)
-        assert values[2] <= 1e-9
+        assert values[2] == 0.0
 
     def test_day_subset_restricts_the_mean(self):
         series = make_series("MSSSSM")

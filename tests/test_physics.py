@@ -9,7 +9,7 @@ from hypothesis import example, given, settings, strategies as st
 from lakedo.errors import DomainError
 from lakedo.physics import (
     SubstepConfig,
-    _interpolate,
+    _interpolation_weights,
     closed_form_epi_shrink,
     closed_form_hyp_shrink,
     entrainment_fluxes_daily,
@@ -155,18 +155,24 @@ class TestClosedForms:
             assert got == pytest.approx(out_e, rel=1e-12, abs=1e-12)
 
 
+def substep_volumes(v0, v1, k):
+    """The start volume, then each substep's end volume as both Euler loops weigh it."""
+    return np.array([v0] + [v0 * a + v1 * b for a, b in _interpolation_weights(k)])
+
+
 class TestInterpolation:
     def test_worked_example(self):
-        assert np.array_equal(_interpolate(100.0, 150.0, 4),
+        assert np.array_equal(substep_volumes(100.0, 150.0, 4),
                               [100.0, 112.5, 125.0, 137.5, 150.0])
 
     def test_k1_is_endpoints(self):
-        assert np.array_equal(_interpolate(100.0, 150.0, 1), [100.0, 150.0])
+        assert _interpolation_weights(1) == ((0.0, 1.0),)
+        assert np.array_equal(substep_volumes(100.0, 150.0, 1), [100.0, 150.0])
 
     @settings(max_examples=100, deadline=None)
     @given(st.floats(1.0, 1e6), st.floats(1.0, 1e6), st.integers(1, 64))
     def test_endpoints_exact_and_monotone(self, v0, v1, k):
-        v = _interpolate(v0, v1, k)
+        v = substep_volumes(v0, v1, k)
         assert v.shape == (k + 1,)
         assert v[0] == v0 and v[-1] == v1
         # Monotone between the endpoints, up to rounding of the convex combination.
@@ -176,13 +182,15 @@ class TestInterpolation:
 
     @pytest.mark.parametrize("k", [1, 4, 192])
     def test_array_input_matches_scalar_columns(self, k):
+        # numpy's weighing (the array loop) equals Python floats' (the float
+        # loop) to the bit, column by column.
         rng = np.random.default_rng(k)
         v0 = rng.uniform(1.0, 1e6, 9)
         v1 = rng.uniform(1.0, 1e6, 9)
-        v = _interpolate(v0, v1, k)
+        v = substep_volumes(v0, v1, k)
         assert v.shape == (k + 1, 9)
         for j in range(9):
-            assert np.array_equal(v[:, j], _interpolate(v0[j], v1[j], k))
+            assert np.array_equal(v[:, j], substep_volumes(float(v0[j]), float(v1[j]), k))
 
 
 class TestSubstepEntrainment:

@@ -286,14 +286,24 @@ class TestLoadErrors:
         ([["1", "M", "300", "", "", "0.1", "", "", "", "", "", "0"],
           ["2", "X", "300", "", "", "z", "", "", "", "", "", "0"]],
          DomainError, "row 3: regime must be 'S' or 'M', got 'X'"),
+        *(([["1", "M", "300", "", "", "0.1", "", "", "", "", "", "0"],
+            ["2", "M", "300", "", "", "0.1", "", "", cell, "", "", "0"]],
+           DomainError, f"day 2: column obs_total is not a finite number: {cell!r}")
+          for cell in ("inf", "-inf", "1e400", "-Infinity")),
     ], ids=["cell-before-date", "date-before-regime", "cell-before-ragged",
-            "ragged-before-regime", "regime-before-cell"])
+            "ragged-before-regime", "regime-before-cell",
+            "inf-cell", "minus-inf-cell", "out-of-range-cell", "minus-infinity-cell"])
     def test_first_bad_row_is_reported(self, tmp_path, rows, error, message):
         p = self.write_rows(tmp_path, self.base_header(), rows)
         with pytest.raises(error) as info:
             load_series(p)
-        assert str(info.value).endswith(message)
+        assert str(info.value) == f"{p}: {message}"
         assert type(info.value) is error
+
+    def test_nan_cell_reads_as_absent(self, tmp_path):
+        rows = [["1", "M", "300", "", "", "0.1", "", "", "nan", "", "", "0"]]
+        p = self.write_rows(tmp_path, self.base_header(), rows)
+        assert np.isnan(load_series(p).obs_total[0])
 
     def test_header_only_file_loads_empty(self, tmp_path):
         p = self.write_rows(tmp_path, self.base_header(), [])

@@ -17,6 +17,7 @@ from lakedo.physics import (
     SubstepConfig,
     multi_step_euler,
     simulate_stratified_step,
+    simulate_targets,
 )
 from lakedo.series import format_value, relative_epi_volume_change, validate_series
 from lakedo.synthetic import (
@@ -201,6 +202,21 @@ class TestTruth:
         assert clamped.dtype == bool
         np.testing.assert_array_equal(clamped, want_clamped)
         assert clamped.any()
+
+    @INTEGRATOR_CONFIGS
+    def test_simulate_targets_at_truth_substeps_reproduces_unclamped_truth(self, cfg):
+        # The truth integrator and simulate_targets each spell the four regime
+        # rules; seeded from the truth, the one-day-ahead targets must give the
+        # truth back to the bit on every day no floor touched.
+        lake = generate_lake(cfg, 0)
+        s = lake.series
+        sim = simulate_targets(s, lake.truth,
+                               k_per_day=np.full(s.n_days, cfg.truth_substeps))
+        checked = np.isfinite(sim) & ~lake.clamped[:, None]
+        assert sim[checked].tobytes() == lake.truth[checked].tobytes()
+        prev, cur = s.stratified[:-1], s.stratified[1:]
+        for pair in (~prev & ~cur, ~prev & cur, prev & ~cur, prev & cur):
+            assert checked[1:][pair].any()
 
     @INTEGRATOR_CONFIGS
     def test_one_clamped_call_per_stratified_day_through_the_module_binding(self, cfg,
