@@ -6,10 +6,18 @@ already in topological order, so the backward pass is a single reverse walk
 that visits each node exactly once. Nodes hold whole arrays; a whole LSTM
 sequence is a single fused node with a hand-written BPTT backward.
 
+Each op records, next to its forward, one gradient function that maps the
+node's upstream gradient to one gradient per parent, in parent order. A
+gradient function holds only arrays and constants, never a Var: a Var ->
+tape -> gradient function cycle would leave a tape to the cyclic garbage
+collector instead of freeing it when its last name goes.
+
 Subgradient conventions: relu and abs both use 0 at their kinks.
 """
 
 from __future__ import annotations
+
+from functools import partial
 
 import numpy as np
 
@@ -62,27 +70,25 @@ class Tape:
 
     def __init__(self) -> None:
         self.values: list[np.ndarray] = []
-        self.opcodes: list[str] = []
         self.parents: list[tuple[int, ...]] = []
-        self.ctx: list = []
+        self.grad_fns: list = []     # None where a node passes no gradient, as leaves do
         self.needs_grad: list[bool] = []
         self.backward_visits = 0  # nodes processed by the last backward pass
 
-    def _push(self, value, opcode: str, parent_vars: tuple, ctx=None) -> Var:
+    def _push(self, value, parents: tuple = (), grad_fn=None) -> Var:
         value = np.asarray(value, dtype=np.float64)
         idx = len(self.values)
         self.values.append(value)
-        self.opcodes.append(opcode)
-        self.parents.append(tuple(p.idx for p in parent_vars))
-        self.ctx.append(ctx)
-        self.needs_grad.append(any(self.needs_grad[p.idx] for p in parent_vars))
+        self.parents.append(tuple(p.idx for p in parents))
+        self.grad_fns.append(grad_fn)
+        self.needs_grad.append(any(self.needs_grad[p.idx] for p in parents))
         return Var(self, idx)
 
     def constant(self, value) -> Var:
-        return self._push(value, "leaf", ())
+        return self._push(value)
 
     def param(self, value) -> Var:
-        v = self._push(value, "leaf", ())
+        v = self._push(value)
         self.needs_grad[v.idx] = True
         return v
 
@@ -90,19 +96,20 @@ class Tape:
         """Gradients of a scalar output with respect to every node (None where unneeded)."""
         if out.value.size != 1:
             raise DomainError("backward requires a scalar output")
-        n = out.idx + 1
         grads: list = [None] * len(self.values)
         grads[out.idx] = np.ones_like(self.values[out.idx])
         self.backward_visits = 0
-        for i in range(n - 1, -1, -1):
-            g = grads[i]
+        for i in range(out.idx, -1, -1):
+            g, grad_fn = grads[i], self.grad_fns[i]
             if g is None or not self.needs_grad[i]:
                 continue
             self.backward_visits += 1
-            opcode = self.opcodes[i]
-            if opcode == "leaf":
+            if grad_fn is None:
                 continue
-            _BACKWARD[opcode](self, i, g, grads)
+            for p, gp in zip(self.parents[i], grad_fn(g)):
+                # Accumulation always builds a fresh array, so storing views is safe.
+                if self.needs_grad[p]:
+                    grads[p] = gp if grads[p] is None else grads[p] + gp
         return grads
 
 
@@ -113,16 +120,6 @@ def _unbroadcast(g: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     return g.sum(axis=tuple(range(g.ndim - len(shape)))).reshape(shape)
 
 
-def _accumulate(tape: Tape, grads: list, idx: int, g: np.ndarray) -> None:
-    # Accumulation always builds a fresh array, so storing views is safe.
-    if not tape.needs_grad[idx]:
-        return
-    if grads[idx] is None:
-        grads[idx] = g
-    else:
-        grads[idx] = grads[idx] + g
-
-
 def _same_tape(*vs: Var) -> Tape:
     tape = vs[0].tape
     if any(v.tape is not tape for v in vs):
@@ -131,77 +128,114 @@ def _same_tape(*vs: Var) -> Tape:
 
 
 def add(a: Var, b: Var) -> Var:
-    return _same_tape(a, b)._push(a.value + b.value, "add", (a, b))
+    sa, sb = a.shape, b.shape
+    return _same_tape(a, b)._push(a.value + b.value, (a, b),
+                                  lambda g: (_unbroadcast(g, sa), _unbroadcast(g, sb)))
 
 
 def sub(a: Var, b: Var) -> Var:
-    return _same_tape(a, b)._push(a.value - b.value, "sub", (a, b))
+    sa, sb = a.shape, b.shape
+    return _same_tape(a, b)._push(a.value - b.value, (a, b),
+                                  lambda g: (_unbroadcast(g, sa), _unbroadcast(-g, sb)))
 
 
 def mul(a: Var, b: Var) -> Var:
-    return _same_tape(a, b)._push(a.value * b.value, "mul", (a, b))
+    x, y = a.value, b.value
+    return _same_tape(a, b)._push(x * y, (a, b), lambda g: (
+        _unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)))
 
 
 def neg(a: Var) -> Var:
-    return a.tape._push(-a.value, "neg", (a,))
+    return a.tape._push(-a.value, (a,), lambda g: (-g,))
 
 
 def scale(a: Var, c: float) -> Var:
-    return a.tape._push(a.value * c, "scale", (a,), float(c))
+    cf = float(c)
+    return a.tape._push(a.value * c, (a,), lambda g: (g * cf,))
 
 
 def add_const(a: Var, c) -> Var:
-    return a.tape._push(a.value + c, "add_const", (a,))
+    return a.tape._push(a.value + c, (a,), lambda g: (g,))
 
 
 def matmul(a: Var, b: Var) -> Var:
-    if b.value.ndim != 2 or a.value.ndim not in (2, 3):
+    x, y = a.value, b.value
+    if y.ndim != 2 or x.ndim not in (2, 3):
         raise DomainError("matmul supports (n,k)@(k,m) or (t,n,k)@(k,m)")
-    return _same_tape(a, b)._push(a.value @ b.value, "matmul", (a, b))
+    lead = list(range(x.ndim - 1))
+    return _same_tape(a, b)._push(x @ y, (a, b), lambda g: (
+        g @ y.T, np.tensordot(x, g, axes=(lead, lead))))
 
 
 def tanh(a: Var) -> Var:
     out = np.tanh(a.value)
-    return a.tape._push(out, "tanh", (a,))
+    return a.tape._push(out, (a,), lambda g: (g * (1.0 - out * out),))
 
 
 def sigmoid(a: Var) -> Var:
     out = sigmoid_values(a.value)
-    return a.tape._push(out, "sigmoid", (a,))
+    return a.tape._push(out, (a,), lambda g: (g * out * (1.0 - out),))
 
 
 def relu(a: Var) -> Var:
-    return a.tape._push(np.maximum(a.value, 0.0), "relu", (a,))
+    x = a.value
+    return a.tape._push(np.maximum(x, 0.0), (a,), lambda g: (g * (x > 0.0),))
 
 
 def absval(a: Var) -> Var:
-    return a.tape._push(np.abs(a.value), "abs", (a,))
+    x = a.value
+    return a.tape._push(np.abs(x), (a,), lambda g: (g * np.sign(x),))
 
 
 def logsigmoid(a: Var) -> Var:
     # log(sigmoid(x)) = -log(1 + exp(-x)), stable at both tails.
-    out = -np.logaddexp(0.0, -a.value)
-    return a.tape._push(out, "logsigmoid", (a,))
+    x = a.value
+    return a.tape._push(-np.logaddexp(0.0, -x), (a,), lambda g: (g * sigmoid_values(-x),))
 
 
 def sqdiff(a: Var, b: Var) -> Var:
-    d = a.value - b.value
-    return _same_tape(a, b)._push(d * d, "sqdiff", (a, b))
+    x, y = a.value, b.value
+
+    def grad_fn(g):
+        d = x - y       # recomputed, so the node holds no second array
+        return _unbroadcast(2.0 * g * d, x.shape), _unbroadcast(-2.0 * g * d, y.shape)
+
+    d = x - y
+    return _same_tape(a, b)._push(d * d, (a, b), grad_fn)
+
+
+def _scatter(x: np.ndarray, key, divisor=None):
+    """Gradient function that puts the upstream gradient on the cells key selects."""
+    def grad_fn(g):
+        gx = np.zeros_like(x)
+        gx[key] = g if divisor is None else g / divisor
+        return (gx,)
+    return grad_fn
 
 
 def index(a: Var, key) -> Var:
-    return a.tape._push(a.value[key], "index", (a,), key)
+    return a.tape._push(a.value[key], (a,), _scatter(a.value, key))
 
 
 def concat(vs: list[Var], axis: int = -1) -> Var:
     tape = _same_tape(*vs)
-    return tape._push(np.concatenate([v.value for v in vs], axis=axis),
-                      "concat", tuple(vs), axis)
+    sizes = [v.shape[axis] for v in vs]
+
+    def grad_fn(g):
+        sl, offset, out = [slice(None)] * g.ndim, 0, []
+        for size in sizes:
+            sl[axis] = slice(offset, offset + size)
+            out.append(g[tuple(sl)])
+            offset += size
+        return out
+
+    return tape._push(np.concatenate([v.value for v in vs], axis=axis), tuple(vs), grad_fn)
 
 
 def stack(vs: list[Var]) -> Var:
     tape = _same_tape(*vs)
-    return tape._push(np.stack([v.value for v in vs], axis=0), "stack", tuple(vs))
+    # list(g) is g[0], g[1], ...: row i of the gradient goes to operand i.
+    return tape._push(np.stack([v.value for v in vs], axis=0), tuple(vs), list)
 
 
 def lstm_sequence_values(w_cell: np.ndarray, b_cell: np.ndarray,
@@ -288,129 +322,16 @@ def lstm_sequence(w_cell: Var, b_cell: Var, features: np.ndarray,
     cache = [features.transpose(1, 0, 2)]
     while joint:
         cache.append(np.ascontiguousarray(joint.pop(0)[:, :n]))
-    node = tape._push(cache[2][1:], "lstm_sequence", (w_cell, b_cell), tuple(cache))
+    w_h_t = w_cell.value[:w_cell.value.shape[1] // 4].T
+    node = tape._push(cache[2][1:], (w_cell, b_cell), partial(_lstm_grads, w_h_t, tuple(cache)))
     return node, ride_hs
 
 
-def masked_sum(a: Var, mask: np.ndarray) -> Var:
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != a.value.shape:
-        raise DomainError("mask shape must match the operand")
-    return a.tape._push(a.value[mask].sum(), "masked_sum", (a,), mask)
-
-
-def masked_mean(a: Var, mask: np.ndarray) -> Var:
-    """Mean over selected cells; an empty mask yields 0 with a zero gradient."""
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != a.value.shape:
-        raise DomainError("mask shape must match the operand")
-    count = int(mask.sum())
-    value = a.value[mask].sum() / count if count else 0.0
-    return a.tape._push(value, "masked_mean", (a,), (mask, count))
-
-
-def _bw_add(tape, i, g, grads):
-    pa, pb = tape.parents[i]
-    _accumulate(tape, grads, pa, _unbroadcast(g, tape.values[pa].shape))
-    _accumulate(tape, grads, pb, _unbroadcast(g, tape.values[pb].shape))
-
-
-def _bw_sub(tape, i, g, grads):
-    pa, pb = tape.parents[i]
-    _accumulate(tape, grads, pa, _unbroadcast(g, tape.values[pa].shape))
-    _accumulate(tape, grads, pb, _unbroadcast(-g, tape.values[pb].shape))
-
-
-def _bw_mul(tape, i, g, grads):
-    pa, pb = tape.parents[i]
-    a, b = tape.values[pa], tape.values[pb]
-    _accumulate(tape, grads, pa, _unbroadcast(g * b, a.shape))
-    _accumulate(tape, grads, pb, _unbroadcast(g * a, b.shape))
-
-
-def _bw_neg(tape, i, g, grads):
-    _accumulate(tape, grads, tape.parents[i][0], -g)
-
-
-def _bw_scale(tape, i, g, grads):
-    _accumulate(tape, grads, tape.parents[i][0], g * tape.ctx[i])
-
-
-def _bw_add_const(tape, i, g, grads):
-    _accumulate(tape, grads, tape.parents[i][0], g)
-
-
-def _bw_matmul(tape, i, g, grads):
-    pa, pb = tape.parents[i]
-    a, b = tape.values[pa], tape.values[pb]
-    _accumulate(tape, grads, pa, g @ b.T)
-    lead = list(range(a.ndim - 1))
-    _accumulate(tape, grads, pb, np.tensordot(a, g, axes=(lead, lead)))
-
-
-def _bw_tanh(tape, i, g, grads):
-    y = tape.values[i]
-    _accumulate(tape, grads, tape.parents[i][0], g * (1.0 - y * y))
-
-
-def _bw_sigmoid(tape, i, g, grads):
-    y = tape.values[i]
-    _accumulate(tape, grads, tape.parents[i][0], g * y * (1.0 - y))
-
-
-def _bw_relu(tape, i, g, grads):
-    x = tape.values[tape.parents[i][0]]
-    _accumulate(tape, grads, tape.parents[i][0], g * (x > 0.0))
-
-
-def _bw_abs(tape, i, g, grads):
-    x = tape.values[tape.parents[i][0]]
-    _accumulate(tape, grads, tape.parents[i][0], g * np.sign(x))
-
-
-def _bw_logsigmoid(tape, i, g, grads):
-    x = tape.values[tape.parents[i][0]]
-    _accumulate(tape, grads, tape.parents[i][0], g * sigmoid_values(-x))
-
-
-def _bw_sqdiff(tape, i, g, grads):
-    pa, pb = tape.parents[i]
-    a, b = tape.values[pa], tape.values[pb]
-    d = a - b
-    _accumulate(tape, grads, pa, _unbroadcast(2.0 * g * d, a.shape))
-    _accumulate(tape, grads, pb, _unbroadcast(-2.0 * g * d, b.shape))
-
-
-def _bw_scatter(tape, i, g, grads):
-    # index and masked_sum: the gradient lands on the cells the key selects.
-    p = tape.parents[i][0]
-    gp = np.zeros_like(tape.values[p])
-    gp[tape.ctx[i]] = g
-    _accumulate(tape, grads, p, gp)
-
-
-def _bw_concat(tape, i, g, grads):
-    axis = tape.ctx[i]
-    offset = 0
-    for p in tape.parents[i]:
-        size = tape.values[p].shape[axis]
-        sl = [slice(None)] * g.ndim
-        sl[axis] = slice(offset, offset + size)
-        _accumulate(tape, grads, p, g[tuple(sl)])
-        offset += size
-
-
-def _bw_stack(tape, i, g, grads):
-    for row, p in enumerate(tape.parents[i]):
-        _accumulate(tape, grads, p, g[row])
-
-
-def _bw_lstm_sequence(tape, i, g, grads):
-    pw, pb = tape.parents[i]
-    x, act, h, c, tanh_c = tape.ctx[i]
+def _lstm_grads(w_h_t: np.ndarray, cache: tuple, g: np.ndarray) -> tuple:
+    """BPTT of lstm_sequence: (d w_cell, d b_cell) for upstream g (T, B, H)."""
+    x, act, h, c, tanh_c = cache
     t_count, b, hidden = tanh_c.shape
     n_sig = 3 * hidden
-    w_h_t = tape.values[pw][:hidden].T
     # d(pre-activation) = upstream * partner * activation', where the upstream
     # is dc for the input, forget and candidate gates and dh for the output
     # gate. partner * activation' is formed in d_pre for all days at once, and
@@ -451,29 +372,24 @@ def _bw_lstm_sequence(tape, i, g, grads):
         np.matmul(dp, w_h_t, out=dh_next)
     dw_h = np.tensordot(h[:-1], d_pre, axes=([0, 1], [0, 1]))
     dw_x = np.tensordot(x, d_pre, axes=([0, 1], [0, 1]))
-    _accumulate(tape, grads, pw, np.vstack([dw_h, dw_x]))
-    _accumulate(tape, grads, pb, d_pre.sum(axis=(0, 1)))
+    return np.vstack([dw_h, dw_x]), d_pre.sum(axis=(0, 1))
 
 
-def _bw_masked_mean(tape, i, g, grads):
-    mask, count = tape.ctx[i]
-    p = tape.parents[i][0]
-    if not count:
-        return
-    gp = np.zeros_like(tape.values[p])
-    gp[mask] = g / count
-    _accumulate(tape, grads, p, gp)
+def masked_sum(a: Var, mask: np.ndarray) -> Var:
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != a.value.shape:
+        raise DomainError("mask shape must match the operand")
+    return a.tape._push(a.value[mask].sum(), (a,), _scatter(a.value, mask))
 
 
-_BACKWARD = {
-    "add": _bw_add, "sub": _bw_sub, "mul": _bw_mul, "neg": _bw_neg,
-    "scale": _bw_scale, "add_const": _bw_add_const, "matmul": _bw_matmul,
-    "tanh": _bw_tanh, "sigmoid": _bw_sigmoid, "relu": _bw_relu,
-    "abs": _bw_abs, "logsigmoid": _bw_logsigmoid, "sqdiff": _bw_sqdiff,
-    "index": _bw_scatter, "concat": _bw_concat, "stack": _bw_stack,
-    "lstm_sequence": _bw_lstm_sequence, "masked_sum": _bw_scatter,
-    "masked_mean": _bw_masked_mean,
-}
+def masked_mean(a: Var, mask: np.ndarray) -> Var:
+    """Mean over selected cells; an empty mask yields 0 and passes no gradient."""
+    mask = np.asarray(mask, dtype=bool)
+    if mask.shape != a.value.shape:
+        raise DomainError("mask shape must match the operand")
+    count = int(mask.sum())
+    value = a.value[mask].sum() / count if count else 0.0
+    return a.tape._push(value, (a,), _scatter(a.value, mask, count) if count else None)
 
 
 def evaluate_with_gradient(loss_program, params: dict) -> tuple[float, dict]:

@@ -223,14 +223,12 @@ def multi_step_euler(y_epi_prev, y_hyp_prev, f_exo_epi, f_exo_hyp,
                     h = h if h > 0.0 or h != h else 0.0
                 ve_0, vh_0 = ve_1, vh_1
         except ZeroDivisionError:
-            # Interpolated volumes that underflow to 0: numpy's division gives
-            # inf or NaN there, so the day runs again in the loop below, on
-            # np.float64 volumes (Python float division would raise again).
-            ve_p, ve_c, vh_p, vh_c = map(np.float64, (ve_p, ve_c, vh_p, vh_c))
-        else:
-            _require_finite(y_epi_new=e, y_hyp_new=h)
-            day = (np.float64(e), np.float64(h))
-            return (*day, floored) if clamp else day
+            # Two subnormal volumes weighed (0.5, 0.5) interpolate to 0. The
+            # array loop ends such a day in NaN and raises at its exit check.
+            raise DomainError("interpolated layer volumes must be positive") from None
+        _require_finite(y_epi_new=e, y_hyp_new=h)
+        day = (np.float64(e), np.float64(h))
+        return (*day, floored) if clamp else day
     ve_0, vh_0, floored = ve_p, vh_p, False
     for a, b in _interpolation_weights(k):
         ve_1 = ve_p * a + ve_c * b

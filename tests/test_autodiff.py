@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -176,6 +179,30 @@ class TestTapeDiscipline:
         # param, tanh, mul, masked_sum each processed exactly once.
         assert tape.backward_visits == 4
 
+    def test_every_op_leaves_the_tape_to_refcounting(self):
+        # A gradient function that held a Var would close a Var -> tape ->
+        # gradient function cycle, which only the cyclic collector frees.
+        gc.disable()
+        try:
+            tape = ad.Tape()
+            w = tape.param(np.full((2, 3), 0.5))
+            x = ad.concat([ad.tanh(w), ad.sigmoid(w), ad.relu(w), ad.absval(w),
+                           ad.logsigmoid(w), ad.neg(w), ad.scale(w, 2.0),
+                           ad.add_const(w, 1.0)], axis=1)
+            y = ad.sqdiff(ad.mul(ad.add(x, x), ad.sub(x, x)), x)
+            z = ad.stack([ad.matmul(y, tape.constant(np.ones((24, 4)))), y[:, :4]])
+            hs, _ = ad.lstm_sequence(tape.param(np.full((5, 4), 0.1)),
+                                     tape.param(np.zeros(4)), np.ones((2, 3, 4)))
+            loss = ad.add(ad.masked_sum(z, np.ones(z.shape, dtype=bool)),
+                          ad.add(ad.masked_mean(hs, np.ones(hs.shape, dtype=bool)),
+                                 ad.masked_mean(hs, np.zeros(hs.shape, dtype=bool))))
+            grads = tape.backward(loss)
+            alive = weakref.ref(tape)
+            del tape, w, x, y, z, hs, loss, grads
+            assert alive() is None
+        finally:
+            gc.enable()
+
     def test_scalar_output_required(self):
         tape = ad.Tape()
         w = tape.param(np.ones(3))
@@ -306,7 +333,7 @@ class TestLstmSequence:
             tape = ad.Tape()
             w, b = tape.param(params["w_cell"]), tape.param(params["b_cell"])
             node, _ = ad.lstm_sequence(w, b, features, ride_along)
-            return node.value, tape.ctx[node.idx]
+            return node.value, tape.grad_fns[node.idx].args[1]     # (w_h_t, cache)
 
         value, (x, *states) = node_cache(ride)
         alone_value, (alone_x, *alone_states) = node_cache(None)

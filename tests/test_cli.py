@@ -27,7 +27,7 @@ from lakedo.cli import (SWEEP_COLUMNS, _sweep_point, load_generate_config, load_
 from lakedo.errors import ConfigError
 from lakedo.networks import init_discriminator, init_predictor, load_checkpoint, save_checkpoint
 from lakedo.series import format_value, load_series, write_series
-from lakedo.synthetic import GenConfig, generate_lake, write_truth
+from lakedo.synthetic import TRUTH_COLUMNS, GenConfig, generate_lake, write_truth
 from lakedo.training import TrainConfig, validation_rmse, year_windows
 
 GEN_CONFIG = {
@@ -544,10 +544,14 @@ class TestEvaluate:
         assert not out.exists()
 
     @pytest.mark.parametrize("column, value", [
-        (0, "99999999999999999999"), (0, "abc"), (2, "x"),
+        (0, "99999999999999999999"), (0, "abc"), (2, "x"), (1, "inf"), (3, "1e400"),
+        (4, "AB"),
     ])
     def test_corrupt_truth_file_exit_2(self, data_dir, pril_run, tmp_path, capsys,
                                        column, value):
+        # The truth file follows the lake file's cell rules: a bad date or tag
+        # names its row, a bad value cell (infinite ones included) its day and
+        # column.
         data = tmp_path / "data"
         data.mkdir()
         for name in ("lake_00.csv", "lake_00_truth.csv"):
@@ -558,11 +562,15 @@ class TestEvaluate:
         cells[column] = value
         lines[3] = ",".join(cells)
         truth.write_text("\n".join(lines) + "\n")
+        out = tmp_path / "o"
         assert main(["evaluate", str(pril_run / "checkpoint.csv"), "--data", str(data),
-                     "--out", str(tmp_path / "o"), "--k", "2"]) == 2
+                     "--out", str(out), "--k", "2"]) == 2
         err = capsys.readouterr().err
         assert err.count("\n") == 1 and err.startswith("error:")
-        assert "lake_00_truth.csv" in err and "row 4" in err and value in err
+        where = ("row 4" if column in (0, 4)
+                 else f"day {cells[0]}: column {TRUTH_COLUMNS[column]}")
+        assert "lake_00_truth.csv" in err and where in err and repr(value) in err
+        assert not out.exists()
 
     @pytest.mark.parametrize("cut", ["truncate", "shift"])
     def test_truth_dates_must_match_lake_exit_2(self, data_dir, pril_run, tmp_path,

@@ -1,5 +1,8 @@
 """Loss oracles: pooled MSE, hinged consistency, affine target replay."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -16,6 +19,7 @@ from lakedo.losses import (
 )
 from lakedo.networks import init_predictor, predictor_forward, predictor_forward_tape
 from lakedo.physics import simulate_targets
+from lakedo.synthetic import GenConfig, generate_lake
 
 from conftest import make_series
 
@@ -229,3 +233,22 @@ class TestTapedWindowLoss:
             return taped_window_loss(tape, p, batch, (3.0, 2.0, 1.0), 0.05)["loss"]
 
         assert ad.gradient_check(program, init.to_blocks()) < 1e-4
+
+    def test_tape_freed_by_refcount_alone(self):
+        # No gradient function may hold a Var: a Var -> tape -> gradient
+        # function cycle would keep a trained batch's tape (and its BPTT
+        # cache) alive after its names go, until the cyclic collector runs.
+        series = generate_lake(GenConfig(n_lakes=1, n_years=1, truth_substeps=2), 0).series
+        batch = build_window_batch([series])
+        params = init_predictor(series.n_features, 20, seed=17)
+        gc.disable()
+        try:
+            tape = ad.Tape()
+            pvars = {k: tape.param(v) for k, v in params.to_blocks().items()}
+            parts = taped_window_loss(tape, pvars, batch, (3.0, 2.0, 1.0), 0.05)
+            grads = tape.backward(parts["loss"])
+            alive = weakref.ref(tape)
+            del tape, pvars, parts, grads
+            assert alive() is None
+        finally:
+            gc.enable()

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -468,6 +470,14 @@ class TestTrajectory:
         preds = np.array([[9.0, 6.0, np.nan], [np.nan, np.nan, 5.0]])
         sim = simulate_targets(s, preds)
         assert sim[1, 2] == (9.0 * 100.0 + 6.0 * 200.0) / 300.0
+
+    def test_fall_turnover_divides_by_the_previous_days_total_volume(self):
+        # The layers' mass of day t-1 spreads over that day's water, not over
+        # a v_total that changes on the mixed day.
+        s = replace(make_series("SM", v_epi=[100.0, np.nan], v_total=300.0),
+                    v_total=np.array([300.0, 600.0]))
+        preds = np.array([[8.0, 2.0, np.nan], [np.nan, np.nan, 5.0]])
+        assert simulate_targets(s, preds)[1, 2] == 4.0
 
     def test_stratified_pair_uses_substep_policy(self):
         s = make_series("SS", v_epi=[100.0, 150.0], f_exo=(0.2, -0.4, 0.0))

@@ -244,6 +244,18 @@ class TestTruth:
         assert lake.clamped[days].tolist() == [bool(floored) for *_, floored in calls]
         assert 0 < lake.clamped[days].sum() <= lake.clamped.sum() < days.size
 
+    def test_fall_turnover_divides_by_the_previous_days_total_volume(self):
+        # Onset gives both layers the mixed total 4.0; the turnover mixes
+        # them over day t-1's 300 m^3, not over the mixed day's 600 m^3.
+        draft = _Draft(dates=np.arange(1, 4), stratified=np.array([False, True, False]),
+                       v_total=np.array([300.0, 300.0, 600.0]),
+                       v_epi=np.array([np.nan, 100.0, np.nan]),
+                       f_epi=np.full(3, np.nan), f_hyp=np.full(3, np.nan),
+                       f_mixed=np.zeros(3), scenario_tags=np.full(3, "", dtype="<U1"))
+        truth, _ = _integrate_truth(replace(ONE_YEAR, initial_do=4.0), draft)
+        assert truth[1].tolist() == [4.0, 4.0, 4.0]
+        assert truth[2, 2] == 4.0
+
     def test_overflowing_last_day_raises(self, lake):
         # No day follows the last one to trip over its non-finite total.
         s = lake.series
