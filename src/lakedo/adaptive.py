@@ -22,7 +22,6 @@ import numpy as np
 
 from .autodiff import sigmoid_values
 from .errors import ConfigError, DomainError, require_finite_floats
-from .losses import stacked_observations
 from .networks import (
     DiscriminatorParams,
     PredictorParams,
@@ -30,7 +29,7 @@ from .networks import (
     init_discriminator,
     predictor_forward_series,
 )
-from .series import LakeSeries, _write_rows, relative_epi_volume_change
+from .series import LakeSeries, _write_rows, relative_epi_volume_change, stacked_observations
 from .training import (
     TrainConfig,
     TrainHistory,
@@ -295,18 +294,12 @@ def train_april(lakes: Sequence[LakeSeries], config: TrainConfig,
     k_policies = {lake.lake_id: k_policy_from_labels(lake, labels[lake.lake_id])
                   for lake in lakes}
 
-    any_drastic = any(not label.mild for per_lake in labels.values()
-                      for label in per_lake)
-    if not any_drastic:
-        return AprilResult(params=stage1.params, history=stage1.history,
-                           labels=labels, k_policies=k_policies,
-                           discriminator=discriminator, stage1=stage1,
-                           stage3=None, gamma=gamma)
-
-    stage3 = train_pril(lakes, replace(config, max_epochs=april.finetune_epochs),
-                        k_policies=k_policies, initial_params=stage1.params)
-    history = TrainHistory(rows=list(stage1.history.rows))
-    history.extend_renumbered(stage3.history)
-    return AprilResult(params=stage3.params, history=history, labels=labels,
+    stage3, history = None, stage1.history
+    if any(not label.mild for per_lake in labels.values() for label in per_lake):
+        stage3 = train_pril(lakes, replace(config, max_epochs=april.finetune_epochs),
+                            k_policies=k_policies, initial_params=stage1.params)
+        history = TrainHistory(rows=list(stage1.history.rows))
+        history.extend_renumbered(stage3.history)
+    return AprilResult(params=(stage3 or stage1).params, history=history, labels=labels,
                        k_policies=k_policies, discriminator=discriminator,
                        stage1=stage1, stage3=stage3, gamma=gamma)

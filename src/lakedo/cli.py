@@ -160,8 +160,12 @@ def load_sweep_config(path: str | Path) -> tuple[list[float], list[float], Train
 
 def _write_manifest(args: argparse.Namespace, resolved_config, seed: int,
                     inputs: Sequence[str | Path], outputs: Sequence[str | Path],
-                    started: float, counters: dict | None = None) -> None:
-    """Write --out/manifest.json; the --config file, if any, joins the inputs."""
+                    **extra) -> None:
+    """Write --out/manifest.json; the --config file, if any, joins the inputs.
+
+    The duration runs from args.started, which main() stamps; extra keys
+    (train's counters, sweep's failures) join the payload unhashed.
+    """
     # Platform-stable hash of the resolved config(s): canonical JSON, sha256.
     canonical = json.dumps(resolved_config, sort_keys=True, separators=(",", ":"))
     payload = {
@@ -171,10 +175,9 @@ def _write_manifest(args: argparse.Namespace, resolved_config, seed: int,
         "inputs": sorted(map(str, [*inputs, args.config] if args.config else inputs)),
         "outputs": sorted(str(p) for p in outputs),
         "version": f"lakedo-{__version__}",
-        "duration_seconds": round(time.monotonic() - started, 3),
+        "duration_seconds": round(time.monotonic() - args.started, 3),
+        **extra,
     }
-    if counters is not None:
-        payload["counters"] = counters
     path = Path(args.out) / "manifest.json"
     tmp = path.with_name("manifest.json.tmp")
     tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
@@ -205,7 +208,6 @@ def _load_lakes(data_dir: str | Path) -> tuple[list[Path], list[LakeSeries]]:
 
 
 def cmd_generate(args: argparse.Namespace) -> int:
-    started = time.monotonic()
     cfg = load_generate_config(args.config)
     if args.seed is not None:
         cfg = replace(cfg, seed=args.seed)
@@ -218,12 +220,11 @@ def cmd_generate(args: argparse.Namespace) -> int:
         write_series(lake.series, series_path)
         write_truth(truth_path, lake)
         outputs += [series_path, truth_path]
-    _write_manifest(args, asdict(cfg), cfg.seed, [], outputs, started)
+    _write_manifest(args, asdict(cfg), cfg.seed, [], outputs)
     return 0
 
 
 def cmd_train(args: argparse.Namespace) -> int:
-    started = time.monotonic()
     config, april = load_train_config(args.config)
     if args.seed is not None:
         config = replace(config, seed=args.seed)
@@ -259,17 +260,16 @@ def cmd_train(args: argparse.Namespace) -> int:
     resolved = {"mode": args.mode, "train": asdict(config), "april": asdict(april)}
     counters = {"epochs": len(history.rows), "best_epoch": epoch_offset + last.best_epoch,
                 "tape_nodes": last.tape_nodes, "backward_visits": last.backward_visits}
-    _write_manifest(args, resolved, config.seed, files, outputs, started, counters=counters)
+    _write_manifest(args, resolved, config.seed, files, outputs, counters=counters)
     return 0
 
 
 def cmd_evaluate(args: argparse.Namespace) -> int:
-    started = time.monotonic()
     predictor, _ = load_checkpoint(args.checkpoint)
     if predictor is None:
         raise DomainError(f"{args.checkpoint}: no predictor section in checkpoint")
     files, lakes = _load_lakes(args.data)
-    truths = []
+    truths, truth_files = [], []
     for path, lake in zip(files, lakes):
         if lake.n_features != predictor.n_features:
             raise DomainError(
@@ -284,6 +284,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
             if not np.array_equal(truth_dates, lake.dates):
                 raise DomainError(f"{truth_path}: {len(truth_dates)} rows, but its dates "
                                   f"must equal the {lake.n_days} days of {path.name}")
+            truth_files.append(truth_path)
         truths.append(truth)
     config = None if args.config is None else load_train_config(args.config)[0]
     if config is not None:
@@ -291,12 +292,14 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
         val_windows = [w for lake in lakes for w in _split_windows(lake, config)[1]]
         if not val_windows:
             raise DomainError("no validation windows under this config")
-    preds_by_lake = predictor_forward_series(predictor, [lake.features for lake in lakes])
-    masked = [regime_masked_predictions(preds, lake) for lake, preds in zip(lakes, preds_by_lake)]
+    # Observations and targets exist only on regime-defined cells, so every
+    # metric reads the same numbers from the masked predictions as from the raw.
+    preds_by_lake = [regime_masked_predictions(preds, lake) for lake, preds in zip(
+        lakes, predictor_forward_series(predictor, [lake.features for lake in lakes]))]
     # Every simulation and metric runs before --out exists, so a failure (a
     # --k too large for memory, say) leaves nothing behind.
     simulated = [simulate_targets(lake, preds, k_per_day=np.full(lake.n_days, args.k, np.int64))
-                 for lake, preds in zip(lakes, masked)]
+                 for lake, preds in zip(lakes, preds_by_lake)]
     inconsistency = [mass_inconsistency(preds, lake, targets=targets)
                      for lake, preds, targets in zip(lakes, preds_by_lake, simulated)]
     if config is not None:
@@ -311,7 +314,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     out = _prepare_out(args.out)
     outputs = []
-    for lake, preds, targets, truth in zip(lakes, masked, simulated, truths):
+    for lake, preds, targets, truth in zip(lakes, preds_by_lake, simulated, truths):
         ts_path = out / f"timeseries_{lake.lake_id}.csv"
         export_timeseries(ts_path, lake, preds, targets, truth=truth)
         outputs.append(ts_path)
@@ -321,7 +324,7 @@ def cmd_evaluate(args: argparse.Namespace) -> int:
 
     resolved = {"k_reference": args.k, "train": asdict(config) if config else None}
     seed = config.seed if config else 0
-    _write_manifest(args, resolved, seed, [args.checkpoint, *files], outputs, started)
+    _write_manifest(args, resolved, seed, [args.checkpoint, *files, *truth_files], outputs)
     return 0
 
 
@@ -340,7 +343,6 @@ def _sweep_point(args) -> tuple[float, float, tuple[float, float, float] | str]:
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
-    started = time.monotonic()
     grid_epi, grid_hyp, base = load_sweep_config(args.config)
     if args.seed is not None:
         base = replace(base, seed=args.seed)
@@ -370,9 +372,8 @@ def cmd_sweep(args: argparse.Namespace) -> int:
         print(f"sweep point {failure['lambda_epi']},{failure['lambda_hyp']} "
               f"failed: {failure['error']}", file=sys.stderr)
 
-    resolved = {"lambda_epi": grid_epi, "lambda_hyp": grid_hyp,
-                "train": asdict(base), "failures": failures}
-    _write_manifest(args, resolved, base.seed, files, [sweep_path], started)
+    resolved = {"lambda_epi": grid_epi, "lambda_hyp": grid_hyp, "train": asdict(base)}
+    _write_manifest(args, resolved, base.seed, files, [sweep_path], failures=failures)
     if len(failures) == len(results):
         raise TrainingDiverged(f"all {len(results)} sweep points diverged")
     return 0
@@ -424,6 +425,7 @@ def _parser() -> argparse.ArgumentParser:
 
 def main(argv: Sequence[str] | None = None) -> int:
     args = _parser().parse_args(argv)
+    args.started = time.monotonic()
     try:
         # The same int64 range the config fields are held to.
         for flag in ("seed", "k", "threads"):

@@ -15,9 +15,8 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DomainError
-from .losses import TASK_NAMES, stacked_observations
 from .physics import simulate_targets
-from .series import LakeSeries, _write_rows, format_value
+from .series import TASK_NAMES, LakeSeries, _write_rows, format_value, stacked_observations
 
 __all__ = [
     "REFERENCE_SUBSTEPS",

@@ -20,11 +20,10 @@ from . import autodiff as ad
 from .errors import DomainError
 from .networks import predictor_forward_tape
 from .physics import simulate_targets
-from .series import LakeSeries
+from .series import TASK_NAMES, LakeSeries, stacked_observations
 
 __all__ = [
     "LossParts",
-    "stacked_observations",
     "supervised_loss",
     "mass_conservation_loss",
     "combined_loss",
@@ -35,8 +34,6 @@ __all__ = [
     "build_window_batch",
     "taped_window_loss",
 ]
-
-TASK_NAMES = ("epi", "hyp", "total")
 
 
 @dataclass(frozen=True)
@@ -58,11 +55,6 @@ def _check_weights(lambdas, tau: float) -> tuple[float, float, float]:
     if not np.isfinite(tau) or tau < 0:
         raise DomainError("tau must be finite and >= 0")
     return lams
-
-
-def stacked_observations(series: LakeSeries) -> np.ndarray:
-    """Observations as (T, 3) epi/hyp/total, NaN where absent."""
-    return np.stack([series.obs_epi, series.obs_hyp, series.obs_total], axis=1)
 
 
 def supervised_loss(pred: np.ndarray, obs: np.ndarray) -> float:

@@ -21,7 +21,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import sigmoid_values
 from .errors import DomainError, SchemaError
-from .series import _read_csv
+from .series import _read_csv, _readonly
 
 __all__ = [
     "MIN_HIDDEN", "MAX_HIDDEN",
@@ -42,9 +42,7 @@ CHECKPOINT_COLUMNS = ("section", "block", "shape", "index", "value")
 
 
 def _frozen(a) -> np.ndarray:
-    a = np.ascontiguousarray(np.asarray(a, dtype=np.float64))
-    a.flags.writeable = False
-    return a
+    return _readonly(np.ascontiguousarray(np.asarray(a, dtype=np.float64)))
 
 
 @dataclass(frozen=True)
@@ -283,45 +281,39 @@ def load_checkpoint(path: str | Path) -> tuple[PredictorParams | None, Discrimin
     if tuple(rows[1]) != CHECKPOINT_COLUMNS:
         raise SchemaError(f"{path}: malformed checkpoint header")
 
-    # (section, block) -> (shape cell as written, shape, indices, values)
-    store: dict[tuple[str, str], tuple[str, tuple[int, ...], list[int], list[float]]] = {}
+    # section -> block -> (shape, indices, values), blocks in file order
+    sections: dict[str, dict] = {"predictor": {}, "discriminator": {}}
+    shapes: dict[str, tuple[int, ...]] = {}     # a block's rows repeat one shape cell
     for r, row in enumerate(rows[2:], start=3):
         if len(row) != 5:
             raise SchemaError(f"{path}: row {r}: expected 5 cells")
         section, block, shape_s, idx_s, value_s = row
-        if section not in ("predictor", "discriminator"):
+        if section not in sections:
             raise SchemaError(f"{path}: row {r}: unknown section {section!r}")
-        entry = store.get((section, block))
         try:
-            # A block's rows repeat one shape cell: parse it once.
-            if entry is None or shape_s != entry[0]:
-                shape = tuple(int(d) for d in shape_s.split("x")) if shape_s else ()
+            shape = shapes.get(shape_s)
+            if shape is None:
+                shape = shapes[shape_s] = (tuple(int(d) for d in shape_s.split("x"))
+                                           if shape_s else ())
             idx = int(idx_s)
             value = float(value_s)
         except ValueError as exc:
             raise SchemaError(f"{path}: row {r}: malformed cell") from exc
-        if entry is None:
-            entry = store[section, block] = (shape_s, shape, [], [])
-        elif shape_s != entry[0] and shape != entry[1]:
+        entry = sections[section].setdefault(block, (shape, [], []))
+        if shape != entry[0]:
             raise SchemaError(f"{path}: row {r}: inconsistent shape for {block}")
-        entry[2].append(idx)
-        entry[3].append(value)
+        entry[1].append(idx)
+        entry[2].append(value)
 
-    def build(section: str) -> dict[str, np.ndarray] | None:
-        blocks: dict[str, np.ndarray] = {}
-        for (sec, block), (_, shape, indices, values) in store.items():
-            if sec != section:
-                continue
-            size = int(np.prod(shape, dtype=np.int64)) if shape else 1
+    for blocks in sections.values():
+        for block, (shape, indices, values) in blocks.items():
+            size = int(np.prod(shape, dtype=np.int64))
             if len(indices) != size or sorted(indices) != list(range(size)):
                 raise SchemaError(f"{path}: block {block} has missing or duplicate indices")
             flat = np.empty(size)
             flat[indices] = values
             blocks[block] = flat.reshape(shape)
-        return blocks or None
-
-    pred_blocks = build("predictor")
-    disc_blocks = build("discriminator")
+    pred_blocks, disc_blocks = sections["predictor"], sections["discriminator"]
     try:
         predictor = PredictorParams.from_blocks(pred_blocks) if pred_blocks else None
         discriminator = DiscriminatorParams.from_blocks(disc_blocks) if disc_blocks else None

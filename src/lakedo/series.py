@@ -23,6 +23,8 @@ from .errors import DomainError, OrderingError, SchemaError
 __all__ = [
     "LakeSeries",
     "ValidationReport",
+    "TASK_NAMES",
+    "stacked_observations",
     "load_series",
     "write_series",
     "validate_series",
@@ -47,6 +49,8 @@ _DAY_FIELDS = {"dates": np.int64, "stratified": bool,
 _FEAT_RE = re.compile(r"^feat_(\d+)$")
 #: Dates are stored as int64.
 _DATE_MIN, _DATE_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
+#: The three prediction tasks, in the column order of every (T, 3) array.
+TASK_NAMES = ("epi", "hyp", "total")
 
 
 def _readonly(a: np.ndarray) -> np.ndarray:
@@ -163,6 +167,11 @@ def validate_series(series: LakeSeries) -> ValidationReport:
     return ValidationReport(entries=tuple(entries))
 
 
+def stacked_observations(series: LakeSeries) -> np.ndarray:
+    """Observations as (T, 3) epi/hyp/total, NaN where absent."""
+    return np.stack([series.obs_epi, series.obs_hyp, series.obs_total], axis=1)
+
+
 def relative_epi_volume_change(series: LakeSeries) -> np.ndarray:
     """Signed day-over-day epilimnion volume change, 0 where either day lacks a layer.
 
@@ -209,16 +218,24 @@ def _parse_date(cell: str, path: Path, r: int) -> int:
     return day
 
 
-def _raise_first_bad_row(path: Path, header: list[str], body: list[list[str]]) -> None:
-    """Raise the error of the first malformed row, scanning row by row."""
+def _raise_first_bad_row(path: Path, header: list[str], body: list[list[str]],
+                         flag: int, flags: tuple[str, ...]) -> None:
+    """Raise the error of the first malformed row, scanning row by row.
+
+    Column flag is text and must hold one of flags; every column after the
+    date other than it is a float.
+    """
+    allowed = ", ".join(map(repr, flags[:-1])) + f" or {flags[-1]!r}"
     for r, row in enumerate(body, start=2):
         if len(row) != len(header):
             raise SchemaError(f"{path}: row {r} has {len(row)} cells, expected {len(header)}")
         day = _parse_date(row[0], path, r)
-        if row[1] not in ("S", "M"):
-            raise DomainError(f"{path}: row {r}: regime must be 'S' or 'M', got {row[1]!r}")
-        for col, cell in zip(header[2:], row[2:]):
-            _parse_float(cell, path, day, col)
+        for c in range(1, len(header)):
+            if c != flag:
+                _parse_float(row[c], path, day, header[c])
+            elif row[c] not in flags:
+                raise DomainError(f"{path}: row {r}: {header[c]} must be {allowed}, "
+                                  f"got {row[c]!r}")
 
 
 def _read_csv(path: str | Path) -> list[list[str]]:
@@ -239,6 +256,28 @@ def _read_csv(path: str | Path) -> list[list[str]]:
     return rows
 
 
+def _parse_rows(path: Path, header: list[str], body: list[list[str]], flag: int,
+                flags: tuple[str, ...]) -> tuple[np.ndarray, list[str], list[np.ndarray]]:
+    """The int64 dates (column 0), text column flag, and every other column as floats.
+
+    Each column is converted in one pass, so only one column's temporary
+    Python objects are alive at a time; only when a conversion fails does a
+    row-by-row scan find the first bad row to report.
+    """
+    try:
+        if any(len(row) != len(header) for row in body):
+            raise ValueError("ragged rows")
+        dates = np.array([int(cell) for cell in map(itemgetter(0), body)], dtype=np.int64)
+        text = list(map(itemgetter(flag), body))
+        if not set(text) <= set(flags):
+            raise ValueError(f"unknown {header[flag]}")
+        floats = [_float_column(body, c) for c in range(1, len(header)) if c != flag]
+    except (ValueError, OverflowError):
+        _raise_first_bad_row(path, header, body, flag, flags)
+        raise
+    return dates, text, floats
+
+
 def load_series(path: str | Path) -> LakeSeries:
     """Read one lake CSV; the lake id is the file stem (a leading 'lake_' is dropped)."""
     path = Path(path)
@@ -255,28 +294,14 @@ def load_series(path: str | Path) -> LakeSeries:
         if m is None or int(m.group(1)) != j:
             raise SchemaError(f"{path}: unexpected column {col!r} (expected feat_{j})")
 
-    # Each column is converted in one pass, so only one column's temporary
-    # Python objects are alive at a time; only when a conversion fails does a
-    # row-by-row scan find the first bad row to report.
-    t_count = len(body)
-    n_feat = len(header) - len(_BASE_COLUMNS)
-    try:
-        if any(len(row) != len(header) for row in body):
-            raise ValueError("ragged rows")
-        dates = np.array([int(cell) for cell in map(itemgetter(0), body)], dtype=np.int64)
-        flags = list(map(itemgetter(1), body))
-        if not set(flags) <= {"S", "M"}:
-            raise ValueError("unknown regime flag")
-        strat = np.array([cell == "S" for cell in flags], dtype=bool)
-        floats = {col: _float_column(body, c) for c, col in enumerate(_FLOAT_COLUMNS, start=2)}
-        feats = np.empty((t_count, n_feat))
-        for j in range(n_feat):
-            feats[:, j] = _float_column(body, len(_BASE_COLUMNS) + j)
-    except (ValueError, OverflowError):
-        _raise_first_bad_row(path, header, body)
-        raise
+    dates, flags, columns = _parse_rows(path, header, body, 1, ("S", "M"))
+    strat = np.array([cell == "S" for cell in flags], dtype=bool)
+    floats = dict(zip(_FLOAT_COLUMNS, columns))
+    feats = np.empty((len(body), len(columns) - len(_FLOAT_COLUMNS)))
+    for j, column in enumerate(columns[len(_FLOAT_COLUMNS):]):
+        feats[:, j] = column
 
-    if t_count and not np.all(np.diff(dates) == 1):
+    if body and not np.all(np.diff(dates) == 1):
         raise OrderingError(f"{path}: dates must be strictly increasing with unit spacing")
     for col in ("v_total", "v_epi", "v_hyp"):
         bad = np.nonzero(np.isfinite(floats[col]) & (floats[col] <= 0))[0]

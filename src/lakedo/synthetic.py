@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import ConfigError, DomainError, SchemaError, require_finite_floats
 from .physics import SubstepConfig, multi_step_euler
-from .series import (LakeSeries, _parse_date, _parse_float, _read_csv, _write_rows,
+from .series import (LakeSeries, _parse_rows, _read_csv, _write_rows,
                      relative_epi_volume_change, validate_series)
 
 __all__ = [
@@ -369,17 +369,5 @@ def load_truth(path: str | Path) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     rows = _read_csv(path)
     if not rows or tuple(rows[0]) != TRUTH_COLUMNS:
         raise SchemaError(f"{path}: malformed truth header")
-    dates, truth, tags = [], [], []
-    for r, row in enumerate(rows[1:], start=2):
-        if len(row) != 5:
-            raise SchemaError(f"{path}: row {r}: expected 5 cells")
-        day = _parse_date(row[0], path, r)
-        dates.append(day)
-        truth.append([_parse_float(cell, path, day, col)
-                      for col, cell in zip(TRUTH_COLUMNS[1:4], row[1:4])])
-        if row[4] not in ("", "A", "B"):
-            raise DomainError(f"{path}: row {r}: scenario_tag must be '', 'A' or 'B', "
-                              f"got {row[4]!r}")
-        tags.append(row[4])
-    return (np.asarray(dates, dtype=np.int64), np.asarray(truth),
-            np.asarray(tags, dtype="<U1"))
+    dates, tags, truth = _parse_rows(path, rows[0], rows[1:], 4, ("", "A", "B"))
+    return dates, np.column_stack(truth), np.asarray(tags, dtype="<U1")

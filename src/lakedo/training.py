@@ -16,7 +16,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import ConfigError, DomainError, TrainingDiverged, require_finite_floats
-from .losses import stacked_observations, stack_windows, taped_window_loss, window_cache
+from .losses import stack_windows, taped_window_loss, window_cache
 from .networks import (
     MAX_HIDDEN,
     MIN_HIDDEN,
@@ -24,7 +24,7 @@ from .networks import (
     init_predictor,
     predictor_forward_series,
 )
-from .series import LakeSeries, format_value
+from .series import LakeSeries, format_value, stacked_observations
 
 __all__ = [
     "TrainConfig",
@@ -289,8 +289,13 @@ def train_pril(lakes: Sequence[LakeSeries], config: TrainConfig,
             return False
         return epoch - best_epoch >= config.patience
 
+    def result() -> TrainResult:
+        return TrainResult(params=PredictorParams.from_blocks(best_params),
+                           history=history, best_epoch=best_epoch,
+                           best_val_rmse=best_rmse, tape_nodes=tape_nodes,
+                           backward_visits=backward_visits)
+
     part_sums: dict[str, float] = {}
-    stopped = False
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n_train)
         prev_sums = part_sums
@@ -303,11 +308,9 @@ def train_pril(lakes: Sequence[LakeSeries], config: TrainConfig,
             ride = val_features if lo == 0 and epoch > 1 else None
             parts = taped_window_loss(tape, pvars, batch, config.lambdas, config.tau_mc,
                                       ride_along=ride)
-            if ride is not None:
-                rmse = pooled_rmse(val_windows, parts["ride_along"])
-                stopped = close_epoch(epoch - 1, prev_sums, rmse)
-                if stopped:
-                    break
+            if ride is not None and close_epoch(
+                    epoch - 1, prev_sums, pooled_rmse(val_windows, parts["ride_along"])):
+                return result()
             loss = parts["loss"]
             if not np.isfinite(loss.value):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
@@ -321,15 +324,8 @@ def train_pril(lakes: Sequence[LakeSeries], config: TrainConfig,
             # Every name that reaches this batch's tape goes before the next
             # forward, so only one batch's BPTT cache is ever alive.
             del tape, pvars, parts, loss, grads
-        if stopped:
-            break
         if any(not np.isfinite(p).all() for p in params.values()):
             raise TrainingDiverged(f"non-finite parameters at epoch {epoch}")
-    if not stopped:
-        close_epoch(config.max_epochs, part_sums,
-                    validation_rmse(PredictorParams.from_blocks(params), val_windows))
-
-    return TrainResult(params=PredictorParams.from_blocks(best_params),
-                       history=history, best_epoch=best_epoch,
-                       best_val_rmse=best_rmse, tape_nodes=tape_nodes,
-                       backward_visits=backward_visits)
+    close_epoch(config.max_epochs, part_sums,
+                validation_rmse(PredictorParams.from_blocks(params), val_windows))
+    return result()

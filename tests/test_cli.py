@@ -448,6 +448,21 @@ class TestEvaluate:
         assert (tmp_path / "a" / "eval" / "comparison.csv").read_bytes() == \
             (tmp_path / "b" / "eval" / "comparison.csv").read_bytes()
 
+    def test_manifest_lists_every_truth_file_read(self, data_dir, pril_run, tmp_path):
+        bare = tmp_path / "bare"
+        bare.mkdir()
+        for name in ("lake_00.csv", "lake_01.csv"):
+            shutil.copyfile(data_dir / name, bare / name)
+        for data, truths in ((data_dir, ["lake_00_truth.csv", "lake_01_truth.csv"]),
+                             (bare, [])):
+            out = tmp_path / f"eval_{data.name}"
+            assert main(["evaluate", str(pril_run / "checkpoint.csv"), "--data", str(data),
+                         "--out", str(out), "--k", "2"]) == 0
+            inputs = json.loads((out / "manifest.json").read_text())["inputs"]
+            assert [p for p in inputs if p.endswith("_truth.csv")] == \
+                [str(data / name) for name in truths]
+            assert str(data / "lake_01.csv") in inputs
+
     def test_one_predictor_forward_serves_every_lake(self, data_dir, pril_run, tmp_path,
                                                      monkeypatch):
         from lakedo import networks
@@ -895,6 +910,34 @@ class TestSweep:
         assert sorted(p.name for p in (tmp_path / "o").iterdir()) == ["manifest.json",
                                                                        "sweep.csv"]
 
+    def test_config_hash_ignores_the_outcome_and_manifest_lists_failures(self, tmp_path):
+        # One grid over a healthy corpus and over test_every_point_diverged_exit_3's.
+        regimes = ("MMM" + "S" * 4 + "MMM") * 3
+        corpora = {
+            "healthy": make_series(regimes, lake_id="h1", f_exo=(0.5, -0.4, 0.1),
+                                   obs={t: (6.0, 4.0, None) if regimes[t] == "S"
+                                        else (None, None, 7.0) for t in range(0, 30, 2)}),
+            "diverged": make_series("M" * 30, obs={t: (None, None, 1e200)
+                                                   for t in range(0, 30, 2)}),
+        }
+        cfg = write_json(tmp_path / "grid.json", {
+            "schema": "lakedo-sweep-v1", "lambda_epi": [0.0, 1.0], "lambda_hyp": [0.0],
+            "train": dict(max_epochs=2, window_days=10)})
+        manifests = {}
+        for name, series in corpora.items():
+            data = tmp_path / name / "data"
+            data.mkdir(parents=True)
+            write_series(series, data / "lake_t0.csv")
+            out = tmp_path / name / "o"
+            assert main(["sweep", "--config", str(cfg), "--data", str(data),
+                         "--out", str(out)]) == (3 if name == "diverged" else 0)
+            manifests[name] = json.loads((out / "manifest.json").read_text())
+        assert manifests["healthy"]["config_sha256"] == manifests["diverged"]["config_sha256"]
+        assert manifests["healthy"]["failures"] == []
+        failures = manifests["diverged"]["failures"]
+        assert [(f["lambda_epi"], f["lambda_hyp"]) for f in failures] == [(0.0, 0.0), (1.0, 0.0)]
+        assert all(f["error"].startswith("TrainingDiverged: ") for f in failures)
+
     @pytest.mark.parametrize("case", ["weights", "diverged"])
     def test_sweep_csv_matches_per_row_writer(self, tmp_path, case):
         # Big layer fluxes: a 1e308 weight overflows the consistency term.
@@ -968,6 +1011,16 @@ def test_data_modules_load_without_the_training_stack():
     out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
                          capture_output=True, text=True).stdout
     assert out.strip() == "[]"
+
+
+def test_evaluate_loads_without_the_training_stack():
+    # Scoring a checkpoint's predictions needs no tape, network, loss or trainer.
+    code = "import sys, lakedo.evaluate; print(sorted(m for m in sys.modules if 'lakedo.' in m))"
+    env = dict(os.environ, PYTHONPATH=str(Path(lakedo.__file__).parents[1]))
+    out = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                         capture_output=True, text=True).stdout
+    assert out.strip() == str(["lakedo.errors", "lakedo.evaluate", "lakedo.physics",
+                               "lakedo.series"])
 
 
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers()

@@ -315,6 +315,19 @@ class TestCheckpoint:
             load_checkpoint(path)
         assert str(err.value) == f"{path}: {message}"
 
+    def test_one_shape_spelled_two_ways_loads(self, tmp_path):
+        # Shapes are compared once parsed, so "3" and "03" are the same shape.
+        pred = init_predictor(3, 20, seed=5)
+        path = tmp_path / "a.csv"
+        save_checkpoint(path, predictor=pred)
+        text = path.read_bytes()
+        assert b"\r\npredictor,b_head,3,1," in text
+        path.write_bytes(text.replace(b"\r\npredictor,b_head,3,1,",
+                                      b"\r\npredictor,b_head,03,1,"))
+        loaded, _ = load_checkpoint(path)
+        for name, block in pred.to_blocks().items():
+            np.testing.assert_array_equal(loaded.to_blocks()[name], block)
+
     def test_save_writes_csv_module_bytes(self, tmp_path):
         # The format is the csv module's: CRLF rows, repr values.
         pred, disc = init_predictor(3, 20, seed=5), init_discriminator(4, seed=6)

@@ -410,8 +410,21 @@ class TestTruthFile:
         with pytest.raises(SchemaError, match="header"):
             load_truth(path)
 
-    def test_short_row_rejected(self, tmp_path):
+    @pytest.mark.parametrize("rows, error, message", [
+        (["1,2,3"], SchemaError, "row 2 has 3 cells, expected 5"),
+        (["1,2,3,4,A", "2,2,3,4,C"], DomainError,
+         "row 3: scenario_tag must be '', 'A' or 'B', got 'C'"),
+    ])
+    def test_malformed_row_names_its_row(self, tmp_path, rows, error, message):
+        # The lake file's parser, so its row-length message.
         path = tmp_path / "bad.csv"
-        path.write_text("date,true_epi,true_hyp,true_total,scenario_tag\n1,2,3\n")
-        with pytest.raises(SchemaError, match="row 2"):
+        path.write_text("\n".join([",".join(TRUTH_COLUMNS), *rows]) + "\n")
+        with pytest.raises(error) as err:
             load_truth(path)
+        assert str(err.value) == f"{path}: {message}"
+
+    def test_header_only_file_has_three_columns(self, tmp_path):
+        path = tmp_path / "empty.csv"
+        path.write_text(",".join(TRUTH_COLUMNS) + "\n")
+        dates, truth, tags = load_truth(path)
+        assert dates.shape == (0,) and truth.shape == (0, 3) and tags.shape == (0,)
