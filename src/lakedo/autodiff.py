@@ -239,8 +239,8 @@ def stack(vs: list[Var]) -> Var:
 
 
 def lstm_sequence_values(w_cell: np.ndarray, b_cell: np.ndarray,
-                         groups: list[np.ndarray]) -> tuple[np.ndarray, tuple]:
-    """LSTM hidden states (T, B, H) for row groups (B_i, T, m), plus the BPTT cache.
+                         features: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """LSTM hidden states (T, B, H) for features (B, T, m), plus the BPTT cache.
 
     w_cell stacks the recurrent rows above the input rows, (H + m, 4H), with
     gate columns in the order input, forget, output, candidate; the state
@@ -249,38 +249,29 @@ def lstm_sequence_values(w_cell: np.ndarray, b_cell: np.ndarray,
     product, one sigmoid over the three contiguous sigmoid gates (the
     arithmetic of sigmoid_values) and one tanh. Every per-day operand is a
     view taken by zip over the (T, ...) arrays, and every per-day result is
-    written into a preallocated buffer.
-
-    The groups are stacked along B, each with its own matrix products read
-    from its own array, so each group's rows equal a call on it alone bit for
-    bit, whatever row blocking the BLAS uses. The cache is (gates, h, c, tanh_c).
+    written into a preallocated buffer. The cache is (gates, h, c, tanh_c),
+    all C-contiguous.
     """
-    bounds = np.cumsum([0] + [len(x) for x in groups]).tolist()
-    rows = [slice(lo, hi) for lo, hi in zip(bounds, bounds[1:])]
-    b, t_count = bounds[-1], groups[0].shape[1]
+    b, t_count = features.shape[:2]
     hidden = w_cell.shape[1] // 4
     n_sig = 3 * hidden
     w_h = w_cell[:hidden]
     gates = np.empty((t_count, b, 4 * hidden))          # (T, B, 4H) pre-activations
-    for x, r in zip(groups, rows):
-        np.matmul(x.transpose(1, 0, 2), w_cell[hidden:], out=gates[:, r])
+    np.matmul(features.transpose(1, 0, 2), w_cell[hidden:], out=gates)
     gates += b_cell
     h = np.zeros((t_count + 1, b, hidden))              # h[t] is the state before day t
     c = np.zeros((t_count + 1, b, hidden))
     tanh_c = np.empty((t_count, b, hidden))
     rec = np.empty((b, 4 * hidden))
-    rec_groups = [rec[r] for r in rows]
     e = np.empty((b, n_sig))
     den = np.empty((b, n_sig))
     nonneg = np.empty((b, n_sig), dtype=bool)
     iu = np.empty((b, hidden))
     days = zip(gates, gates[..., :n_sig], gates[..., :hidden],
                gates[..., hidden:2 * hidden], gates[..., 2 * hidden:n_sig],
-               gates[..., n_sig:], zip(*(h[:, r] for r in rows)),
-               h[1:], c, c[1:], tanh_c)
-    for g, sig, i, f, o, u, h_prev_groups, h_next, c_prev, c_next, tc in days:
-        for h_prev, r in zip(h_prev_groups, rec_groups):
-            np.matmul(h_prev, w_h, out=r)
+               gates[..., n_sig:], h, h[1:], c, c[1:], tanh_c)
+    for g, sig, i, f, o, u, h_prev, h_next, c_prev, c_next, tc in days:
+        np.matmul(h_prev, w_h, out=rec)
         g += rec
         np.copysign(sig, -1.0, out=e)                   # sigmoid_values, in place
         np.exp(e, out=e)
@@ -297,34 +288,18 @@ def lstm_sequence_values(w_cell: np.ndarray, b_cell: np.ndarray,
     return h[1:], (gates, h, c, tanh_c)
 
 
-def lstm_sequence(w_cell: Var, b_cell: Var, features: np.ndarray,
-                  ride_along: np.ndarray | None = None) -> tuple[Var, np.ndarray]:
+def lstm_sequence(w_cell: Var, b_cell: Var, features: np.ndarray) -> Var:
     """Fused LSTM over features (B, T, m): hidden states (T, B, H) as one tape node.
 
-    Returns (node, ride). The backward pass is hand-written backpropagation
-    through time. ride_along (V, T, m) rows join the same time loop without
-    entering the tape: the node holds and differentiates the B feature rows
-    only, and ride is the ride-along hidden states (T, V, H); None means
-    zero ride-along rows, giving an empty ride. Both groups' values equal
-    separate calls bit for bit, and the taped rows' cache is copied out, so
-    the node holds exactly what a B-row call holds. The copies are
-    C-contiguous (BPTT's tensordots take another BLAS path on strided views,
-    which changes the gradient's rounding), and each joint array is released
-    as soon as its taped rows are copied, so the copies add at most one
-    array to the joint forward's memory.
+    The backward pass is hand-written backpropagation through time over the
+    kernel's own cache; the node's value is a view of the cached h.
     """
     tape = _same_tape(w_cell, b_cell)
     features = np.asarray(features, dtype=np.float64)
-    n = features.shape[0]
-    groups = [features] if ride_along is None else [features, ride_along]
-    joint = list(lstm_sequence_values(w_cell.value, b_cell.value, groups)[1])
-    ride_hs = np.ascontiguousarray(joint[1][1:, n:])    # joint: gates, h, c, tanh_c
-    cache = [features.transpose(1, 0, 2)]
-    while joint:
-        cache.append(np.ascontiguousarray(joint.pop(0)[:, :n]))
+    hs, cache = lstm_sequence_values(w_cell.value, b_cell.value, features)
     w_h_t = w_cell.value[:w_cell.value.shape[1] // 4].T
-    node = tape._push(cache[2][1:], (w_cell, b_cell), partial(_lstm_grads, w_h_t, tuple(cache)))
-    return node, ride_hs
+    return tape._push(hs, (w_cell, b_cell),
+                      partial(_lstm_grads, w_h_t, (features.transpose(1, 0, 2), *cache)))
 
 
 def _lstm_grads(w_h_t: np.ndarray, cache: tuple, g: np.ndarray) -> tuple:

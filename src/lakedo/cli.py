@@ -119,7 +119,10 @@ def _build(cls, data: dict, context: str):
         elif types[name] == "float":
             # An int beyond int64 would reach numpy as an object array.
             data[name] = float(value)
-    return cls(**data)
+    try:
+        return cls(**data)
+    except ConfigError as exc:          # a range check in the dataclass
+        raise ConfigError(f"{context}: {exc}") from exc
 
 
 def load_generate_config(path: str | Path | None) -> GenConfig:
@@ -204,6 +207,9 @@ def _load_lakes(data_dir: str | Path) -> tuple[list[Path], list[LakeSeries]]:
         if other != path:
             raise DomainError(f"{other} and {path} both hold lake id {lake.lake_id!r} "
                               "(the file stem without 'lake_')")
+        if lake.n_features != lakes[0].n_features:
+            raise DomainError(f"{path} has {lake.n_features} feature columns, "
+                              f"but {files[0]} has {lakes[0].n_features}")
     return files, lakes
 
 
@@ -428,12 +434,12 @@ def main(argv: Sequence[str] | None = None) -> int:
     args.started = time.monotonic()
     try:
         # The same int64 range the config fields are held to.
-        for flag in ("seed", "k", "threads"):
+        for flag, low in (("seed", 0), ("k", 1), ("threads", 1)):
             value = getattr(args, flag, None)
             if value is not None and not _is_int64(value):
                 raise ConfigError(f"--{flag} must be an integer in the int64 range")
-            if flag != "seed" and value is not None and value < 1:
-                raise ConfigError(f"--{flag} must be >= 1")
+            if value is not None and value < low:
+                raise ConfigError(f"--{flag} must be >= {low}")
         # Non-finite numbers are caught by the program's own checks (exit 3 for a
         # non-finite loss, DomainError from the physics kernel), so numpy's
         # floating-point warnings would only repeat them as stderr noise.

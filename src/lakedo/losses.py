@@ -187,20 +187,18 @@ def build_window_batch(windows: Sequence[LakeSeries], k_per_day=None) -> WindowB
 
 
 def taped_window_loss(tape: ad.Tape, pvars: dict[str, ad.Var], batch: WindowBatch,
-                      lambdas, tau: float, ride_along: np.ndarray | None = None) -> dict:
+                      lambdas, tau: float) -> dict:
     """Differentiable batch loss.
 
-    Returns {"loss", "ml", "mc_epi", "mc_hyp", "mc_total", "ride_along"}.
+    Returns {"loss", "ml", "mc_epi", "mc_hyp", "mc_total"}.
     Zero-weighted consistency terms emit no tape nodes at all (their parts
     stay None), which keeps an all-zero weighting bit-identical to a purely
-    supervised program. ride_along (V, days, n_features) windows run in the
-    same forward off the tape; their head outputs come back as
-    parts["ride_along"], (V, days, 3), which is (0, days, 3) when nothing rides along.
+    supervised program.
     """
     lams = _check_weights(lambdas, tau)
     parts: dict = {"ml": None, "mc_epi": None, "mc_hyp": None, "mc_total": None}
     # out is (days, windows, 3).
-    out, parts["ride_along"] = predictor_forward_tape(pvars, batch.features, ride_along)
+    out = predictor_forward_tape(pvars, batch.features)
     obs = tape.constant(batch.obs)
     ml = ad.masked_mean(ad.sqdiff(out, obs), batch.obs_mask)
     loss = ml

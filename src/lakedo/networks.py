@@ -105,11 +105,6 @@ def init_predictor(n_features: int, hidden_size: int, seed: int) -> PredictorPar
     )
 
 
-def _head(hs: np.ndarray, w_head: np.ndarray, b_head: np.ndarray) -> np.ndarray:
-    """Head outputs (windows, days, 3) for hidden states (days, windows, H)."""
-    return np.ascontiguousarray((hs @ w_head + b_head).transpose(1, 0, 2))
-
-
 def predictor_forward(params: PredictorParams, features: np.ndarray) -> np.ndarray:
     """Raw head outputs, one (epi, hyp, total) row per day.
 
@@ -122,8 +117,9 @@ def predictor_forward(params: PredictorParams, features: np.ndarray) -> np.ndarr
     if features.ndim not in (2, 3) or features.shape[-1] != params.n_features:
         raise DomainError(f"features must have shape ([windows,] days, {params.n_features})")
     batch = features if features.ndim == 3 else features[None]
-    hs, _ = ad.lstm_sequence_values(params.w_cell, params.b_cell, [batch])
-    out = _head(hs, params.w_head, params.b_head)
+    hs, _ = ad.lstm_sequence_values(params.w_cell, params.b_cell, batch)
+    # (days, windows, H) hidden states -> (windows, days, 3) head outputs.
+    out = np.ascontiguousarray((hs @ params.w_head + params.b_head).transpose(1, 0, 2))
     return out if features.ndim == 3 else out[0]
 
 
@@ -147,17 +143,10 @@ def predictor_forward_series(params: PredictorParams,
     return [series[:n] for series, n in zip(out, lengths)]
 
 
-def predictor_forward_tape(p: dict[str, ad.Var], features: np.ndarray,
-                           ride_along: np.ndarray | None = None) -> tuple[ad.Var, np.ndarray]:
-    """Differentiable batched forward: features (B, T, m) -> (head outputs (T, B, 3), ride).
-
-    ride_along (V, T, m) windows share the LSTM time loop without entering
-    the tape; ride is their outputs as a (V, T, 3) array laid out like
-    predictor_forward's, empty (0, T, 3) when nothing rides along.
-    """
-    hs, ride_hs = ad.lstm_sequence(p["w_cell"], p["b_cell"], features, ride_along)
-    out = ad.add(ad.matmul(hs, p["w_head"]), p["b_head"])
-    return out, _head(ride_hs, p["w_head"].value, p["b_head"].value)
+def predictor_forward_tape(p: dict[str, ad.Var], features: np.ndarray) -> ad.Var:
+    """Differentiable batched forward: features (B, T, m) -> head outputs (T, B, 3)."""
+    hs = ad.lstm_sequence(p["w_cell"], p["b_cell"], features)
+    return ad.add(ad.matmul(hs, p["w_head"]), p["b_head"])
 
 
 @dataclass(frozen=True)

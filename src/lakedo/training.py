@@ -245,12 +245,9 @@ def train_pril(lakes: Sequence[LakeSeries], config: TrainConfig,
     consistency targets; default is single daily steps. initial_params seeds
     fine-tuning instead of a fresh init. Deterministic given config.seed.
 
-    The validation after epoch e needs exactly the parameters that the first
-    batch of epoch e + 1 starts from, so its windows ride along as extra rows
-    of that batch's forward (the loss and BPTT see the training rows only).
-    The epoch's history row and the early-stop decision come before that
-    batch's finiteness check and Adam step; only the last epoch runs a
-    validation forward of its own.
+    Each epoch ends with one validation forward, after its last Adam step and
+    the parameter-finiteness check; the epoch's history row and the
+    early-stop decision come from it.
     """
     train_caches, val_windows = _prepare_windows(lakes, config, k_policies)
     m = lakes[0].n_features
@@ -262,7 +259,6 @@ def train_pril(lakes: Sequence[LakeSeries], config: TrainConfig,
     params = dict(initial_params.to_blocks())
     opt = adam_init(params)
     rng = np.random.default_rng(shuffle_ss)
-    val_features = np.stack([w.features for w in val_windows])
 
     history = TrainHistory()
     best_rmse = float("inf")
@@ -270,47 +266,15 @@ def train_pril(lakes: Sequence[LakeSeries], config: TrainConfig,
     best_params = dict(params)
     n_train = len(train_caches)
     tape_nodes = backward_visits = 0
-
-    def close_epoch(epoch: int, part_sums: dict[str, float], rmse) -> bool:
-        """Record the epoch's history row; True when training should stop."""
-        nonlocal best_rmse, best_epoch, best_params
-        v_epi, v_hyp, v_total, pooled = rmse
-        history.rows.append(HistoryRow(
-            epoch=epoch,
-            loss_ml=part_sums["ml"] / n_train,
-            loss_mc_epi=part_sums["mc_epi"] / n_train,
-            loss_mc_hyp=part_sums["mc_hyp"] / n_train,
-            loss_mc_total=part_sums["mc_total"] / n_train,
-            val_rmse_epi=v_epi, val_rmse_hyp=v_hyp, val_rmse_total=v_total))
-        if pooled < best_rmse:
-            best_rmse = pooled
-            best_epoch = epoch
-            best_params = dict(params)
-            return False
-        return epoch - best_epoch >= config.patience
-
-    def result() -> TrainResult:
-        return TrainResult(params=PredictorParams.from_blocks(best_params),
-                           history=history, best_epoch=best_epoch,
-                           best_val_rmse=best_rmse, tape_nodes=tape_nodes,
-                           backward_visits=backward_visits)
-
-    part_sums: dict[str, float] = {}
     for epoch in range(1, config.max_epochs + 1):
         order = rng.permutation(n_train)
-        prev_sums = part_sums
         part_sums = dict.fromkeys(("ml", "mc_epi", "mc_hyp", "mc_total"), 0.0)
         for lo in range(0, n_train, config.batch_size):
             chunk = order[lo : lo + config.batch_size]
             batch = stack_windows([train_caches[i] for i in chunk])
             tape = ad.Tape()
             pvars = {k: tape.param(v) for k, v in params.items()}
-            ride = val_features if lo == 0 and epoch > 1 else None
-            parts = taped_window_loss(tape, pvars, batch, config.lambdas, config.tau_mc,
-                                      ride_along=ride)
-            if ride is not None and close_epoch(
-                    epoch - 1, prev_sums, pooled_rmse(val_windows, parts["ride_along"])):
-                return result()
+            parts = taped_window_loss(tape, pvars, batch, config.lambdas, config.tau_mc)
             loss = parts["loss"]
             if not np.isfinite(loss.value):
                 raise TrainingDiverged(f"non-finite loss at epoch {epoch}")
@@ -326,6 +290,19 @@ def train_pril(lakes: Sequence[LakeSeries], config: TrainConfig,
             del tape, pvars, parts, loss, grads
         if any(not np.isfinite(p).all() for p in params.values()):
             raise TrainingDiverged(f"non-finite parameters at epoch {epoch}")
-    close_epoch(config.max_epochs, part_sums,
-                validation_rmse(PredictorParams.from_blocks(params), val_windows))
-    return result()
+        v_epi, v_hyp, v_total, pooled = validation_rmse(PredictorParams.from_blocks(params),
+                                                        val_windows)
+        history.rows.append(HistoryRow(
+            epoch=epoch,
+            loss_ml=part_sums["ml"] / n_train,
+            loss_mc_epi=part_sums["mc_epi"] / n_train,
+            loss_mc_hyp=part_sums["mc_hyp"] / n_train,
+            loss_mc_total=part_sums["mc_total"] / n_train,
+            val_rmse_epi=v_epi, val_rmse_hyp=v_hyp, val_rmse_total=v_total))
+        if pooled < best_rmse:
+            best_rmse, best_epoch, best_params = pooled, epoch, dict(params)
+        elif epoch - best_epoch >= config.patience:
+            break
+    return TrainResult(params=PredictorParams.from_blocks(best_params), history=history,
+                       best_epoch=best_epoch, best_val_rmse=best_rmse,
+                       tape_nodes=tape_nodes, backward_visits=backward_visits)

@@ -191,8 +191,8 @@ class TestTapeDiscipline:
                            ad.add_const(w, 1.0)], axis=1)
             y = ad.sqdiff(ad.mul(ad.add(x, x), ad.sub(x, x)), x)
             z = ad.stack([ad.matmul(y, tape.constant(np.ones((24, 4)))), y[:, :4]])
-            hs, _ = ad.lstm_sequence(tape.param(np.full((5, 4), 0.1)),
-                                     tape.param(np.zeros(4)), np.ones((2, 3, 4)))
+            hs = ad.lstm_sequence(tape.param(np.full((5, 4), 0.1)),
+                                  tape.param(np.zeros(4)), np.ones((2, 3, 4)))
             loss = ad.add(ad.masked_sum(z, np.ones(z.shape, dtype=bool)),
                           ad.add(ad.masked_mean(hs, np.ones(hs.shape, dtype=bool)),
                                  ad.masked_mean(hs, np.zeros(hs.shape, dtype=bool))))
@@ -279,7 +279,7 @@ class TestLstmSequence:
             return states[0], loss, grad
 
         fused_hs, fused_loss, fused_grad = run(
-            lambda tape, w, b, x: ad.lstm_sequence(w, b, x)[0])
+            lambda tape, w, b, x: ad.lstm_sequence(w, b, x))
         oracle_hs, oracle_loss, oracle_grad = run(lstm_oracle)
         assert fused_hs.shape == (40, batch, 6)
         np.testing.assert_allclose(fused_hs, oracle_hs, rtol=0, atol=1e-12)
@@ -292,7 +292,7 @@ class TestLstmSequence:
         params, features, weights = lstm_case(2, days=6, hidden=3, seed=1)
 
         def program(tape, p):
-            hs, _ = ad.lstm_sequence(p["w_cell"], p["b_cell"], features)
+            hs = ad.lstm_sequence(p["w_cell"], p["b_cell"], features)
             return ad.masked_mean(ad.sqdiff(hs, tape.constant(weights)),
                                   np.ones(weights.shape, dtype=bool))
 
@@ -303,43 +303,8 @@ class TestLstmSequence:
         tape = ad.Tape()
         w = tape.constant(params["w_cell"])
         b = tape.param(params["b_cell"])
-        hs, _ = ad.lstm_sequence(w, b, features)
+        hs = ad.lstm_sequence(w, b, features)
         assert len(tape.values) == 3
         grads = tape.backward(ad.masked_sum(hs, np.ones(hs.shape, dtype=bool)))
         assert grads[w.idx] is None
         assert grads[b.idx].shape == params["b_cell"].shape
-
-    @pytest.mark.parametrize("ride_rows", [5, 0])
-    def test_row_groups_equal_separate_calls_bit_for_bit(self, ride_rows):
-        params, features, _ = lstm_case(8, days=30)
-        ride = np.random.default_rng(5).normal(size=(ride_rows, 30, 3))
-        w, b = params["w_cell"], params["b_cell"]
-        joint_hs, joint_cache = ad.lstm_sequence_values(w, b, [features, ride])
-        assert joint_hs.shape == (30, 8 + ride_rows, 6)
-        for rows, group in ((slice(None, 8), features), (slice(8, None), ride)):
-            alone_hs, alone_cache = ad.lstm_sequence_values(w, b, [group])
-            assert joint_hs[:, rows].tobytes() == alone_hs.tobytes()
-            for joint, alone in zip(joint_cache, alone_cache):
-                assert joint[:, rows].tobytes() == alone.tobytes()
-
-    def test_ride_along_node_caches_contiguous_copies(self):
-        # BPTT's tensordots take another BLAS path on strided views, which
-        # changes the gradient's rounding: the taped cache must be
-        # C-contiguous copies laid out like a call on the taped rows alone.
-        params, features, _ = lstm_case(8, days=30)
-        ride = np.random.default_rng(5).normal(size=(4, 30, 3))
-
-        def node_cache(ride_along):
-            tape = ad.Tape()
-            w, b = tape.param(params["w_cell"]), tape.param(params["b_cell"])
-            node, _ = ad.lstm_sequence(w, b, features, ride_along)
-            return node.value, tape.grad_fns[node.idx].args[1]     # (w_h_t, cache)
-
-        value, (x, *states) = node_cache(ride)
-        alone_value, (alone_x, *alone_states) = node_cache(None)
-        assert all(a.flags.c_contiguous for a in states)
-        assert np.shares_memory(value, states[1])       # h[1:] of the copy, not the joint h
-        assert value.tobytes() == alone_value.tobytes()
-        for got, want in zip([x, *states], [alone_x, *alone_states]):
-            assert (got.shape, got.strides) == (want.shape, want.strides)
-            assert got.tobytes() == want.tobytes()

@@ -788,6 +788,50 @@ def test_duplicate_lake_id_exit_2_naming_both_files(command, data_dir, train_cfg
     assert not out.exists()
 
 
+@pytest.mark.parametrize("command", [
+    ["train", "--mode", "pril", "--config", "{train}"],
+    ["sweep", "--config", "{sweep}"],
+], ids=["train", "sweep"])
+def test_feature_count_mismatch_exit_2_naming_both_files(command, data_dir, train_cfg,
+                                                         sweep_cfg, tmp_path, capsys):
+    # lake_01 loses its last feature column, feat_9.
+    data = shutil.copytree(data_dir, tmp_path / "data")
+    narrow = data / "lake_01.csv"
+    narrow.write_text("".join(line.rsplit(",", 1)[0] + "\n"
+                              for line in narrow.read_text().splitlines()))
+    paths = {"train": train_cfg, "sweep": sweep_cfg}
+    out = tmp_path / "out"
+    argv = [arg.format(**paths) for arg in command] + ["--data", str(data), "--out", str(out)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == (f"error: {narrow} has 9 feature columns, "
+                                       f"but {data / 'lake_00.csv'} has 10\n")
+    assert not out.exists()
+
+
+SWEEP_POINT = {"schema": "lakedo-sweep-v1", "lambda_epi": [0.0], "lambda_hyp": [0.0]}
+
+
+@pytest.mark.parametrize("command, config, message", [
+    (["train", "--mode", "pril"], dict(TRAIN_CONFIG, learning_rate=5),
+     "{cfg}: learning_rate must lie in [0.001, 0.05]"),
+    (["train", "--mode", "april"], dict(TRAIN_CONFIG, april={"k_drastic": 0}),
+     "{cfg}: april: k_drastic must be >= 1"),
+    (["sweep"], dict(SWEEP_POINT, train={"batch_size": 64}),
+     "{cfg}: train: batch_size must lie in [8, 32]"),
+    (["generate"], dict(GEN_CONFIG, strat_start=0),
+     "{cfg}: stratified span must satisfy 1 <= start < end <= year_days"),
+    (["train", "--mode", "pril", "--seed", "-1"], TRAIN_CONFIG, "--seed must be >= 0"),
+], ids=["train", "train-april", "sweep-train", "generate", "seed-flag"])
+def test_config_range_error_exit_2_naming_its_source(command, config, message, data_dir,
+                                                     tmp_path, capsys):
+    cfg = write_json(tmp_path / "config.json", config)
+    out = tmp_path / "out"
+    data = [] if command[0] == "generate" else ["--data", str(data_dir)]
+    assert main(command + ["--config", str(cfg), *data, "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: {message.format(cfg=cfg)}\n"
+    assert not out.exists()
+
+
 @pytest.fixture(scope="module")
 def sweep_cfg(tmp_path_factory):
     payload = {

@@ -101,7 +101,7 @@ class TestPredictor:
         feats = np.random.default_rng(2).normal(size=(3, 12, 4))
         tape = ad.Tape()
         pvars = {k: tape.param(v) for k, v in params.to_blocks().items()}
-        out, _ = predictor_forward_tape(pvars, feats)
+        out = predictor_forward_tape(pvars, feats)
         assert out.shape == (12, 3, 3)
         for b in range(3):
             expected = predictor_forward(params, feats[b])
@@ -122,7 +122,7 @@ class TestPredictor:
         feats = np.random.default_rng(8).normal(size=(8, 365, 4))
         tape = ad.Tape()
         pvars = {k: tape.param(v) for k, v in params.to_blocks().items()}
-        out, _ = predictor_forward_tape(pvars, feats)
+        out = predictor_forward_tape(pvars, feats)
         tape.backward(ad.masked_sum(out, np.ones(out.shape, dtype=bool)))
         assert len(tape.values) < 50
 
@@ -148,33 +148,12 @@ class TestPredictor:
         with pytest.raises(DomainError):
             predictor_forward_series(params, [])
 
-    def test_ride_along_outputs_equal_separate_forwards(self):
-        params = init_predictor(n_features=4, hidden_size=20, seed=3)
-        rng = np.random.default_rng(12)
-        # 6 + 3 rows: a BLAS that blocks rows by 4 splits the ride-along rows
-        # across blocks unless they get their own matrix products.
-        feats, ride = rng.normal(size=(6, 40, 4)), rng.normal(size=(3, 40, 4))
-
-        def taped(ride_along):
-            tape = ad.Tape()
-            pvars = {k: tape.param(v) for k, v in params.to_blocks().items()}
-            out, ride_out = predictor_forward_tape(pvars, feats, ride_along)
-            grads = tape.backward(ad.masked_sum(out, np.ones(out.shape, dtype=bool)))
-            return (out, ride_out), [grads[v.idx] for v in pvars.values()], len(tape.values)
-
-        (out, ride_out), grads, nodes = taped(ride)
-        (alone, _), alone_grads, alone_nodes = taped(None)
-        assert out.value.tobytes() == alone.value.tobytes()
-        assert all(a.tobytes() == b.tobytes() for a, b in zip(grads, alone_grads))
-        assert nodes == alone_nodes
-        assert ride_out.tobytes() == predictor_forward(params, ride).tobytes()
-
     def test_taped_forward_gradient_checks(self):
         feats = np.random.default_rng(3).normal(size=(2, 5, 3))
         init = init_predictor(3, 20, seed=1)
 
         def program(tape, p):
-            out, _ = predictor_forward_tape(p, feats)
+            out = predictor_forward_tape(p, feats)
             return ad.masked_sum(out, np.ones(out.shape, dtype=bool))
 
         err = ad.gradient_check(program, init.to_blocks())

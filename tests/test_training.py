@@ -257,8 +257,8 @@ def standalone_validation_train(lakes, config):
     return rows, best_params, best_epoch, (len(tape.values), tape.backward_visits)
 
 
-class TestValidationRideAlong:
-    """The validation forward rides along with the next epoch's first batch."""
+class TestStandaloneValidation:
+    """train_pril equals the reference loop that validates after every epoch."""
 
     def assert_matches_standalone(self, lakes, config):
         result = train_pril(lakes, config)
@@ -300,9 +300,9 @@ class TestValidationRideAlong:
             init(tape)
             live.add(tape)
 
-        def counted_sequence(w_cell, b_cell, features, ride_along=None):
-            starts.append((len(live), ride_along is not None))
-            return sequence(w_cell, b_cell, features, ride_along)
+        def counted_sequence(w_cell, b_cell, features):
+            starts.append(len(live))
+            return sequence(w_cell, b_cell, features)
 
         monkeypatch.setattr(ad.Tape, "__init__", tracked_init)
         monkeypatch.setattr(ad, "lstm_sequence", counted_sequence)
@@ -310,8 +310,7 @@ class TestValidationRideAlong:
         cfg = quick_config(max_epochs=4, patience=4, lambda_epi=1.0, lambda_hyp=1.0)
         assert len(train_pril(lakes, cfg).history.rows) == cfg.max_epochs
         assert len(starts) == 2 * cfg.max_epochs                  # two batches per epoch
-        assert sum(ride for _, ride in starts) == cfg.max_epochs - 1
-        assert [alive for alive, _ in starts] == [1] * len(starts)
+        assert starts == [1] * len(starts)
 
 
 class TestHistoryCsv:
