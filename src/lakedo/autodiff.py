@@ -26,10 +26,8 @@ from .errors import DomainError
 __all__ = [
     "Tape",
     "Var",
-    "add", "sub", "mul", "neg", "scale", "add_const", "matmul",
-    "tanh", "sigmoid", "relu", "absval", "logsigmoid", "sqdiff",
-    "concat", "stack", "lstm_sequence", "masked_sum", "masked_mean",
-    "evaluate_with_gradient", "gradient_check",
+    "add", "sub", "mul", "scale", "add_const", "matmul",
+    "relu", "absval", "sqdiff", "lstm_sequence", "masked_mean",
 ]
 
 
@@ -145,10 +143,6 @@ def mul(a: Var, b: Var) -> Var:
         _unbroadcast(g * y, x.shape), _unbroadcast(g * x, y.shape)))
 
 
-def neg(a: Var) -> Var:
-    return a.tape._push(-a.value, (a,), lambda g: (-g,))
-
-
 def scale(a: Var, c: float) -> Var:
     cf = float(c)
     return a.tape._push(a.value * c, (a,), lambda g: (g * cf,))
@@ -167,16 +161,6 @@ def matmul(a: Var, b: Var) -> Var:
         g @ y.T, np.tensordot(x, g, axes=(lead, lead))))
 
 
-def tanh(a: Var) -> Var:
-    out = np.tanh(a.value)
-    return a.tape._push(out, (a,), lambda g: (g * (1.0 - out * out),))
-
-
-def sigmoid(a: Var) -> Var:
-    out = sigmoid_values(a.value)
-    return a.tape._push(out, (a,), lambda g: (g * out * (1.0 - out),))
-
-
 def relu(a: Var) -> Var:
     x = a.value
     return a.tape._push(np.maximum(x, 0.0), (a,), lambda g: (g * (x > 0.0),))
@@ -185,12 +169,6 @@ def relu(a: Var) -> Var:
 def absval(a: Var) -> Var:
     x = a.value
     return a.tape._push(np.abs(x), (a,), lambda g: (g * np.sign(x),))
-
-
-def logsigmoid(a: Var) -> Var:
-    # log(sigmoid(x)) = -log(1 + exp(-x)), stable at both tails.
-    x = a.value
-    return a.tape._push(-np.logaddexp(0.0, -x), (a,), lambda g: (g * sigmoid_values(-x),))
 
 
 def sqdiff(a: Var, b: Var) -> Var:
@@ -215,27 +193,6 @@ def _scatter(x: np.ndarray, key, divisor=None):
 
 def index(a: Var, key) -> Var:
     return a.tape._push(a.value[key], (a,), _scatter(a.value, key))
-
-
-def concat(vs: list[Var], axis: int = -1) -> Var:
-    tape = _same_tape(*vs)
-    sizes = [v.shape[axis] for v in vs]
-
-    def grad_fn(g):
-        sl, offset, out = [slice(None)] * g.ndim, 0, []
-        for size in sizes:
-            sl[axis] = slice(offset, offset + size)
-            out.append(g[tuple(sl)])
-            offset += size
-        return out
-
-    return tape._push(np.concatenate([v.value for v in vs], axis=axis), tuple(vs), grad_fn)
-
-
-def stack(vs: list[Var]) -> Var:
-    tape = _same_tape(*vs)
-    # list(g) is g[0], g[1], ...: row i of the gradient goes to operand i.
-    return tape._push(np.stack([v.value for v in vs], axis=0), tuple(vs), list)
 
 
 def lstm_sequence_values(w_cell: np.ndarray, b_cell: np.ndarray,
@@ -350,13 +307,6 @@ def _lstm_grads(w_h_t: np.ndarray, cache: tuple, g: np.ndarray) -> tuple:
     return np.vstack([dw_h, dw_x]), d_pre.sum(axis=(0, 1))
 
 
-def masked_sum(a: Var, mask: np.ndarray) -> Var:
-    mask = np.asarray(mask, dtype=bool)
-    if mask.shape != a.value.shape:
-        raise DomainError("mask shape must match the operand")
-    return a.tape._push(a.value[mask].sum(), (a,), _scatter(a.value, mask))
-
-
 def masked_mean(a: Var, mask: np.ndarray) -> Var:
     """Mean over selected cells; an empty mask yields 0 and passes no gradient."""
     mask = np.asarray(mask, dtype=bool)
@@ -365,78 +315,3 @@ def masked_mean(a: Var, mask: np.ndarray) -> Var:
     count = int(mask.sum())
     value = a.value[mask].sum() / count if count else 0.0
     return a.tape._push(value, (a,), _scatter(a.value, mask, count) if count else None)
-
-
-def evaluate_with_gradient(loss_program, params: dict) -> tuple[float, dict]:
-    """Run a tape-building closure and return (loss value, gradients).
-
-    params is a dict of named arrays and the gradient is a dict with the
-    same names. loss_program(tape, p) must return a scalar Var.
-    """
-    tape = Tape()
-    pvars = {k: tape.param(v) for k, v in params.items()}
-    out = loss_program(tape, pvars)
-    if not isinstance(out, Var) or out.value.size != 1:
-        raise DomainError("loss_program must return a scalar Var")
-    grads = tape.backward(out)
-    grad = {}
-    for name, pv in pvars.items():
-        g = grads[pv.idx]
-        grad[name] = np.zeros_like(pv.value) if g is None else np.asarray(g)
-    return float(out.value), grad
-
-
-def evaluate_value(loss_program, params: dict) -> float:
-    """Forward-only evaluation of a loss_program."""
-    tape = Tape()
-    out = loss_program(tape, {k: tape.param(v) for k, v in params.items()})
-    return float(out.value)
-
-
-def _flatten(params: dict) -> tuple[np.ndarray, list]:
-    names = sorted(params)
-    vec = np.concatenate([np.asarray(params[n], dtype=np.float64).ravel() for n in names])
-    return vec, [(n, np.asarray(params[n]).shape) for n in names]
-
-
-def _unflatten(vec: np.ndarray, structure: list) -> dict:
-    out = {}
-    offset = 0
-    for name, shape in structure:
-        size = int(np.prod(shape, dtype=np.int64)) if shape else 1
-        out[name] = vec[offset:offset + size].reshape(shape)
-        offset += size
-    return out
-
-
-#: Central-difference step of gradient_check.
-FD_STEP = 1e-5
-
-
-def gradient_check(loss_program, params: dict) -> float:
-    """Max relative error between reverse-mode and central-difference gradients.
-
-    Central differences step each coordinate by FD_STEP. The error at each
-    coordinate is |a - b| / max(|a|, |b|, floor), where floor is 1e-3 times
-    the largest gradient magnitude (at least 1e-6):
-    coordinates far below the gradient's own scale get an absolute rather
-    than relative comparison, because central differences cannot resolve
-    them relatively (roundoff of the loss value dominates there), while a
-    genuinely wrong gradient at that scale still trips the ratio.
-    """
-    _, grad = evaluate_with_gradient(loss_program, params)
-    gvec, _ = _flatten(grad)
-    gmax = float(np.max(np.abs(gvec))) if gvec.size else 0.0
-    floor = max(1e-6, 1e-3 * gmax)
-    pvec, structure = _flatten(params)
-    worst = 0.0
-    for i in range(pvec.size):
-        bumped = pvec.copy()
-        bumped[i] = pvec[i] + FD_STEP
-        hi = evaluate_value(loss_program, _unflatten(bumped, structure))
-        bumped[i] = pvec[i] - FD_STEP
-        lo = evaluate_value(loss_program, _unflatten(bumped, structure))
-        fd = (hi - lo) / (2.0 * FD_STEP)
-        a, b = gvec[i], fd
-        worst = max(worst, abs(a - b) / max(abs(a), abs(b), floor))
-    return worst

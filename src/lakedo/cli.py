@@ -149,8 +149,9 @@ def load_sweep_config(path: str | Path) -> tuple[list[float], list[float], Train
     _, finite = _FIELD_CHECKS["float"]
     for key in ("lambda_epi", "lambda_hyp"):
         values = data.pop(key, None)
-        if not (isinstance(values, list) and values and all(map(finite, values))):
-            raise ConfigError(f"{path}: {key} must be a nonempty list of weights")
+        if not (isinstance(values, list) and values
+                and all(finite(v) and v >= 0 for v in values)):
+            raise ConfigError(f"{path}: {key} must be a nonempty list of finite weights >= 0")
         grids[key] = [float(v) for v in values]
     train_data = data.pop("train", {})
     if not isinstance(train_data, dict):

@@ -10,7 +10,6 @@ cheaply inside the gradient tape.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -23,26 +22,12 @@ from .physics import simulate_targets
 from .series import TASK_NAMES, LakeSeries, stacked_observations
 
 __all__ = [
-    "LossParts",
-    "supervised_loss",
-    "mass_conservation_loss",
-    "combined_loss",
     "affine_day_coefficients",
     "window_cache",
     "stack_windows",
     "WindowBatch",
-    "build_window_batch",
     "taped_window_loss",
 ]
-
-
-@dataclass(frozen=True)
-class LossParts:
-    ml: float
-    mc_epi: float
-    mc_hyp: float
-    mc_total: float
-    total: float
 
 
 def _check_weights(lambdas, tau: float) -> tuple[float, float, float]:
@@ -55,55 +40,6 @@ def _check_weights(lambdas, tau: float) -> tuple[float, float, float]:
     if not np.isfinite(tau) or tau < 0:
         raise DomainError("tau must be finite and >= 0")
     return lams
-
-
-def supervised_loss(pred: np.ndarray, obs: np.ndarray) -> float:
-    """Mean squared error pooled over every finite observation cell."""
-    pred = np.asarray(pred, dtype=np.float64)
-    obs = np.asarray(obs, dtype=np.float64)
-    if pred.shape != obs.shape:
-        raise DomainError("pred and obs must have the same shape")
-    mask = np.isfinite(obs)
-    if not mask.any():
-        warnings.warn("supervised loss over zero observations", RuntimeWarning,
-                      stacklevel=2)
-        return 0.0
-    d = pred[mask] - obs[mask]
-    return float(np.mean(d * d))
-
-
-def mass_conservation_loss(pred: np.ndarray, target: np.ndarray, tau: float) -> float:
-    """Mean ReLU(|pred - target| - tau) over cells defined in both arrays."""
-    pred = np.asarray(pred, dtype=np.float64)
-    target = np.asarray(target, dtype=np.float64)
-    if pred.shape != target.shape:
-        raise DomainError("pred and target must have the same shape")
-    if not np.isfinite(tau) or tau < 0:
-        raise DomainError("tau must be finite and >= 0")
-    mask = np.isfinite(pred) & np.isfinite(target)
-    if not mask.any():
-        return 0.0
-    hinge = np.maximum(np.abs(pred[mask] - target[mask]) - tau, 0.0)
-    return float(np.mean(hinge))
-
-
-def combined_loss(preds: np.ndarray, series: LakeSeries, lambdas, tau: float) -> LossParts:
-    """Value-level total loss for one series given raw (T, 3) predictions.
-
-    Consistency terms with a zero weight are skipped outright, so an
-    all-zero weighting is structurally the supervised loss alone.
-    """
-    lams = _check_weights(lambdas, tau)
-    preds = np.asarray(preds, dtype=np.float64)
-    ml = supervised_loss(preds, stacked_observations(series))
-    mc = [0.0, 0.0, 0.0]
-    if any(lams):
-        targets = simulate_targets(series, preds)
-        for task in range(3):
-            if lams[task] > 0:
-                mc[task] = mass_conservation_loss(preds[:, task], targets[:, task], tau)
-    total = ml + lams[0] * mc[0] + lams[1] * mc[1] + lams[2] * mc[2]
-    return LossParts(ml=ml, mc_epi=mc[0], mc_hyp=mc[1], mc_total=mc[2], total=total)
 
 
 def affine_day_coefficients(series: LakeSeries, k_per_day=None
@@ -173,17 +109,6 @@ def stack_windows(caches: Sequence[WindowBatch]) -> WindowBatch:
     defined = np.concatenate([w.defined for w in caches], axis=1)
     return WindowBatch(features=features, obs=obs, obs_mask=obs_mask,
                        a=a, c=c, defined=defined)
-
-
-def build_window_batch(windows: Sequence[LakeSeries], k_per_day=None) -> WindowBatch:
-    """Stack same-length windows; k_per_day is one array per window (or None)."""
-    if not windows:
-        raise DomainError("need at least one window")
-    if k_per_day is None:
-        k_per_day = [None] * len(windows)
-    if len(k_per_day) != len(windows):
-        raise DomainError("k_per_day must have one entry per window")
-    return stack_windows([window_cache(w, k_per_day=k) for w, k in zip(windows, k_per_day)])
 
 
 def taped_window_loss(tape: ad.Tape, pvars: dict[str, ad.Var], batch: WindowBatch,

@@ -28,7 +28,7 @@ __all__ = [
     "PredictorParams", "DiscriminatorParams",
     "init_predictor", "init_discriminator",
     "predictor_forward", "predictor_forward_series", "predictor_forward_tape",
-    "discriminator_forward", "discriminator_logits", "discriminator_logits_tape",
+    "discriminator_forward", "discriminator_logits",
     "save_checkpoint", "load_checkpoint",
 ]
 
@@ -219,16 +219,6 @@ def discriminator_logits(params: DiscriminatorParams, x: np.ndarray) -> np.ndarr
 def discriminator_forward(params: DiscriminatorParams, x: np.ndarray) -> np.ndarray:
     """Probability that each day (row) is mild, strictly inside (0, 1)."""
     return sigmoid_values(discriminator_logits(params, x))
-
-
-def discriminator_logits_tape(tape: ad.Tape, p: dict[str, ad.Var], x: np.ndarray) -> ad.Var:
-    """Differentiable logits for a fixed input matrix (n, f)."""
-    n_layers = len([k for k in p if k.endswith("_w")])
-    h = tape.constant(np.asarray(x, dtype=np.float64))
-    for li in range(n_layers):
-        z = ad.add(ad.matmul(h, p[f"layer{li}_w"]), p[f"layer{li}_b"])
-        h = ad.tanh(z) if li < n_layers - 1 else z
-    return h
 
 
 def save_checkpoint(path: str | Path, predictor: PredictorParams | None = None,

@@ -77,8 +77,10 @@ class GenConfig:
             raise ConfigError("seed must be >= 0")
         if self.v_total <= 0:
             raise ConfigError("v_total must be > 0")
-        if not 1 <= self.strat_start < self.strat_end <= self.year_days:
-            raise ConfigError("stratified span must satisfy 1 <= start < end <= year_days")
+        if not 1 <= self.strat_start < self.strat_end:
+            raise ConfigError("strat_start must lie in [1, strat_end)")
+        if self.strat_end > self.year_days:
+            raise ConfigError("strat_end must be <= year_days")
         for name in ("epi_frac_start", "epi_frac_end"):
             if not 0 < getattr(self, name) < 1:
                 raise ConfigError(f"{name} must lie in (0, 1)")

@@ -25,11 +25,12 @@ from lakedo.adaptive import (
 from lakedo import autodiff as ad
 from lakedo.adaptive import _RuleLabel
 from lakedo.errors import ConfigError, DomainError
-from lakedo.networks import discriminator_logits_tape, init_discriminator
+from lakedo.networks import init_discriminator
 from lakedo.series import relative_epi_volume_change
 from lakedo.training import TrainConfig, adam_init, adam_update, train_pril
 
 from conftest import make_series
+import oracles
 
 
 def quick_config(**kw):
@@ -186,9 +187,9 @@ class TestDiscriminator:
         for epochs in range(1, 6):
             tape = ad.Tape()
             pvars = {k: tape.param(v) for k, v in params.items()}
-            z = discriminator_logits_tape(tape, pvars, inputs)
-            pos = ad.masked_sum(ad.logsigmoid(z), mild_mask)
-            neg = ad.masked_sum(ad.logsigmoid(ad.neg(z)), ~mild_mask)
+            z = oracles.discriminator_logits_tape(tape, pvars, inputs)
+            pos = oracles.masked_sum(oracles.logsigmoid(z), mild_mask)
+            neg = oracles.masked_sum(oracles.logsigmoid(oracles.neg(z)), ~mild_mask)
             loss = ad.scale(ad.add(ad.scale(pos, 1.0), ad.scale(neg, ratio)), -1.0 / denom)
             grads = tape.backward(loss)
             params, opt = adam_update(params, {k: grads[pvars[k].idx] for k in params},

@@ -818,10 +818,17 @@ SWEEP_POINT = {"schema": "lakedo-sweep-v1", "lambda_epi": [0.0], "lambda_hyp": [
      "{cfg}: april: k_drastic must be >= 1"),
     (["sweep"], dict(SWEEP_POINT, train={"batch_size": 64}),
      "{cfg}: train: batch_size must lie in [8, 32]"),
+    (["sweep"], dict(SWEEP_POINT, lambda_epi=[-1.0]),
+     "{cfg}: lambda_epi must be a nonempty list of finite weights >= 0"),
     (["generate"], dict(GEN_CONFIG, strat_start=0),
-     "{cfg}: stratified span must satisfy 1 <= start < end <= year_days"),
+     "{cfg}: strat_start must lie in [1, strat_end)"),
+    (["generate"], dict(GEN_CONFIG, strat_end=366),
+     "{cfg}: strat_end must be <= year_days"),
+    (["generate"], dict(GEN_CONFIG, strat_start=200, strat_end=200),
+     "{cfg}: strat_start must lie in [1, strat_end)"),
     (["train", "--mode", "pril", "--seed", "-1"], TRAIN_CONFIG, "--seed must be >= 0"),
-], ids=["train", "train-april", "sweep-train", "generate", "seed-flag"])
+], ids=["train", "train-april", "sweep-train", "sweep-grid", "generate", "generate-strat-end",
+        "generate-strat-order", "seed-flag"])
 def test_config_range_error_exit_2_naming_its_source(command, config, message, data_dir,
                                                      tmp_path, capsys):
     cfg = write_json(tmp_path / "config.json", config)

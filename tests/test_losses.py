@@ -8,20 +8,19 @@ import pytest
 
 from lakedo import autodiff as ad
 from lakedo.errors import DomainError
-from lakedo.losses import (
-    affine_day_coefficients,
-    build_window_batch,
-    combined_loss,
-    mass_conservation_loss,
-    stacked_observations,
-    supervised_loss,
-    taped_window_loss,
-)
+from lakedo.losses import affine_day_coefficients, stacked_observations, taped_window_loss
 from lakedo.networks import init_predictor, predictor_forward, predictor_forward_tape
 from lakedo.physics import simulate_targets
 from lakedo.synthetic import GenConfig, generate_lake
 
 from conftest import make_series
+from oracles import (
+    build_window_batch,
+    combined_loss,
+    gradient_check,
+    mass_conservation_loss,
+    supervised_loss,
+)
 
 TAU_GRID = (0.0, 0.01, 0.05, 0.1, 0.5)
 
@@ -232,7 +231,7 @@ class TestTapedWindowLoss:
         def program(tape, p):
             return taped_window_loss(tape, p, batch, (3.0, 2.0, 1.0), 0.05)["loss"]
 
-        assert ad.gradient_check(program, init.to_blocks()) < 1e-4
+        assert gradient_check(program, init.to_blocks()) < 1e-4
 
     def test_tape_freed_by_refcount_alone(self):
         # No gradient function may hold a Var: a Var -> tape -> gradient
