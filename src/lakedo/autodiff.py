@@ -71,7 +71,7 @@ class Tape:
         self.parents: list[tuple[int, ...]] = []
         self.grad_fns: list = []     # None where a node passes no gradient, as leaves do
         self.needs_grad: list[bool] = []
-        self.backward_visits = 0  # nodes processed by the last backward pass
+        self.backward_visits = 0  # nodes processed by its backward pass
 
     def _push(self, value, parents: tuple = (), grad_fn=None) -> Var:
         value = np.asarray(value, dtype=np.float64)
@@ -91,20 +91,26 @@ class Tape:
         return v
 
     def backward(self, out: Var) -> list:
-        """Gradients of a scalar output with respect to every node (None where unneeded)."""
+        """Gradients of a scalar output at the leaves; None at every interior node.
+
+        An interior gradient is dropped once its gradient function has passed
+        it on. The LSTM node consumes its cache, so a tape runs backward once.
+        """
         if out.value.size != 1:
             raise DomainError("backward requires a scalar output")
+        if self.backward_visits:
+            raise DomainError("a tape runs backward once: its LSTM cache is consumed")
         grads: list = [None] * len(self.values)
         grads[out.idx] = np.ones_like(self.values[out.idx])
-        self.backward_visits = 0
         for i in range(out.idx, -1, -1):
             g, grad_fn = grads[i], self.grad_fns[i]
             if g is None or not self.needs_grad[i]:
                 continue
             self.backward_visits += 1
-            if grad_fn is None:
+            if not self.parents[i]:
                 continue
-            for p, gp in zip(self.parents[i], grad_fn(g)):
+            grads[i] = None
+            for p, gp in zip(self.parents[i], grad_fn(g) if grad_fn else ()):
                 # Accumulation always builds a fresh array, so storing views is safe.
                 if self.needs_grad[p]:
                     grads[p] = gp if grads[p] is None else grads[p] + gp
@@ -260,39 +266,43 @@ def lstm_sequence(w_cell: Var, b_cell: Var, features: np.ndarray) -> Var:
 
 
 def _lstm_grads(w_h_t: np.ndarray, cache: tuple, g: np.ndarray) -> tuple:
-    """BPTT of lstm_sequence: (d w_cell, d b_cell) for upstream g (T, B, H)."""
+    """BPTT of lstm_sequence: (d w_cell, d b_cell) for upstream g (T, B, H).
+
+    Consumes the cache in place: act takes the gate derivatives, tanh_c
+    becomes dc_from_h and c[:-1] the forget activations.
+    """
     x, act, h, c, tanh_c = cache
     t_count, b, hidden = tanh_c.shape
-    n_sig = 3 * hidden
     # d(pre-activation) = upstream * partner * activation', where the upstream
     # is dc for the input, forget and candidate gates and dh for the output
-    # gate. partner * activation' is formed in d_pre for all days at once, and
-    # the reverse loop multiplies each day's row by its upstream in place.
-    d_pre = np.empty_like(act)                          # (T, B, 4H)
-    sig, d_sig = act[..., :n_sig], d_pre[..., :n_sig]
-    np.subtract(1.0, sig, out=d_sig)
-    d_sig *= sig
-    cand, d_cand = act[..., n_sig:], d_pre[..., n_sig:]
-    np.square(cand, out=d_cand)
-    np.subtract(1.0, d_cand, out=d_cand)
-    d_pre[..., :hidden] *= cand
-    d_pre[..., hidden:2 * hidden] *= c[:-1]
-    d_pre[..., 2 * hidden:n_sig] *= tanh_c
-    d_cand *= act[..., :hidden]
-    dc_from_h = np.square(tanh_c)
-    np.subtract(1.0, dc_from_h, out=dc_from_h)
-    dc_from_h *= act[..., 2 * hidden:n_sig]
-    dh = np.empty((b, hidden))
-    dc = np.empty((b, hidden))
-    d_out = np.empty((b, hidden))
-    dh_next = np.zeros((b, hidden))
-    dc_next = np.zeros((b, hidden))
+    # gate. partner * activation' is formed in act, a quarter of the days at a
+    # time through two temporaries (no product reads one view of act while it
+    # writes another, which would make numpy copy the operand), and the reverse
+    # loop multiplies each day's row by its upstream in place.
+    tmp = np.empty((2, (t_count + 3) // 4, b, hidden))
+    for a, c_prev, tc in zip(*(np.array_split(y, 4) for y in (act, c[:-1], tanh_c))):
+        i, f, o, u = np.split(a, 4, axis=-1)
+        t, t2 = tmp[:, :len(a)]
+        for sig, partner in ((f, c_prev), (o, tc), (i, u)):
+            np.subtract(1.0, sig, out=t)                # ((1 - s) * s) * partner
+            t *= sig
+            t *= partner
+            if partner is c_prev:                       # keeps the forget activations
+                np.copyto(c_prev, sig)
+            else:                                       # a tanh partner: (1 - p**2) * s
+                np.square(partner, out=t2)              # is dc_from_h, or u's derivative
+                np.subtract(1.0, t2, out=t2)
+                t2 *= sig
+                np.copyto(partner, t2)
+            np.copyto(sig, t)
+    del tmp, t, t2
+    dh, dc, d_out = np.empty((3, b, hidden))
+    dh_next, dc_next = np.zeros((2, b, hidden))
     dc_gates = dc[:, None, :]
     # One broadcast product scales all four gates by dc; the output gate's
     # dh product is set aside before it and written back after it.
-    steps = zip(g[::-1], dc_from_h[::-1], act[::-1, :, hidden:2 * hidden], d_pre[::-1],
-                d_pre.reshape(t_count, b, 4, hidden)[::-1],
-                d_pre[::-1, :, 2 * hidden:n_sig])
+    steps = zip(g[::-1], tanh_c[::-1], c[:-1][::-1], act[::-1],
+                act.reshape(t_count, b, 4, hidden)[::-1], act[::-1, :, 2 * hidden:3 * hidden])
     for g_t, dfh, forget, dp, dp_gates, dp_out in steps:
         np.add(g_t, dh_next, out=dh)
         np.multiply(dh, dfh, out=dc)
@@ -302,9 +312,10 @@ def _lstm_grads(w_h_t: np.ndarray, cache: tuple, g: np.ndarray) -> tuple:
         np.copyto(dp_out, d_out)
         np.multiply(dc, forget, out=dc_next)
         np.matmul(dp, w_h_t, out=dh_next)
-    dw_h = np.tensordot(h[:-1], d_pre, axes=([0, 1], [0, 1]))
-    dw_x = np.tensordot(x, d_pre, axes=([0, 1], [0, 1]))
-    return np.vstack([dw_h, dw_x]), d_pre.sum(axis=(0, 1))
+    # A transposed view, not tensordot, so h is not copied.
+    dw_h = h[:-1].reshape(-1, hidden).T @ act.reshape(-1, 4 * hidden)
+    dw_x = np.tensordot(x, act, axes=([0, 1], [0, 1]))
+    return np.vstack([dw_h, dw_x]), act.sum(axis=(0, 1))
 
 
 def masked_mean(a: Var, mask: np.ndarray) -> Var:

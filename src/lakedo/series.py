@@ -96,11 +96,11 @@ class LakeSeries:
         return int(self.features.shape[1])
 
     def subseries(self, lo: int, hi: int) -> "LakeSeries":
-        """Contiguous positional slice [lo, hi) as a new series (dates keep their values)."""
+        """Slice [lo, hi) as a new series of read-only views (dates keep their values)."""
         if not (0 <= lo < hi <= self.n_days):
             raise DomainError(f"invalid slice [{lo}, {hi}) for {self.n_days} days")
         return LakeSeries(lake_id=self.lake_id,
-                          **{name: getattr(self, name)[lo:hi].copy() for name in _DAY_FIELDS})
+                          **{name: getattr(self, name)[lo:hi] for name in _DAY_FIELDS})
 
 
 @dataclass(frozen=True)

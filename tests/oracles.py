@@ -2,7 +2,8 @@
 
 No command runs any of this. The taped ops below extend `lakedo.autodiff`'s
 tape with ops that only oracles use, the finite-difference harness checks
-the tape's gradients, `discriminator_logits_tape` is the taped discriminator
+the tape's gradients, `lstm_grads_reference` is the BPTT the in-place one
+must equal bit for bit, `discriminator_logits_tape` is the taped discriminator
 behind the hand-written BCE gradient in `lakedo.adaptive`, and the
 value-level losses are what `lakedo.losses.taped_window_loss` must equal.
 """
@@ -144,6 +145,59 @@ def gradient_check(loss_program, params: dict) -> float:
         a, b = gvec[i], fd
         worst = max(worst, abs(a - b) / max(abs(a), abs(b), floor))
     return worst
+
+
+def lstm_grads_reference(w_h_t: np.ndarray, cache: tuple, g: np.ndarray) -> tuple:
+    """Reference BPTT of lstm_sequence: (d w_cell, d b_cell) for upstream g (T, B, H).
+
+    The allocating form of `autodiff._lstm_grads`, with the same arithmetic in
+    the same order: it forms the gate derivatives in a fresh d_pre and
+    dc_from_h and leaves the cache as it found it.
+    """
+    x, act, h, c, tanh_c = cache
+    t_count, b, hidden = tanh_c.shape
+    n_sig = 3 * hidden
+    # d(pre-activation) = upstream * partner * activation', where the upstream
+    # is dc for the input, forget and candidate gates and dh for the output
+    # gate. partner * activation' is formed in d_pre for all days at once, and
+    # the reverse loop multiplies each day's row by its upstream in place.
+    d_pre = np.empty_like(act)                          # (T, B, 4H)
+    sig, d_sig = act[..., :n_sig], d_pre[..., :n_sig]
+    np.subtract(1.0, sig, out=d_sig)
+    d_sig *= sig
+    cand, d_cand = act[..., n_sig:], d_pre[..., n_sig:]
+    np.square(cand, out=d_cand)
+    np.subtract(1.0, d_cand, out=d_cand)
+    d_pre[..., :hidden] *= cand
+    d_pre[..., hidden:2 * hidden] *= c[:-1]
+    d_pre[..., 2 * hidden:n_sig] *= tanh_c
+    d_cand *= act[..., :hidden]
+    dc_from_h = np.square(tanh_c)
+    np.subtract(1.0, dc_from_h, out=dc_from_h)
+    dc_from_h *= act[..., 2 * hidden:n_sig]
+    dh = np.empty((b, hidden))
+    dc = np.empty((b, hidden))
+    d_out = np.empty((b, hidden))
+    dh_next = np.zeros((b, hidden))
+    dc_next = np.zeros((b, hidden))
+    dc_gates = dc[:, None, :]
+    # One broadcast product scales all four gates by dc; the output gate's
+    # dh product is set aside before it and written back after it.
+    steps = zip(g[::-1], dc_from_h[::-1], act[::-1, :, hidden:2 * hidden], d_pre[::-1],
+                d_pre.reshape(t_count, b, 4, hidden)[::-1],
+                d_pre[::-1, :, 2 * hidden:n_sig])
+    for g_t, dfh, forget, dp, dp_gates, dp_out in steps:
+        np.add(g_t, dh_next, out=dh)
+        np.multiply(dh, dfh, out=dc)
+        dc += dc_next
+        np.multiply(dp_out, dh, out=d_out)
+        dp_gates *= dc_gates
+        np.copyto(dp_out, d_out)
+        np.multiply(dc, forget, out=dc_next)
+        np.matmul(dp, w_h_t, out=dh_next)
+    dw_h = np.tensordot(h[:-1], d_pre, axes=([0, 1], [0, 1]))
+    dw_x = np.tensordot(x, d_pre, axes=([0, 1], [0, 1]))
+    return np.vstack([dw_h, dw_x]), d_pre.sum(axis=(0, 1))
 
 
 def discriminator_logits_tape(tape: ad.Tape, p: dict[str, ad.Var], x: np.ndarray) -> ad.Var:

@@ -205,6 +205,17 @@ class TestTapeDiscipline:
         finally:
             gc.enable()
 
+    def test_a_tape_runs_backward_once(self):
+        # The first pass consumed the LSTM cache; a second would read gate
+        # derivatives as activations.
+        params, features, _ = lstm_case(2, days=5)
+        tape = ad.Tape()
+        hs = ad.lstm_sequence(tape.param(params["w_cell"]), tape.param(params["b_cell"]), features)
+        loss = ad.masked_mean(hs, np.ones(hs.shape, dtype=bool))
+        tape.backward(loss)
+        with pytest.raises(DomainError, match="^a tape runs backward once"):
+            tape.backward(loss)
+
     def test_scalar_output_required(self):
         tape = ad.Tape()
         w = tape.param(np.ones(3))
@@ -289,6 +300,23 @@ class TestLstmSequence:
         for name in params:
             scale = np.max(np.abs(oracle_grad[name]))
             assert np.max(np.abs(fused_grad[name] - oracle_grad[name])) <= 1e-10 * scale
+
+    @pytest.mark.parametrize("batch", [1, 4, 8])
+    @pytest.mark.parametrize("days", [2, 73, 365])
+    @pytest.mark.parametrize("hidden", [20, 30])
+    def test_in_place_bptt_equals_reference_bit_for_bit(self, batch, days, hidden):
+        params, features, _ = lstm_case(batch, days=days, hidden=hidden, m=10,
+                                        seed=batch + days + hidden)
+        w_cell, b_cell = params["w_cell"], params["b_cell"]
+        g = np.random.default_rng(days).normal(size=(days, batch, hidden))
+        g_before = g.copy()
+        grads = []
+        for bptt in (oracles.lstm_grads_reference, ad._lstm_grads):
+            _, cache = ad.lstm_sequence_values(w_cell, b_cell, features)
+            grads.append(bptt(w_cell[:hidden].T, (features.transpose(1, 0, 2), *cache), g))
+        (dw_ref, db_ref), (dw, db) = grads
+        assert np.array_equal(dw, dw_ref) and np.array_equal(db, db_ref)
+        assert np.array_equal(g, g_before)
 
     def test_gradient_check(self):
         params, features, weights = lstm_case(2, days=6, hidden=3, seed=1)

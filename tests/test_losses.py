@@ -1,23 +1,28 @@
 """Loss oracles: pooled MSE, hinged consistency, affine target replay."""
 
 import gc
+import tracemalloc
 import weakref
+from functools import partial
 
 import numpy as np
 import pytest
 
 from lakedo import autodiff as ad
 from lakedo.errors import DomainError
-from lakedo.losses import affine_day_coefficients, stacked_observations, taped_window_loss
+from lakedo.losses import (affine_day_coefficients, stack_windows, stacked_observations,
+                           taped_window_loss, window_cache)
 from lakedo.networks import init_predictor, predictor_forward, predictor_forward_tape
 from lakedo.physics import simulate_targets
 from lakedo.synthetic import GenConfig, generate_lake
+from lakedo.training import year_windows
 
 from conftest import make_series
 from oracles import (
     build_window_batch,
     combined_loss,
     gradient_check,
+    lstm_grads_reference,
     mass_conservation_loss,
     supervised_loss,
 )
@@ -251,3 +256,38 @@ class TestTapedWindowLoss:
             assert alive() is None
         finally:
             gc.enable()
+
+    def test_backward_returns_leaf_gradients_within_two_state_arrays(self):
+        # One 8 x 365 batch at H = 30. BPTT forms its gate derivatives inside
+        # the LSTM cache and the tape drops each interior gradient once it is
+        # passed on, so backward needs less than two (T, B, H) arrays above
+        # what the forward left alive: one is the LSTM's upstream gradient.
+        lake = generate_lake(GenConfig(n_lakes=1, n_years=8, truth_substeps=2), 0).series
+        batch = stack_windows([window_cache(w) for _, w in year_windows(lake)])
+        assert batch.features.shape[:2] == (8, 365)
+        params = init_predictor(lake.n_features, 30, seed=18).to_blocks()
+
+        def taped(bptt=None):
+            tape = ad.Tape()
+            pvars = {k: tape.param(v) for k, v in params.items()}
+            loss = taped_window_loss(tape, pvars, batch, (10.0, 10.0, 10.0), 0.05)["loss"]
+            if bptt is not None:       # the LSTM node's gradient function is a partial
+                i = next(i for i, fn in enumerate(tape.grad_fns) if isinstance(fn, partial))
+                tape.grad_fns[i] = partial(bptt, *tape.grad_fns[i].args)
+            return tape, pvars, loss
+
+        ref_tape, ref_vars, ref_loss = taped(lstm_grads_reference)
+        ref = ref_tape.backward(ref_loss)
+        tape, pvars, loss = taped()
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            live = tracemalloc.get_traced_memory()[0]
+            grads = tape.backward(loss)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - live < 2 * 365 * 8 * 30 * 8
+        assert all(g is None for g, parents in zip(grads, tape.parents) if parents)
+        for k, v in pvars.items():
+            assert np.array_equal(grads[v.idx], ref[ref_vars[k].idx])

@@ -118,6 +118,15 @@ class TestYearWindows:
         assert all(w.n_days == 3 for _, w in wins)
         assert wins[1][1].dates[0] == series.dates[3]
 
+    def test_windows_are_read_only_views_of_their_lake(self):
+        series = make_series("M" * 10, features=np.ones((10, 2)))
+        for _, window in year_windows(series, window_days=3):
+            for name in ("dates", "stratified", "v_total", "obs_total", "features"):
+                part, whole = getattr(window, name), getattr(series, name)
+                assert np.shares_memory(part, whole) and not part.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                window.features[0, 0] = 2.0
+
     def test_prepare_requires_validation_window(self):
         cfg = quick_config()
         with pytest.raises(DomainError, match="need more than"):
