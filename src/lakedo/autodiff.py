@@ -101,10 +101,10 @@ class Tape:
         if self.backward_visits:
             raise DomainError("a tape runs backward once: its LSTM cache is consumed")
         grads: list = [None] * len(self.values)
-        grads[out.idx] = np.ones_like(self.values[out.idx])
+        grads[out.idx] = np.ones_like(out.value) if self.needs_grad[out.idx] else None
         for i in range(out.idx, -1, -1):
             g, grad_fn = grads[i], self.grad_fns[i]
-            if g is None or not self.needs_grad[i]:
+            if g is None:                   # only nodes that need a gradient get one
                 continue
             self.backward_visits += 1
             if not self.parents[i]:
