@@ -295,7 +295,7 @@ def _lstm_grads(w_h_t: np.ndarray, cache: tuple, g: np.ndarray) -> tuple:
                 t2 *= sig
                 np.copyto(partner, t2)
             np.copyto(sig, t)
-    del tmp, t, t2
+    del tmp, t, t2                                  # freed before dw_x's tensordot copies x
     dh, dc, d_out = np.empty((3, b, hidden))
     dh_next, dc_next = np.zeros((2, b, hidden))
     dc_gates = dc[:, None, :]
