@@ -32,14 +32,12 @@ __all__ = [
 
 
 def sigmoid_values(x: np.ndarray) -> np.ndarray:
-    """Numerically stable logistic function on raw arrays.
+    """Logistic function on raw arrays, as 0.5 * tanh(x / 2) + 0.5.
 
-    1 / (1 + exp(-x)) for x >= 0 and exp(x) / (1 + exp(x)) below, both
-    written with e = exp(-|x|) so no branch ever overflows.
+    No branch overflows: a logit past about +-37 gives exactly 1 or 0. The
+    LSTM kernel applies the same arithmetic in place.
     """
-    x = np.asarray(x, dtype=np.float64)
-    e = np.exp(-np.abs(x))
-    return np.where(x >= 0, 1.0, e) / (1.0 + e)
+    return 0.5 * np.tanh(0.5 * np.asarray(x, dtype=np.float64)) + 0.5
 
 
 class Var:
@@ -209,11 +207,11 @@ def lstm_sequence_values(w_cell: np.ndarray, b_cell: np.ndarray,
     gate columns in the order input, forget, output, candidate; the state
     starts at zero. The input projection x @ W_x + b is computed for all days
     at once, outside the time loop, so each day costs one (B, H) @ (H, 4H)
-    product, one sigmoid over the three contiguous sigmoid gates (the
-    arithmetic of sigmoid_values) and one tanh. Every per-day operand is a
-    view taken by zip over the (T, ...) arrays, and every per-day result is
-    written into a preallocated buffer. The cache is (gates, h, c, tanh_c),
-    all C-contiguous.
+    product and one tanh over all four gates: the three contiguous sigmoid
+    gates are halved before it and mapped back by * 0.5 + 0.5 after it (the
+    arithmetic of sigmoid_values). Every per-day operand is a view taken by
+    zip over the (T, ...) arrays, and every per-day result is written into a
+    preallocated buffer. The cache is (gates, h, c, tanh_c), all C-contiguous.
     """
     b, t_count = features.shape[:2]
     hidden = w_cell.shape[1] // 4
@@ -226,9 +224,6 @@ def lstm_sequence_values(w_cell: np.ndarray, b_cell: np.ndarray,
     c = np.zeros((t_count + 1, b, hidden))
     tanh_c = np.empty((t_count, b, hidden))
     rec = np.empty((b, 4 * hidden))
-    e = np.empty((b, n_sig))
-    den = np.empty((b, n_sig))
-    nonneg = np.empty((b, n_sig), dtype=bool)
     iu = np.empty((b, hidden))
     days = zip(gates, gates[..., :n_sig], gates[..., :hidden],
                gates[..., hidden:2 * hidden], gates[..., 2 * hidden:n_sig],
@@ -236,13 +231,10 @@ def lstm_sequence_values(w_cell: np.ndarray, b_cell: np.ndarray,
     for g, sig, i, f, o, u, h_prev, h_next, c_prev, c_next, tc in days:
         np.matmul(h_prev, w_h, out=rec)
         g += rec
-        np.copysign(sig, -1.0, out=e)                   # sigmoid_values, in place
-        np.exp(e, out=e)
-        np.add(e, 1.0, out=den)
-        np.greater_equal(sig, 0.0, out=nonneg)
-        np.copyto(e, 1.0, where=nonneg)
-        np.divide(e, den, out=sig)
-        np.tanh(u, out=u)
+        sig *= 0.5                                      # sigmoid_values, in place
+        np.tanh(g, out=g)
+        sig *= 0.5
+        sig += 0.5
         np.multiply(f, c_prev, out=c_next)
         np.multiply(i, u, out=iu)
         c_next += iu
@@ -295,7 +287,7 @@ def _lstm_grads(w_h_t: np.ndarray, cache: tuple, g: np.ndarray) -> tuple:
                 t2 *= sig
                 np.copyto(partner, t2)
             np.copyto(sig, t)
-    del tmp, t, t2                                  # freed before dw_x's tensordot copies x
+    del tmp, t, t2
     dh, dc, d_out = np.empty((3, b, hidden))
     dh_next, dc_next = np.zeros((2, b, hidden))
     dc_gates = dc[:, None, :]
@@ -312,10 +304,18 @@ def _lstm_grads(w_h_t: np.ndarray, cache: tuple, g: np.ndarray) -> tuple:
         np.copyto(dp_out, d_out)
         np.multiply(dc, forget, out=dc_next)
         np.matmul(dp, w_h_t, out=dh_next)
-    # A transposed view, not tensordot, so h is not copied.
-    dw_h = h[:-1].reshape(-1, hidden).T @ act.reshape(-1, 4 * hidden)
-    dw_x = np.tensordot(x, act, axes=([0, 1], [0, 1]))
-    return np.vstack([dw_h, dw_x]), act.sum(axis=(0, 1))
+    # dw sums a[t].T @ act[t] over the days for a = h[:-1] and x, in day order
+    # over chunks small enough that OpenBLAS runs each product on one thread:
+    # by default it keeps a gemm of m * n * k <= 2**18 on one, and a threaded
+    # gemm can round its cells differently. So the bits do not depend on the
+    # thread count, unless one day's product alone is past that bound.
+    dw = np.zeros((hidden + x.shape[-1], 4 * hidden))
+    for part, a in ((dw[:hidden], h[:-1]), (dw[hidden:], x)):
+        step = max(1, 2**18 // (b * a.shape[-1] * 4 * hidden))
+        for s in range(0, t_count, step):
+            days = slice(s, s + step)
+            part += a[days].reshape(-1, a.shape[-1]).T @ act[days].reshape(-1, 4 * hidden)
+    return dw, act.sum(axis=(0, 1))
 
 
 def masked_mean(a: Var, mask: np.ndarray) -> Var:

@@ -217,7 +217,7 @@ def discriminator_logits(params: DiscriminatorParams, x: np.ndarray) -> np.ndarr
 
 
 def discriminator_forward(params: DiscriminatorParams, x: np.ndarray) -> np.ndarray:
-    """Probability that each day (row) is mild, strictly inside (0, 1)."""
+    """Probability that each day (row) is mild: exactly 0 or 1 past a logit of about +-37."""
     return sigmoid_values(discriminator_logits(params, x))
 
 

@@ -152,7 +152,8 @@ def lstm_grads_reference(w_h_t: np.ndarray, cache: tuple, g: np.ndarray) -> tupl
 
     The allocating form of `autodiff._lstm_grads`, with the same arithmetic in
     the same order: it forms the gate derivatives in a fresh d_pre and
-    dc_from_h and leaves the cache as it found it.
+    dc_from_h, sums dw over the same day chunks, and leaves the cache as it
+    found it.
     """
     x, act, h, c, tanh_c = cache
     t_count, b, hidden = tanh_c.shape
@@ -195,9 +196,15 @@ def lstm_grads_reference(w_h_t: np.ndarray, cache: tuple, g: np.ndarray) -> tupl
         np.copyto(dp_out, d_out)
         np.multiply(dc, forget, out=dc_next)
         np.matmul(dp, w_h_t, out=dh_next)
-    dw_h = np.tensordot(h[:-1], d_pre, axes=([0, 1], [0, 1]))
-    dw_x = np.tensordot(x, d_pre, axes=([0, 1], [0, 1]))
-    return np.vstack([dw_h, dw_x]), d_pre.sum(axis=(0, 1))
+    parts = []
+    for a in (h[:-1], x):                           # each over the kernel's day chunks
+        step = max(1, 2**18 // (b * a.shape[-1] * 4 * hidden))
+        part = np.zeros((a.shape[-1], 4 * hidden))
+        for s in range(0, t_count, step):
+            days = slice(s, s + step)
+            part += a[days].reshape(-1, a.shape[-1]).T @ d_pre[days].reshape(-1, 4 * hidden)
+        parts.append(part)
+    return np.vstack(parts), d_pre.sum(axis=(0, 1))
 
 
 def discriminator_logits_tape(tape: ad.Tape, p: dict[str, ad.Var], x: np.ndarray) -> ad.Var:

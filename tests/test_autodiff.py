@@ -48,13 +48,25 @@ class TestScalarBasics:
         assert value == -800.0
 
 
-    def test_sigmoid_values_matches_both_branch_formulas(self):
+    def test_sigmoid_values_is_the_tanh_identity_within_an_ulp_of_exp(self):
         x = np.concatenate([np.random.default_rng(9).normal(size=200) * 30,
-                            [0.0, -0.0, 745.0, -745.0, np.inf, -np.inf]])
-        with np.errstate(over="ignore", invalid="ignore"):
-            expected = np.where(x >= 0, 1.0 / (1.0 + np.exp(-x)),
-                                np.exp(x) / (1.0 + np.exp(x)))
-        assert np.array_equal(ad.sigmoid_values(x), expected)
+                            [0.0, -0.0, 36.0, -36.0, 745.0, -745.0]])
+        s = ad.sigmoid_values(x)
+        assert np.array_equal(s, 0.5 * np.tanh(x / 2.0) + 0.5)
+        with np.errstate(over="ignore"):
+            assert np.all(np.abs(s - 1.0 / (1.0 + np.exp(-x))) <= np.spacing(1.0))
+        assert ad.sigmoid_values(np.array([-800.0, 800.0])).tolist() == [0.0, 1.0]
+        # The LSTM kernel's in-place gates spell the same arithmetic: with no
+        # recurrent weights and one unit feature, each day's pre-activations
+        # are the input row itself.
+        hidden = 50
+        row = x[:4 * hidden]
+        w_cell = np.vstack([np.zeros((hidden, 4 * hidden)), row])
+        _, (act, *_) = ad.lstm_sequence_values(w_cell, np.zeros(4 * hidden),
+                                               np.ones((2, 3, 1)))
+        expected = np.concatenate([ad.sigmoid_values(row[:3 * hidden]),
+                                   np.tanh(row[3 * hidden:])])
+        assert np.array_equal(act, np.broadcast_to(expected, act.shape))
 
 
 class TestStructuredGradients:

@@ -1074,6 +1074,59 @@ def test_evaluate_loads_without_the_training_stack():
                                "lakedo.series"])
 
 
+def _has_avx2() -> bool:
+    try:
+        return " avx2 " in Path("/proc/cpuinfo").read_text()
+    except OSError:
+        return False
+
+
+@pytest.mark.parametrize("coretype", [None, "Haswell"])
+def test_outputs_do_not_depend_on_the_blas_thread_count(coretype, tmp_path):
+    # generate, both trainings and evaluate in one child per OpenBLAS thread
+    # count; every output but the manifests (which hold timings) must match.
+    # One full batch of 8 windows at hidden size 30, as the benchmark trains,
+    # puts a whole-batch LSTM weight-gradient product above OpenBLAS's
+    # threading threshold. Haswell is OpenBLAS's AVX2 kernel set, whose
+    # threaded gemm rounds some cells differently from its one-thread gemm.
+    # On it only the LSTM path is compared: the discriminator's full-batch
+    # products over the labelled days still move with the thread count there.
+    if coretype and not _has_avx2():
+        pytest.skip("OpenBLAS's Haswell kernels need an AVX2 CPU")
+    gen = write_json(tmp_path / "gen.json", dict(GEN_CONFIG, n_lakes=4, n_years=3))
+    train = write_json(tmp_path / "train.json",
+                       dict(TRAIN_CONFIG, max_epochs=3, hidden_size=30, train_years=2))
+    commands = [["generate", "--config", str(gen), "--out", "data"],
+                ["train", "--mode", "pril", "--data", "data", "--out", "pril",
+                 "--config", str(train)],
+                ["evaluate", "pril/checkpoint.csv", "--data", "data", "--out", "eval"]]
+    expected = ["data/lake_03_truth.csv", "pril/checkpoint.csv", "pril/history.csv",
+                "eval/comparison.csv", "eval/timeseries_00.csv", "eval/timeseries_03.csv"]
+    if coretype is None:
+        commands.append(["train", "--mode", "april", "--data", "data", "--out", "april",
+                         "--config", str(train), "--k", "6"])
+        expected += ["april/checkpoint.csv", "april/history.csv", "april/labels_00.csv",
+                     "april/labels_03.csv"]
+    code = ("import json, sys; from lakedo.cli import main\n"
+            "for argv in json.loads(sys.argv[1]):\n"
+            "    assert main(argv) == 0, argv\n")
+    outputs = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"threads{threads}"
+        out.mkdir()
+        env = dict(os.environ, PYTHONPATH=str(Path(lakedo.__file__).parents[1]),
+                   OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        if coretype:
+            env["OPENBLAS_CORETYPE"] = coretype
+        subprocess.run([sys.executable, "-c", code, json.dumps(commands)], env=env,
+                       cwd=out, check=True)
+        outputs[threads] = {p.relative_to(out).as_posix(): p.read_bytes()
+                            for p in sorted(out.rglob("*.csv"))}
+    assert set(expected) <= set(outputs["1"])
+    assert sorted(outputs["2"]) == sorted(outputs["1"])
+    assert [n for n in sorted(outputs["1"]) if outputs["1"][n] != outputs["2"][n]] == []
+
+
 _JSON_SCALARS = (st.none() | st.booleans() | st.integers()
                  | st.sampled_from([-1, 2**63 - 1, 2**63, -2**63 - 1, 10**15, 10**400])
                  | st.floats() | st.text(max_size=4))
