@@ -21,10 +21,11 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .autodiff import sigmoid_values
-from .errors import ConfigError, DomainError, require_finite_floats
+from .errors import DomainError, bounded, check_config_fields
 from .networks import (
     DiscriminatorParams,
     PredictorParams,
+    discriminator_activations,
     discriminator_forward,
     init_discriminator,
     predictor_forward_series,
@@ -65,31 +66,17 @@ FALLBACK = "FALLBACK"
 
 @dataclass(frozen=True)
 class AprilConfig:
-    gamma_factor: float = 1.5
-    volume_change_threshold: float = 0.20
-    k_drastic: int = 12
-    mild_probability_threshold: float = 0.5
-    disc_hidden: tuple[int, ...] = (32, 32)
-    disc_learning_rate: float = 0.01
-    disc_epochs: int = 200
-    finetune_epochs: int = 50
+    gamma_factor: float = bounded(1.5, gt=0)
+    volume_change_threshold: float = bounded(0.20, gt=0)
+    k_drastic: int = bounded(12, ge=1)
+    mild_probability_threshold: float = bounded(0.5, gt=0, lt=1)
+    disc_hidden: tuple[int, ...] = bounded((32, 32), ge=1)
+    disc_learning_rate: float = bounded(0.01, gt=0)
+    disc_epochs: int = bounded(200, ge=1)
+    finetune_epochs: int = bounded(50, ge=1)
 
     def __post_init__(self) -> None:
-        require_finite_floats(self)
-        if self.gamma_factor <= 0:
-            raise ConfigError("gamma_factor must be > 0")
-        if self.volume_change_threshold <= 0:
-            raise ConfigError("volume_change_threshold must be > 0")
-        if self.k_drastic < 1:
-            raise ConfigError("k_drastic must be >= 1")
-        if not 0 < self.mild_probability_threshold < 1:
-            raise ConfigError("mild_probability_threshold must lie in (0, 1)")
-        if any(width < 1 for width in self.disc_hidden):
-            raise ConfigError("disc_hidden layer widths must be >= 1")
-        if self.disc_learning_rate <= 0 or self.disc_epochs < 1:
-            raise ConfigError("discriminator learning rate and epochs must be positive")
-        if self.finetune_epochs < 1:
-            raise ConfigError("finetune_epochs must be >= 1")
+        check_config_fields(self)
 
 
 class DayLabel(NamedTuple):
@@ -190,10 +177,8 @@ def train_discriminator(inputs: np.ndarray, is_mild: np.ndarray, april: AprilCon
     coef = np.where(mild_col, scale * w_mild, -(scale * w_drastic))
     sign = np.where(mild_col, -1.0, 1.0)
     for _ in range(april.disc_epochs):
-        acts = [inputs]
-        for li in range(n_layers):
-            z = acts[-1] @ params[f"layer{li}_w"] + params[f"layer{li}_b"]
-            acts.append(np.tanh(z) if li < n_layers - 1 else z)
+        acts = discriminator_activations(
+            [(params[f"layer{li}_w"], params[f"layer{li}_b"]) for li in range(n_layers)], inputs)
         g = coef * sigmoid_values(sign * acts[-1])
         grads = {}
         for li in range(n_layers - 1, -1, -1):

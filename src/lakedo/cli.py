@@ -25,7 +25,7 @@ import numpy as np
 
 from . import __version__
 from .adaptive import AprilConfig, train_april, write_labels
-from .errors import ConfigError, DomainError, TrainingDiverged
+from .errors import ConfigError, DomainError, TrainingDiverged, is_finite_number, is_int64
 from .evaluate import (
     REFERENCE_SUBSTEPS,
     export_timeseries,
@@ -81,47 +81,14 @@ def _read_config(path: str | Path, schema: str) -> dict:
     return data
 
 
-def _is_num(value, types) -> bool:
-    return isinstance(value, types) and not isinstance(value, bool)
-
-
-_INT64_MIN, _INT64_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
-
-
-def _is_int64(value) -> bool:
-    # Integer fields end up as numpy sizes, seeds and counts.
-    return _is_num(value, int) and _INT64_MIN <= value <= _INT64_MAX
-
-
-#: Per annotated config field type: what the JSON value must be, and the test.
-_FIELD_CHECKS = {
-    "int": ("an integer in the int64 range", _is_int64),
-    # NaN, inf and ints beyond the float range all fail the comparison.
-    "float": ("a finite number",
-              lambda v: _is_num(v, (int, float)) and abs(v) <= sys.float_info.max),
-    "tuple[int, ...]": ("a list of integers in the int64 range",
-                        lambda v: isinstance(v, list) and all(map(_is_int64, v))),
-}
-
-
 def _build(cls, data: dict, context: str):
-    """Construct a config dataclass, rejecting unknown keys and mistyped values."""
-    types = {f.name: f.type for f in fields(cls)}
-    unknown = sorted(set(data) - set(types))
+    """Construct a config dataclass; errors name the file (and section) they come from."""
+    unknown = sorted(set(data) - {f.name for f in fields(cls)})
     if unknown:
         raise ConfigError(f"{context}: unknown keys {unknown}")
-    for name, value in data.items():
-        kind, valid = _FIELD_CHECKS[types[name]]
-        if not valid(value):
-            raise ConfigError(f"{context}: {name} must be {kind}, got {value!r}")
-        if isinstance(value, list):
-            data[name] = tuple(value)
-        elif types[name] == "float":
-            # An int beyond int64 would reach numpy as an object array.
-            data[name] = float(value)
     try:
         return cls(**data)
-    except ConfigError as exc:          # a range check in the dataclass
+    except ConfigError as exc:          # a field or cross-field check in the dataclass
         raise ConfigError(f"{context}: {exc}") from exc
 
 
@@ -145,12 +112,11 @@ def load_train_config(path: str | Path | None) -> tuple[TrainConfig, AprilConfig
 
 def load_sweep_config(path: str | Path) -> tuple[list[float], list[float], TrainConfig]:
     data = _read_config(path, SWEEP_SCHEMA)
-    grids = {}
-    _, finite = _FIELD_CHECKS["float"]
-    for key in ("lambda_epi", "lambda_hyp"):
+    keys, grids = ("lambda_epi", "lambda_hyp"), {}
+    for key in keys:
         values = data.pop(key, None)
         if not (isinstance(values, list) and values
-                and all(finite(v) and v >= 0 for v in values)):
+                and all(is_finite_number(v) and v >= 0 for v in values)):
             raise ConfigError(f"{path}: {key} must be a nonempty list of finite weights >= 0")
         grids[key] = [float(v) for v in values]
     train_data = data.pop("train", {})
@@ -158,6 +124,10 @@ def load_sweep_config(path: str | Path) -> tuple[list[float], list[float], Train
         raise ConfigError(f"{path}: 'train' must be a JSON object")
     if data:
         raise ConfigError(f"{path}: unknown keys {sorted(data)}")
+    for key in keys:
+        if key in train_data:
+            # Every grid point sets it, so a value here would only change the hash.
+            raise ConfigError(f"{path}: train: {key} is set by the sweep grid, not here")
     base = _build(TrainConfig, train_data, f"{path}: train")
     return grids["lambda_epi"], grids["lambda_hyp"], base
 
@@ -437,7 +407,7 @@ def main(argv: Sequence[str] | None = None) -> int:
         # The same int64 range the config fields are held to.
         for flag, low in (("seed", 0), ("k", 1), ("threads", 1)):
             value = getattr(args, flag, None)
-            if value is not None and not _is_int64(value):
+            if value is not None and not is_int64(value):
                 raise ConfigError(f"--{flag} must be an integer in the int64 range")
             if value is not None and value < low:
                 raise ConfigError(f"--{flag} must be >= {low}")

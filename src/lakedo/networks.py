@@ -28,7 +28,7 @@ __all__ = [
     "PredictorParams", "DiscriminatorParams",
     "init_predictor", "init_discriminator",
     "predictor_forward", "predictor_forward_series", "predictor_forward_tape",
-    "discriminator_forward", "discriminator_logits",
+    "discriminator_activations", "discriminator_forward", "discriminator_logits",
     "save_checkpoint", "load_checkpoint",
 ]
 
@@ -205,15 +205,21 @@ def init_discriminator(n_inputs: int, hidden: tuple[int, ...] = (32, 32),
     return DiscriminatorParams(layers=tuple(layers))
 
 
+def discriminator_activations(layers: Sequence[tuple[np.ndarray, np.ndarray]],
+                              x: np.ndarray) -> list[np.ndarray]:
+    """Every layer's output for rows x, x first: tanh after each layer but the linear last."""
+    acts = [x]
+    for li, (w, b) in enumerate(layers):
+        z = acts[-1] @ w + b
+        acts.append(np.tanh(z) if li < len(layers) - 1 else z)
+    return acts
+
+
 def discriminator_logits(params: DiscriminatorParams, x: np.ndarray) -> np.ndarray:
     x = np.atleast_2d(np.asarray(x, dtype=np.float64))
     if x.shape[1] != params.n_inputs:
         raise DomainError(f"discriminator expects {params.n_inputs} inputs per row")
-    h = x
-    for w, b in params.layers[:-1]:
-        h = np.tanh(h @ w + b)
-    w, b = params.layers[-1]
-    return (h @ w + b)[:, 0]
+    return discriminator_activations(params.layers, x)[-1][:, 0]
 
 
 def discriminator_forward(params: DiscriminatorParams, x: np.ndarray) -> np.ndarray:

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError
+from .errors import DomainError, is_int64
 from .series import VOLUME_CHANGE_REL_TOL, LakeSeries
 
 __all__ = [
@@ -50,8 +50,8 @@ class SubstepConfig:
     k: int = 1
 
     def __post_init__(self) -> None:
-        if not (isinstance(self.k, (int, np.integer)) and not isinstance(self.k, bool) and self.k >= 1):
-            raise DomainError(f"substep count k must be an integer >= 1, got {self.k!r}")
+        if not (is_int64(self.k) and self.k >= 1):
+            raise DomainError(f"substep count k must be an int64 integer >= 1, got {self.k!r}")
 
 
 def _require_finite(**named) -> None:

@@ -18,7 +18,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DomainError, OrderingError, SchemaError
+from .errors import DomainError, OrderingError, SchemaError, is_int64
 
 __all__ = [
     "LakeSeries",
@@ -47,8 +47,6 @@ _FLOAT_COLUMNS = _BASE_COLUMNS[2:]
 _DAY_FIELDS = {"dates": np.int64, "stratified": bool,
                **dict.fromkeys(_FLOAT_COLUMNS, np.float64), "features": np.float64}
 _FEAT_RE = re.compile(r"^feat_(\d+)$")
-#: Dates are stored as int64.
-_DATE_MIN, _DATE_MAX = int(np.iinfo(np.int64).min), int(np.iinfo(np.int64).max)
 #: The three prediction tasks, in the column order of every (T, 3) array.
 TASK_NAMES = ("epi", "hyp", "total")
 
@@ -213,7 +211,7 @@ def _parse_date(cell: str, path: Path, r: int) -> int:
         day = int(cell)
     except ValueError as exc:
         raise OrderingError(f"{path}: row {r}: date {cell!r} is not an integer") from exc
-    if not _DATE_MIN <= day <= _DATE_MAX:
+    if not is_int64(day):
         raise OrderingError(f"{path}: row {r}: date {cell!r} is out of range")
     return day
 

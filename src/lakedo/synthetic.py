@@ -21,7 +21,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import ConfigError, DomainError, SchemaError, require_finite_floats
+from .errors import ConfigError, DomainError, SchemaError, bounded, check_config_fields
 from .physics import SubstepConfig, multi_step_euler
 from .series import (LakeSeries, _parse_rows, _read_csv, _write_rows,
                      relative_epi_volume_change, validate_series)
@@ -42,69 +42,44 @@ FEATURE_COUNT = 10
 
 @dataclass(frozen=True)
 class GenConfig:
-    n_lakes: int = 4
-    n_years: int = 3
-    seed: int = 0
-    v_total: float = 2_000_000.0
+    n_lakes: int = bounded(4, ge=1)
+    n_years: int = bounded(3, ge=1)
+    seed: int = bounded(0, ge=0)
+    v_total: float = bounded(2_000_000.0, gt=0)
     year_days: int = 365
     strat_start: int = 135
     strat_end: int = 315
-    epi_frac_start: float = 0.30
-    epi_frac_end: float = 0.55
-    epi_frac_ar: float = 0.85
-    epi_frac_noise: float = 0.01
-    shock_probability: float = 0.02
+    epi_frac_start: float = bounded(0.30, gt=0, lt=1)
+    epi_frac_end: float = bounded(0.55, gt=0, lt=1)
+    epi_frac_ar: float = bounded(0.85, ge=0, lt=1)
+    epi_frac_noise: float = bounded(0.01, ge=0)
+    shock_probability: float = bounded(0.02, ge=0, lt=1)
     shock_scale: float = 0.25
-    initial_do: float = 10.0
+    initial_do: float = bounded(10.0, ge=0)
     epi_flux_peak: float = 0.08
     hyp_demand_base: float = 0.07
     hyp_demand_ramp: float = 0.09
-    flux_noise: float = 0.01
+    flux_noise: float = bounded(0.01, ge=0)
     mixed_flux_amplitude: float = 0.05
-    obs_sparsity: float = 0.15
-    obs_noise_sd: float = 0.3
-    scenario_a_count: int = 1
-    scenario_b_count: int = 1
-    scenario_shrink_ratio: float = 10.0
+    # Above 0: a dataset without observations cannot train anything.
+    obs_sparsity: float = bounded(0.15, gt=0, le=1)
+    obs_noise_sd: float = bounded(0.3, ge=0)
+    scenario_a_count: int = bounded(1, ge=0)
+    scenario_b_count: int = bounded(1, ge=0)
+    scenario_shrink_ratio: float = bounded(10.0, ge=10)
     scenario_flux: float = 2.0
-    truth_substeps: int = 192
+    truth_substeps: int = bounded(192, ge=1)
 
     def __post_init__(self) -> None:
-        require_finite_floats(self)
-        if self.n_lakes < 1 or self.n_years < 1:
-            raise ConfigError("n_lakes and n_years must be >= 1")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.v_total <= 0:
-            raise ConfigError("v_total must be > 0")
+        check_config_fields(self)
         if not 1 <= self.strat_start < self.strat_end:
             raise ConfigError("strat_start must lie in [1, strat_end)")
         if self.strat_end > self.year_days:
             raise ConfigError("strat_end must be <= year_days")
-        for name in ("epi_frac_start", "epi_frac_end"):
-            if not 0 < getattr(self, name) < 1:
-                raise ConfigError(f"{name} must lie in (0, 1)")
-        if not 0 <= self.epi_frac_ar < 1:
-            raise ConfigError("epi_frac_ar must lie in [0, 1)")
-        if not 0 <= self.shock_probability < 1:
-            raise ConfigError("shock_probability must lie in [0, 1)")
-        if not 0 < self.obs_sparsity <= 1:
-            raise ConfigError("obs_sparsity must lie in (0, 1]: a dataset "
-                              "without observations cannot train anything")
-        if self.obs_noise_sd < 0 or self.epi_frac_noise < 0 or self.flux_noise < 0:
-            raise ConfigError("noise scales must be >= 0")
-        if self.scenario_a_count < 0 or self.scenario_b_count < 0:
-            raise ConfigError("scenario counts must be >= 0")
-        if self.scenario_shrink_ratio < 10:
-            raise ConfigError("scenario_shrink_ratio must be >= 10")
         if 8 * self.n_years * self.year_days > np.iinfo(np.intp).max:
             # Past this, numpy cannot even size the int64 calendar.
             raise ConfigError(f"n_years * year_days = {self.n_years * self.year_days} "
                               "days, more than a numpy array can hold")
-        if self.truth_substeps < 1:
-            raise ConfigError("truth_substeps must be >= 1")
-        if self.initial_do < 0:
-            raise ConfigError("initial_do must be >= 0")
 
 
 @dataclass(frozen=True)

@@ -15,7 +15,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from . import autodiff as ad
-from .errors import ConfigError, DomainError, TrainingDiverged, require_finite_floats
+from .errors import DomainError, TrainingDiverged, bounded, check_config_fields
 from .losses import stack_windows, taped_window_loss, window_cache
 from .networks import (
     MAX_HIDDEN,
@@ -41,46 +41,27 @@ __all__ = [
     "train_pril",
 ]
 
-LEARNING_RATE_RANGE = (0.001, 0.05)
-BATCH_SIZE_RANGE = (8, 32)
 #: Adam's moment decay rates and denominator guard (Kingma & Ba's defaults).
 ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 @dataclass(frozen=True)
 class TrainConfig:
-    lambda_epi: float = 0.0
-    lambda_hyp: float = 0.0
-    lambda_total: float = 0.0
-    tau_mc: float = 0.05
-    learning_rate: float = 0.005
-    batch_size: int = 8
-    max_epochs: int = 150
-    patience: int = 15
-    hidden_size: int = 20
-    seed: int = 0
-    window_days: int = 365
-    train_years: int = 2
+    lambda_epi: float = bounded(0.0, ge=0)
+    lambda_hyp: float = bounded(0.0, ge=0)
+    lambda_total: float = bounded(0.0, ge=0)
+    tau_mc: float = bounded(0.05, ge=0)
+    learning_rate: float = bounded(0.005, ge=0.001, le=0.05)
+    batch_size: int = bounded(8, ge=8, le=32)
+    max_epochs: int = bounded(150, ge=1)
+    patience: int = bounded(15, ge=1)
+    hidden_size: int = bounded(20, ge=MIN_HIDDEN, le=MAX_HIDDEN)
+    seed: int = bounded(0, ge=0)
+    window_days: int = bounded(365, ge=2)
+    train_years: int = bounded(2, ge=1)
 
     def __post_init__(self) -> None:
-        require_finite_floats(self)
-        for name in ("lambda_epi", "lambda_hyp", "lambda_total", "tau_mc"):
-            if getattr(self, name) < 0:
-                raise ConfigError(f"{name} must be >= 0")
-        lo, hi = LEARNING_RATE_RANGE
-        if not lo <= self.learning_rate <= hi:
-            raise ConfigError(f"learning_rate must lie in [{lo}, {hi}]")
-        lo, hi = BATCH_SIZE_RANGE
-        if not lo <= self.batch_size <= hi:
-            raise ConfigError(f"batch_size must lie in [{lo}, {hi}]")
-        if not MIN_HIDDEN <= self.hidden_size <= MAX_HIDDEN:
-            raise ConfigError(f"hidden_size must lie in [{MIN_HIDDEN}, {MAX_HIDDEN}]")
-        if self.seed < 0:
-            raise ConfigError("seed must be >= 0")
-        if self.max_epochs < 1 or self.patience < 1:
-            raise ConfigError("max_epochs and patience must be >= 1")
-        if self.window_days < 2 or self.train_years < 1:
-            raise ConfigError("window_days must be >= 2 and train_years >= 1")
+        check_config_fields(self)
 
     @property
     def lambdas(self) -> tuple[float, float, float]:

@@ -1030,6 +1030,19 @@ class TestSweep:
         assert diverged == ([False, False, True, True] if case == "weights" else [True, True])
         assert (tmp_path / "o" / "sweep.csv").read_bytes() == want.read_bytes()
 
+    @pytest.mark.parametrize("key", ["lambda_epi", "lambda_hyp"])
+    def test_grid_weight_inside_train_exit_2_naming_file_and_key(self, data_dir, tmp_path,
+                                                                 capsys, key):
+        # Every grid point sets both weights, so one in "train" would be ignored
+        # yet still change the manifest's config hash.
+        cfg = write_json(tmp_path / "grid.json", dict(SWEEP_POINT, train={key: 1.0}))
+        out = tmp_path / "o"
+        assert main(["sweep", "--config", str(cfg), "--data", str(data_dir),
+                     "--out", str(out)]) == 2
+        assert capsys.readouterr().err == \
+            f"error: {cfg}: train: {key} is set by the sweep grid, not here\n"
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", [[], [None], ["1.0"], [True], [{"a": 1}], 1.0])
     def test_malformed_grid_exit_2(self, data_dir, tmp_path, capsys, grid):
         cfg = write_json(tmp_path / "grid.json", {"schema": "lakedo-sweep-v1",
@@ -1179,6 +1192,28 @@ def test_config_loaders_return_a_valid_config_or_raise_config_error(tmp_path_fac
         assert all(type(v) is float and math.isfinite(v) for v in grid_epi + grid_hyp)
     for cfg in loaded if isinstance(loaded, tuple) else (loaded,):
         _assert_valid_config(cfg)
+
+
+_NUMPY_VALUES = st.sampled_from([np.int64(3), np.int32(-1), np.uint64(2**64 - 1), np.uint8(40),
+                                  np.float64(0.5), np.float32("nan"), np.bool_(True)])
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_config_dataclasses_built_from_drawn_values_are_valid_or_raise_config_error(data):
+    # The values the loader property writes into a file, plus numpy scalars,
+    # given to the constructors directly: code holds the rules a file is held to.
+    cls = data.draw(st.sampled_from([GenConfig, TrainConfig, AprilConfig]))
+    drawn = data.draw(st.lists(st.sampled_from([f.name for f in dataclasses.fields(cls)]),
+                               min_size=1, max_size=2))
+    kwargs = {name: data.draw(_JSON_VALUES | _NUMPY_VALUES) for name in drawn}
+    try:
+        cfg = cls(**kwargs)
+    except ConfigError:
+        return
+    _assert_valid_config(cfg)
+    assert all(type(getattr(cfg, f.name)) is tuple for f in dataclasses.fields(cfg)
+               if f.type == "tuple[int, ...]")
 
 
 #: What the fuzz test puts into a cell; EXTRA appends a cell, DROP removes one.
