@@ -35,7 +35,7 @@ def sigmoid_values(x: np.ndarray) -> np.ndarray:
     """Logistic function on raw arrays, as 0.5 * tanh(x / 2) + 0.5.
 
     No branch overflows: a logit past about +-37 gives exactly 1 or 0. The
-    LSTM kernel applies the same arithmetic in place.
+    LSTM kernel gets the same bits with the x / 2 folded into its weights.
     """
     return 0.5 * np.tanh(0.5 * np.asarray(x, dtype=np.float64)) + 0.5
 
@@ -205,36 +205,47 @@ def lstm_sequence_values(w_cell: np.ndarray, b_cell: np.ndarray,
 
     w_cell stacks the recurrent rows above the input rows, (H + m, 4H), with
     gate columns in the order input, forget, output, candidate; the state
-    starts at zero. The input projection x @ W_x + b is computed for all days
-    at once, outside the time loop, so each day costs one (B, H) @ (H, 4H)
-    product and one tanh over all four gates: the three contiguous sigmoid
-    gates are halved before it and mapped back by * 0.5 + 0.5 after it (the
-    arithmetic of sigmoid_values). Every per-day operand is a view taken by
-    zip over the (T, ...) arrays, and every per-day result is written into a
+    starts at zero. Each day costs one (B, H) @ (H, 4H) product and one tanh
+    over all four gates, with the sigmoids as 0.5 * tanh(x / 2) + 0.5 (the
+    arithmetic of sigmoid_values). The x / 2 happens once per call: the three
+    contiguous sigmoid columns of w_cell and b_cell are halved up front, so
+    the input projection x @ W_x + b (all days at once, outside the time loop)
+    and each day's recurrent product come out exactly halved. Halving is exact
+    and commutes with every rounding, so the bits are those of halving the sum
+    afterwards, unless an intermediate is subnormal. After the tanh, two
+    contiguous full-row ops map the gates back: * 0.5 + 0.5 on the sigmoid
+    columns, * 1.0 + -0.0 on the candidate (-0.0 is the additive identity that
+    keeps the sign of a zero). Every per-day operand is a view taken by zip
+    over the (T, ...) arrays, and every per-day result is written into a
     preallocated buffer. The cache is (gates, h, c, tanh_c), all C-contiguous.
     """
     b, t_count = features.shape[:2]
     hidden = w_cell.shape[1] // 4
     n_sig = 3 * hidden
-    w_h = w_cell[:hidden]
+    col_half = np.ones(4 * hidden)                      # 0.5 on the sigmoid columns
+    col_half[:n_sig] = 0.5
+    w_half = w_cell * col_half
+    gate_mul = np.tile(col_half, (b, 1))                # the per-day map back, (B, 4H)
+    gate_shift = np.full((b, 4 * hidden), -0.0)
+    gate_shift[:, :n_sig] = 0.5
+    w_h = w_half[:hidden]
     gates = np.empty((t_count, b, 4 * hidden))          # (T, B, 4H) pre-activations
-    np.matmul(features.transpose(1, 0, 2), w_cell[hidden:], out=gates)
-    gates += b_cell
+    np.matmul(features.transpose(1, 0, 2), w_half[hidden:], out=gates)
+    gates += b_cell * col_half
     h = np.zeros((t_count + 1, b, hidden))              # h[t] is the state before day t
     c = np.zeros((t_count + 1, b, hidden))
     tanh_c = np.empty((t_count, b, hidden))
     rec = np.empty((b, 4 * hidden))
     iu = np.empty((b, hidden))
-    days = zip(gates, gates[..., :n_sig], gates[..., :hidden],
-               gates[..., hidden:2 * hidden], gates[..., 2 * hidden:n_sig],
-               gates[..., n_sig:], h, h[1:], c, c[1:], tanh_c)
-    for g, sig, i, f, o, u, h_prev, h_next, c_prev, c_next, tc in days:
-        np.matmul(h_prev, w_h, out=rec)
+    days = zip(gates, gates[..., :hidden], gates[..., hidden:2 * hidden],
+               gates[..., 2 * hidden:n_sig], gates[..., n_sig:],
+               h, h[1:], c, c[1:], tanh_c)
+    for g, i, f, o, u, h_prev, h_next, c_prev, c_next, tc in days:
+        np.dot(h_prev, w_h, out=rec)
         g += rec
-        sig *= 0.5                                      # sigmoid_values, in place
         np.tanh(g, out=g)
-        sig *= 0.5
-        sig += 0.5
+        g *= gate_mul
+        g += gate_shift
         np.multiply(f, c_prev, out=c_next)
         np.multiply(i, u, out=iu)
         c_next += iu
@@ -303,7 +314,7 @@ def _lstm_grads(w_h_t: np.ndarray, cache: tuple, g: np.ndarray) -> tuple:
         dp_gates *= dc_gates
         np.copyto(dp_out, d_out)
         np.multiply(dc, forget, out=dc_next)
-        np.matmul(dp, w_h_t, out=dh_next)
+        np.dot(dp, w_h_t, out=dh_next)
     # dw sums a[t].T @ act[t] over the days for a = h[:-1] and x, in day order
     # over chunks small enough that OpenBLAS runs each product on one thread:
     # by default it keeps a gemm of m * n * k <= 2**18 on one, and a threaded

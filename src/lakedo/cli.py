@@ -16,6 +16,7 @@ import hashlib
 import json
 import sys
 import time
+from collections import Counter
 from dataclasses import asdict, fields, replace
 from os import replace as atomic_replace
 from pathlib import Path
@@ -237,6 +238,13 @@ def cmd_train(args: argparse.Namespace) -> int:
     resolved = {"mode": args.mode, "train": asdict(config), "april": asdict(april)}
     counters = {"epochs": len(history.rows), "best_epoch": epoch_offset + last.best_epoch,
                 "tape_nodes": last.tape_nodes, "backward_visits": last.backward_visits}
+    if args.mode == "april":
+        # What APRIL decided, over the rows of every labels_<id>.csv.
+        every = [label for per_lake in labels.values() for label in per_lake]
+        drastic = sum(not label.mild for label in every)
+        counters["labels"] = dict(Counter(label.provenance for label in every))
+        counters["classes"] = {"MILD": len(every) - drastic, "DRASTIC": drastic}
+        counters["k_hist"] = {str(k): n for k, n in Counter(label.k for label in every).items()}
     _write_manifest(args, resolved, config.seed, files, outputs, counters=counters)
     return 0
 

@@ -147,6 +147,44 @@ def gradient_check(loss_program, params: dict) -> float:
     return worst
 
 
+def lstm_values_reference(w_cell: np.ndarray, b_cell: np.ndarray,
+                          features: np.ndarray) -> tuple[np.ndarray, tuple]:
+    """Reference forward of `autodiff.lstm_sequence_values`: the same outputs.
+
+    The earlier day loop, kept as it was: the sigmoid columns are halved in
+    place each day, before the day's tanh, and mapped back by * 0.5 + 0.5 on
+    their strided view after it.
+    """
+    b, t_count = features.shape[:2]
+    hidden = w_cell.shape[1] // 4
+    n_sig = 3 * hidden
+    w_h = w_cell[:hidden]
+    gates = np.empty((t_count, b, 4 * hidden))          # (T, B, 4H) pre-activations
+    np.matmul(features.transpose(1, 0, 2), w_cell[hidden:], out=gates)
+    gates += b_cell
+    h = np.zeros((t_count + 1, b, hidden))              # h[t] is the state before day t
+    c = np.zeros((t_count + 1, b, hidden))
+    tanh_c = np.empty((t_count, b, hidden))
+    rec = np.empty((b, 4 * hidden))
+    iu = np.empty((b, hidden))
+    days = zip(gates, gates[..., :n_sig], gates[..., :hidden],
+               gates[..., hidden:2 * hidden], gates[..., 2 * hidden:n_sig],
+               gates[..., n_sig:], h, h[1:], c, c[1:], tanh_c)
+    for g, sig, i, f, o, u, h_prev, h_next, c_prev, c_next, tc in days:
+        np.matmul(h_prev, w_h, out=rec)
+        g += rec
+        sig *= 0.5                                      # sigmoid_values, in place
+        np.tanh(g, out=g)
+        sig *= 0.5
+        sig += 0.5
+        np.multiply(f, c_prev, out=c_next)
+        np.multiply(i, u, out=iu)
+        c_next += iu
+        np.tanh(c_next, out=tc)
+        np.multiply(o, tc, out=h_next)
+    return h[1:], (gates, h, c, tanh_c)
+
+
 def lstm_grads_reference(w_h_t: np.ndarray, cache: tuple, g: np.ndarray) -> tuple:
     """Reference BPTT of lstm_sequence: (d w_cell, d b_cell) for upstream g (T, B, H).
 

@@ -330,6 +330,21 @@ class TestLstmSequence:
         assert np.array_equal(dw, dw_ref) and np.array_equal(db, db_ref)
         assert np.array_equal(g, g_before)
 
+    @pytest.mark.parametrize("batch", [1, 4, 8, 32])
+    @pytest.mark.parametrize("days", [2, 73, 365])
+    @pytest.mark.parametrize("hidden", [20, 30, 45])
+    def test_forward_equals_reference_bit_for_bit(self, batch, days, hidden):
+        params, features, _ = lstm_case(batch, days=days, hidden=hidden, m=10,
+                                        seed=batch + days + hidden)
+        args = params["w_cell"], params["b_cell"], features
+        hs_ref, cache_ref = oracles.lstm_values_reference(*args)
+        hs, cache = ad.lstm_sequence_values(*args)
+        # Compared as integers, so a zero whose sign flips fails too.
+        for name, got, want in zip(("hs", "gates", "h", "c", "tanh_c"),
+                                   (hs, *cache), (hs_ref, *cache_ref)):
+            assert got.shape == want.shape, name
+            assert np.array_equal(got.view(np.int64), want.view(np.int64)), name
+
     def test_gradient_check(self):
         params, features, weights = lstm_case(2, days=6, hidden=3, seed=1)
 

@@ -91,6 +91,14 @@ def pril_run(data_dir, train_cfg, tmp_path_factory):
     return out
 
 
+@pytest.fixture(scope="module")
+def april_run(data_dir, train_cfg, tmp_path_factory):
+    out = tmp_path_factory.mktemp("runs") / "april"
+    assert main(["train", "--mode", "april", "--data", str(data_dir),
+                 "--out", str(out), "--config", str(train_cfg), "--k", "6"]) == 0
+    return out
+
+
 class TestGenerate:
     def test_writes_lakes_truth_and_manifest(self, data_dir):
         names = sorted(p.name for p in data_dir.iterdir())
@@ -232,12 +240,8 @@ class TestTrain:
             assert (outs["baseline"] / name).read_bytes() == \
                 (outs["pril"] / name).read_bytes()
 
-    def test_april_emits_labels_and_discriminator(self, data_dir, train_cfg,
-                                                  tmp_path):
-        out = tmp_path / "april"
-        assert main(["train", "--mode", "april", "--data", str(data_dir),
-                     "--out", str(out), "--config", str(train_cfg),
-                     "--k", "6"]) == 0
+    def test_april_emits_labels_and_discriminator(self, april_run):
+        out = april_run
         assert (out / "labels_00.csv").exists()
         assert (out / "labels_01.csv").exists()
         with open(out / "labels_00.csv", newline="") as fh:
@@ -251,6 +255,24 @@ class TestTrain:
         assert counters["epochs"] == n_rows
         assert 1 <= counters["best_epoch"] <= n_rows
         assert counters["tape_nodes"] > 0 and counters["backward_visits"] > 0
+
+    def test_april_manifest_counts_labels(self, april_run):
+        counters = json.loads((april_run / "manifest.json").read_text())["counters"]
+        assert set(counters) == {"epochs", "best_epoch", "tape_nodes", "backward_visits",
+                                 "labels", "classes", "k_hist"}
+        rows = []
+        for path in sorted(april_run.glob("labels_*.csv")):
+            with open(path, newline="") as fh:
+                rows += list(csv.DictReader(fh))
+        assert len(rows) > 0
+        assert set(counters["labels"]) <= {"VOLUME_RULE", "ERROR_RULE", "DISCRIMINATOR",
+                                           "FALLBACK"}
+        assert set(counters["classes"]) == {"MILD", "DRASTIC"}
+        assert set(counters["k_hist"]) <= {"1", "6"}
+        for key, column in (("labels", "provenance"), ("classes", "class"), ("k_hist", "k")):
+            assert sum(counters[key].values()) == len(rows)
+            for value, n in counters[key].items():
+                assert n == sum(row[column] == value for row in rows), (key, value)
 
     @pytest.mark.parametrize("payload, key", [
         ({"hidden_size": 30.5}, "hidden_size"),
