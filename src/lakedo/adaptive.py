@@ -135,8 +135,6 @@ def label_drastic_days(series: LakeSeries, preds: np.ndarray, gamma: float,
     regardless of residuals (that provenance wins). Unobserved days without
     a volume trigger stay unlabeled.
     """
-    if gamma < 0 or volume_threshold <= 0:
-        raise DomainError("gamma must be >= 0 and volume_threshold > 0")
     layers = stacked_observations(series)[:, :2]
     worst = np.fmax.reduce(np.abs(preds[:, :2] - layers), axis=1)
     volume = np.abs(relative_epi_volume_change(series)) > volume_threshold

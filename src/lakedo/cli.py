@@ -71,7 +71,9 @@ MODES = ("baseline", "pril", "april")
 def _read_config(path: str | Path, schema: str) -> dict:
     """The JSON object at path, with its "schema" key checked and removed."""
     try:
-        data = json.loads(Path(path).read_text())
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"{path}: not UTF-8 text ({exc})") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(data, dict):

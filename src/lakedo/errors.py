@@ -11,7 +11,7 @@ class SchemaError(ValueError):
 
 
 class OrderingError(ValueError):
-    """Date indices are not strictly increasing with unit spacing."""
+    """A CSV date cell is not an integer in the int64 range (date spacing is a DomainError)."""
 
 
 class DomainError(ValueError):

@@ -18,7 +18,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .errors import DomainError, is_int64
+from .errors import DomainError, bounded, check_config_fields
 from .series import VOLUME_CHANGE_REL_TOL, LakeSeries
 
 __all__ = [
@@ -47,11 +47,10 @@ class EntrainmentFluxes:
 class SubstepConfig:
     """Sub-daily Euler resolution: k substeps spanning one day."""
 
-    k: int = 1
+    k: int = bounded(1, ge=1)
 
     def __post_init__(self) -> None:
-        if not (is_int64(self.k) and self.k >= 1):
-            raise DomainError(f"substep count k must be an int64 integer >= 1, got {self.k!r}")
+        check_config_fields(self)
 
 
 def _require_finite(**named) -> None:

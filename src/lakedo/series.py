@@ -237,20 +237,22 @@ def _raise_first_bad_row(path: Path, header: list[str], body: list[list[str]],
 
 
 def _read_csv(path: str | Path) -> list[list[str]]:
-    """Every row of a CSV file; malformed quoting is a SchemaError naming row and line.
+    """Every row of a UTF-8 CSV file; malformed quoting is a SchemaError naming row and line.
 
     A stray quote makes the csv module read on to the next quote, or to the
     end of the file, as one field, and a field past its size limit raises
     csv.Error, which is not a ValueError.
     """
     rows: list[list[str]] = []
-    with open(path, newline="") as fh:
+    with open(path, newline="", encoding="utf-8") as fh:
         reader = csv.reader(fh)
         try:
             rows.extend(reader)     # keeps the rows read before an error
         except csv.Error as exc:
             raise SchemaError(f"{path}: row {len(rows) + 1}: malformed CSV up to line "
                               f"{reader.line_num} ({exc}); look for a stray quote") from exc
+        except UnicodeDecodeError as exc:
+            raise SchemaError(f"{path}: not UTF-8 text ({exc})") from exc
     return rows
 
 
@@ -298,13 +300,6 @@ def load_series(path: str | Path) -> LakeSeries:
     feats = np.empty((len(body), len(columns) - len(_FLOAT_COLUMNS)))
     for j, column in enumerate(columns[len(_FLOAT_COLUMNS):]):
         feats[:, j] = column
-
-    if body and not np.all(np.diff(dates) == 1):
-        raise OrderingError(f"{path}: dates must be strictly increasing with unit spacing")
-    for col in ("v_total", "v_epi", "v_hyp"):
-        bad = np.nonzero(np.isfinite(floats[col]) & (floats[col] <= 0))[0]
-        if bad.size:
-            raise DomainError(f"{path}: row {bad[0] + 2}: {col} must be positive")
 
     lake_id = path.stem
     if lake_id.startswith("lake_"):

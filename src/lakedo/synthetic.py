@@ -161,8 +161,6 @@ def _integrate_truth(cfg: GenConfig, draft: _Draft) -> tuple[np.ndarray, np.ndar
     """Ground truth by forward integration, stratified days finely substepped."""
     t = draft.dates.size
     strat = draft.stratified.tolist()
-    if strat[0]:
-        raise DomainError("lake must start on a mixed day")
     # Python floats: numpy scalars' arithmetic without their per-operation cost.
     ve, vh, vt, f_epi, f_hyp, f_mixed = (a.tolist() for a in (
         draft.v_epi, draft.v_hyp, draft.v_total, draft.f_epi, draft.f_hyp, draft.f_mixed))

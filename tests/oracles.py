@@ -19,7 +19,7 @@ import numpy as np
 from lakedo import autodiff as ad
 from lakedo.autodiff import Tape, Var, _same_tape, _scatter, sigmoid_values
 from lakedo.errors import DomainError
-from lakedo.losses import WindowBatch, _check_weights, stack_windows, window_cache
+from lakedo.losses import WindowBatch, stack_windows, window_cache
 from lakedo.physics import simulate_targets
 from lakedo.series import LakeSeries, stacked_observations
 
@@ -300,7 +300,9 @@ def combined_loss(preds: np.ndarray, series: LakeSeries, lambdas, tau: float) ->
     Consistency terms with a zero weight are skipped outright, so an
     all-zero weighting is structurally the supervised loss alone.
     """
-    lams = _check_weights(lambdas, tau)
+    lams = tuple(float(x) for x in lambdas)
+    if min(lams) < 0 or tau < 0:
+        raise DomainError("lambda weights and tau must be >= 0")
     preds = np.asarray(preds, dtype=np.float64)
     ml = supervised_loss(preds, stacked_observations(series))
     mc = [0.0, 0.0, 0.0]

@@ -755,6 +755,8 @@ def test_evaluate_k_beyond_memory_exit_2_before_any_output(k, message, data_dir,
     ("unknown sweep key", "unknown keys ['bogus']"),
     ("header-only lake CSV", "lake_00.csv: evaluation needs at least two days, got 0"),
     ("one-day lake CSV", "lake_00.csv: evaluation needs at least two days, got 1"),
+    ("config not UTF-8", "latin1.json: not UTF-8 text ('utf-8' codec can't decode byte 0xff"),
+    ("lake CSV not UTF-8", "lake_00.csv: not UTF-8 text ('utf-8' codec can't decode byte 0xff"),
 ])
 def test_input_error_exit_2_with_one_line_and_no_out(case, message, data_dir, train_cfg,
                                                      pril_run, tmp_path, capsys):
@@ -767,6 +769,9 @@ def test_input_error_exit_2_with_one_line_and_no_out(case, message, data_dir, tr
     for days in (0, 1):
         (tmp_path / f"days_{days}").mkdir()
         (tmp_path / f"days_{days}" / "lake_00.csv").write_text("".join(lines[:1 + days]))
+    (tmp_path / "latin1.json").write_bytes(b"\xff\xfe" + json.dumps(TRAIN_CONFIG).encode())
+    (tmp_path / "latin1").mkdir()
+    (tmp_path / "latin1" / "lake_00.csv").write_bytes(b"\xff\xfe" + "".join(lines).encode())
     save_checkpoint(tmp_path / "disc.csv", discriminator=init_discriminator(4, hidden=(2,)))
     write_json(tmp_path / "sweep.json", {"schema": "lakedo-sweep-v1", "lambda_epi": [0.0],
                                          "lambda_hyp": [0.0], "bogus": 1})
@@ -782,6 +787,8 @@ def test_input_error_exit_2_with_one_line_and_no_out(case, message, data_dir, tr
                                  "--data", str(tmp_path / "days_0")],
         "one-day lake CSV": ["evaluate", str(pril_run / "checkpoint.csv"),
                              "--data", str(tmp_path / "days_1")],
+        "config not UTF-8": ["generate", "--config", str(tmp_path / "latin1.json")],
+        "lake CSV not UTF-8": [*pril, "--data", str(tmp_path / "latin1")],
     }[case]
     out = tmp_path / "out"
     assert main(argv + ["--out", str(out)]) == 2

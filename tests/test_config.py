@@ -10,10 +10,11 @@ import pytest
 from lakedo.adaptive import AprilConfig
 from lakedo.cli import load_generate_config, load_train_config
 from lakedo.errors import ConfigError
+from lakedo.physics import SubstepConfig
 from lakedo.synthetic import GenConfig
 from lakedo.training import TrainConfig
 
-CONFIG_CLASSES = (GenConfig, TrainConfig, AprilConfig)
+CONFIG_CLASSES = (GenConfig, TrainConfig, AprilConfig, SubstepConfig)
 
 
 def below(x: float) -> float:
@@ -74,6 +75,7 @@ OUTSIDE_BOUNDS = [
     (AprilConfig, "disc_learning_rate", 0.0, "disc_learning_rate must be > 0"),
     (AprilConfig, "disc_epochs", 0, "disc_epochs must be >= 1"),
     (AprilConfig, "finetune_epochs", 0, "finetune_epochs must be >= 1"),
+    (SubstepConfig, "k", 0, "k must be >= 1"),
 ]
 
 
@@ -97,7 +99,8 @@ def test_every_bounded_field_has_an_outside_case():
     (TrainConfig, {"learning_rate": 0.001, "batch_size": 32, "hidden_size": 200,
                    "window_days": 2, "tau_mc": 0}),
     (AprilConfig, {"k_drastic": 1, "disc_hidden": (1,), "disc_epochs": 1}),
-], ids=["gen", "train", "april"])
+    (SubstepConfig, {"k": 1}),
+], ids=["gen", "train", "april", "substep"])
 def test_a_value_on_a_closed_bound_is_accepted(cls, kwargs):
     cfg = cls(**kwargs)
     assert all(getattr(cfg, name) == value for name, value in kwargs.items())
@@ -117,6 +120,7 @@ WRONG_TYPES = [
     (TrainConfig, "learning_rate", np.bool_(True), "learning_rate must be a finite number"),
     (AprilConfig, "disc_hidden", 32, "disc_hidden must be a list of integers in the int64 range"),
     (AprilConfig, "disc_hidden", [8, 8.0], "disc_hidden must be a list of integers"),
+    (SubstepConfig, "k", 1.5, "k must be an integer in the int64 range, got 1.5"),
 ]
 
 

@@ -399,10 +399,6 @@ class TestMultiStepEuler:
                                          cfg=SubstepConfig(k=12), clamp=True)
         assert type(e) is np.float64 and type(h) is np.float64 and floored is False
 
-    def test_rejects_bad_substep_config(self):
-        with pytest.raises(DomainError):
-            SubstepConfig(k=0)
-
 
 def _outcome(fn, args):
     """A call's result bytes, or the DomainError message it raised."""

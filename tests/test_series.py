@@ -236,14 +236,28 @@ class TestLoadErrors:
         rows = [["1", "M", "300", "", "", "0.1", "", "", "", "", "", "0"],
                 ["3", "M", "300", "", "", "0.1", "", "", "", "", "", "0"]]
         p = self.write_rows(tmp_path, self.base_header(), rows)
-        with pytest.raises(OrderingError):
+        with pytest.raises(DomainError) as info:
             load_series(p)
+        assert str(info.value) == (f"{p}: day 1: dates must increase with unit spacing "
+                                   f"(1 violation(s) total)")
 
-    def test_nonpositive_volume_names_row(self, tmp_path):
+    def test_nonpositive_volume_names_day(self, tmp_path):
         rows = [["1", "S", "300", "-100", "400", "", "0.2", "-0.4", "", "", "", "0"]]
         p = self.write_rows(tmp_path, self.base_header(), rows)
-        with pytest.raises(DomainError, match="row 2"):
+        with pytest.raises(DomainError) as info:
             load_series(p)
+        assert str(info.value) == (f"{p}: day 1: v_epi must be positive on stratified days "
+                                   f"(1 violation(s) total)")
+
+    def test_first_nonpositive_volume_in_day_order_is_named(self, tmp_path):
+        # The v_total column comes before v_epi, but day 1 comes before day 2.
+        rows = [["1", "S", "300", "-100", "400", "", "0.2", "-0.4", "", "", "", "0"],
+                ["2", "M", "-300", "", "", "0.1", "", "", "", "", "", "0"]]
+        p = self.write_rows(tmp_path, self.base_header(), rows)
+        with pytest.raises(DomainError) as info:
+            load_series(p)
+        assert str(info.value) == (f"{p}: day 1: v_epi must be positive on stratified days "
+                                   f"(2 violation(s) total)")
 
     def test_volume_identity_enforced(self, tmp_path):
         rows = [["1", "S", "300", "100", "150", "", "0.2", "-0.4", "", "", "", "0"]]
